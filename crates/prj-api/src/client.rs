@@ -16,19 +16,16 @@
 //!
 //! ## Version negotiation
 //!
-//! [`ApiClient::negotiate`] performs one [`Request::Hello`] exchange: a
-//! `prj/2` peer answers with the common version, a pre-cluster peer rejects
-//! the `prj/2` prefix with a version error — which the client reads as
-//! "speak `prj/1`". All later requests are encoded at the negotiated
-//! version; without negotiation every pre-existing request kind is encoded
-//! at `prj/1`, which every server accepts.
+//! Every request travels as a `prj/2` line. [`ApiClient::negotiate`]
+//! confirms up front, with one [`Request::Hello`] exchange, that the peer
+//! speaks `prj/2`; any other answer is a typed error.
 
 use crate::error::{ApiError, ErrorKind};
 use crate::events::Notification;
 use crate::request::{QueryRequest, Request, UnitRequest};
 use crate::response::{MetricsReport, Response, ResultRow, StatsReport, UnitOutcome};
 use crate::wire;
-use crate::{MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::PROTOCOL_VERSION;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -89,10 +86,6 @@ impl ClientConfig {
 pub struct ApiClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// The protocol version requests are encoded at; `None` until
-    /// [`ApiClient::negotiate`] runs, in which case each request is sent at
-    /// the lowest version able to carry it.
-    version: Option<u32>,
     /// Pushed notifications read while waiting for a different answer,
     /// in arrival order.
     pending: VecDeque<Notification>,
@@ -143,7 +136,6 @@ impl ApiClient {
                         return Ok(ApiClient {
                             reader,
                             writer: stream,
-                            version: None,
                             pending: VecDeque::new(),
                             partial: String::new(),
                         });
@@ -155,60 +147,32 @@ impl ApiClient {
         Err(last_err.unwrap_or_else(|| std::io::Error::other("connect failed")))
     }
 
-    /// The negotiated protocol version, if [`ApiClient::negotiate`] ran.
-    pub fn version(&self) -> Option<u32> {
-        self.version
-    }
-
-    /// Negotiates the protocol version with one [`Request::Hello`]
-    /// round-trip and pins it for all later requests. A peer that rejects
-    /// the `prj/2` prefix with a version error is a `prj/1` server — not a
-    /// failure. Returns the negotiated version.
+    /// Confirms with one [`Request::Hello`] round-trip that the peer
+    /// speaks `prj/2`, and returns [`PROTOCOL_VERSION`].
+    ///
+    /// # Errors
+    /// The peer's typed error if it rejects the hello (a peer of another
+    /// dialect answers [`ErrorKind::Version`]), and [`ErrorKind::Version`]
+    /// if it acks any version other than `prj/2`.
     pub fn negotiate(&mut self) -> Result<u32, ApiError> {
         let hello = Request::Hello {
             max_version: PROTOCOL_VERSION,
         };
-        self.send_at(&hello, PROTOCOL_VERSION)?;
-        let version = match self.read_response()? {
-            Response::HelloAck { version } => version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION),
-            Response::Error(e) if matches!(e.kind, ErrorKind::Version | ErrorKind::Malformed) => {
-                // Pre-cluster peers reject either the prj/2 prefix
-                // (version) or the unknown hello verb (malformed); both
-                // mean "speak prj/1".
-                MIN_PROTOCOL_VERSION
-            }
-            Response::Error(e) => return Err(e),
-            other => {
-                return Err(ApiError::new(
-                    ErrorKind::Internal,
-                    format!("unexpected hello answer: {other:?}"),
-                ))
-            }
-        };
-        self.version = Some(version);
-        Ok(version)
-    }
-
-    fn send_at(&mut self, request: &Request, version: u32) -> Result<(), ApiError> {
-        let mut line = wire::encode_request_at(request, version)?;
-        line.push('\n');
-        self.writer.write_all(line.as_bytes()).map_err(ApiError::io)
+        match self.call(&hello)? {
+            Response::HelloAck {
+                version: PROTOCOL_VERSION,
+            } => Ok(PROTOCOL_VERSION),
+            other => Err(ApiError::new(
+                ErrorKind::Version,
+                format!("expected a prj/{PROTOCOL_VERSION} hello ack, got {other:?}"),
+            )),
+        }
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ApiError> {
-        let needed = wire::request_version(request);
-        let version = match self.version {
-            // A negotiated prj/1 peer cannot be sent cluster messages.
-            Some(negotiated) if negotiated < needed => {
-                return Err(ApiError::new(
-                    ErrorKind::Version,
-                    format!("peer negotiated prj/{negotiated}, request requires prj/{needed}"),
-                ));
-            }
-            Some(negotiated) => negotiated,
-            None => needed,
-        };
-        self.send_at(request, version)
+        let mut line = wire::encode_request(request)?;
+        line.push('\n');
+        self.writer.write_all(line.as_bytes()).map_err(ApiError::io)
     }
 
     /// Reads one complete wire line. On a read timeout the consumed prefix
@@ -305,8 +269,7 @@ impl ApiClient {
         }
     }
 
-    /// Fetches the server's metrics snapshot (`prj/2`; negotiate first —
-    /// a `prj/1` peer answers a typed version error).
+    /// Fetches the server's metrics snapshot.
     pub fn metrics(&mut self) -> Result<MetricsReport, ApiError> {
         match self.call(&Request::Metrics)? {
             Response::Metrics(report) => Ok(report),
@@ -314,8 +277,7 @@ impl ApiClient {
         }
     }
 
-    /// Cluster-internal: executes one driving-shard unit on a worker
-    /// (`prj/2`; negotiate first).
+    /// Cluster-internal: executes one driving-shard unit on a worker.
     pub fn execute_unit(&mut self, unit: UnitRequest) -> Result<UnitOutcome, ApiError> {
         match self.call(&Request::ExecuteUnit(unit))? {
             Response::Unit(outcome) => Ok(outcome),
@@ -323,7 +285,7 @@ impl ApiClient {
         }
     }
 
-    /// Registers a standing query (`prj/2`; negotiate first). Returns the
+    /// Registers a standing query. Returns the
     /// subscription id, the initial certified top-K, and the pinned
     /// algorithm id. Change notifications then arrive on this connection —
     /// drain them with [`ApiClient::next_notification`] or
@@ -342,7 +304,7 @@ impl ApiClient {
         }
     }
 
-    /// Cancels a standing query (`prj/2`). Notifications for the id that
+    /// Cancels a standing query. Notifications for the id that
     /// were already in flight may still surface from the pending buffer.
     pub fn unsubscribe(&mut self, id: u64) -> Result<(), ApiError> {
         match self.call(&Request::Unsubscribe { id })? {

@@ -31,15 +31,15 @@ pub enum ErrorKind {
     /// Transport failure (connection lost, short read, …).
     Io,
     /// A cluster worker needed for the request is unreachable and no
-    /// replica could take over (`prj/2`).
+    /// replica could take over.
     WorkerUnavailable,
     /// The cluster answered, but in a degraded state: part of the fleet is
     /// inconsistent or lost and the operation could not be completed
-    /// exactly (`prj/2`).
+    /// exactly.
     Degraded,
     /// A worker's replicated catalog is at a different epoch than the
     /// coordinator snapshot that produced the request; the caller should
-    /// re-snapshot and retry (`prj/2`).
+    /// re-snapshot and retry.
     StaleEpoch,
     /// The request kind is understood but not served by this endpoint
     /// (e.g. a cluster-internal message sent to a plain server).
@@ -67,20 +67,6 @@ impl ErrorKind {
             ErrorKind::Unsupported => "unsupported",
             ErrorKind::Internal => "internal",
         }
-    }
-
-    /// `true` when the kind exists in the original `prj/1` vocabulary. A
-    /// response encoded at `prj/1` downgrades newer kinds to
-    /// [`ErrorKind::Internal`] (keeping the original code in the message)
-    /// so a `prj/1` peer never sees a code it cannot parse.
-    pub fn known_to_v1(&self) -> bool {
-        !matches!(
-            self,
-            ErrorKind::WorkerUnavailable
-                | ErrorKind::Degraded
-                | ErrorKind::StaleEpoch
-                | ErrorKind::Unsupported
-        )
     }
 
     /// Parses a wire token back into a kind.
@@ -169,16 +155,6 @@ mod tests {
             assert_eq!(ErrorKind::from_code(kind.code()), Some(kind));
         }
         assert_eq!(ErrorKind::from_code("no-such-kind"), None);
-    }
-
-    #[test]
-    fn cluster_kinds_are_not_part_of_the_v1_vocabulary() {
-        assert!(ErrorKind::Version.known_to_v1());
-        assert!(ErrorKind::Io.known_to_v1());
-        assert!(!ErrorKind::WorkerUnavailable.known_to_v1());
-        assert!(!ErrorKind::Degraded.known_to_v1());
-        assert!(!ErrorKind::StaleEpoch.known_to_v1());
-        assert!(!ErrorKind::Unsupported.known_to_v1());
     }
 
     #[test]

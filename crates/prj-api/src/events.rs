@@ -68,7 +68,7 @@ pub enum ChangeEvent {
     },
 }
 
-/// A pushed change notification for one standing query (`prj/2`).
+/// A pushed change notification for one standing query.
 ///
 /// `seq` starts at 1 for the first notification after the
 /// [`crate::Response::Subscribed`] ack and increments by exactly 1; a gap

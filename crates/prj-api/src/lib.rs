@@ -18,15 +18,15 @@
 //! | [`Request::TopK`] | run one top-k query to completion |
 //! | [`Request::Stream`] | run one top-k query, results delivered incrementally |
 //! | [`Request::Stats`] | engine statistics snapshot |
-//! | [`Request::Hello`] | negotiate the protocol version (`prj/2`) |
-//! | [`Request::ExecuteUnit`] | cluster-internal: run one driving-shard unit (`prj/2`) |
-//! | [`Request::ShardAssignment`] | cluster-internal: install a worker's shard set (`prj/2`) |
-//! | [`Request::WorkerStats`] | cluster-internal: worker work counters (`prj/2`) |
-//! | [`Request::Metrics`] | metrics snapshot: counters/gauges/histograms (`prj/2`) |
-//! | [`Request::Subscribe`] | register a standing top-k query, pushed change events (`prj/2`) |
-//! | [`Request::Unsubscribe`] | cancel a standing query (`prj/2`) |
+//! | [`Request::Hello`] | negotiate the protocol version |
+//! | [`Request::ExecuteUnit`] | cluster-internal: run one driving-shard unit |
+//! | [`Request::ShardAssignment`] | cluster-internal: install a worker's shard set |
+//! | [`Request::WorkerStats`] | cluster-internal: worker work counters |
+//! | [`Request::Metrics`] | metrics snapshot: counters/gauges/histograms |
+//! | [`Request::Subscribe`] | register a standing top-k query, pushed change events |
+//! | [`Request::Unsubscribe`] | cancel a standing query |
 //!
-//! `prj/2` peers may also attach a [`TraceContext`] to queries and
+//! Peers may also attach a [`TraceContext`] to queries and
 //! execution units, so spans recorded on both sides of a distributed
 //! query stitch into one trace; workers ship their finished spans back
 //! inside [`UnitOutcome`].
@@ -46,24 +46,12 @@
 //!
 //! ## Versioning and negotiation
 //!
-//! Every wire line is prefixed with `prj/N`. This build understands
-//! [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] (`prj/1` and `prj/2`):
-//! the original `prj/1` request grammar is unchanged under either prefix,
-//! while the cluster-internal messages introduced by `prj/2`
-//! ([`Request::Hello`], [`Request::ExecuteUnit`],
-//! [`Request::ShardAssignment`], [`Request::WorkerStats`]) are only valid
-//! on `prj/2` lines — a `prj/1` peer sending one gets a typed
-//! [`ErrorKind::Version`] answer, never a dropped connection. Versions
-//! outside the supported range answer with [`ErrorKind::Version`] rather
-//! than guessing, so incompatible clients fail loudly at the first
-//! exchange.
-//!
-//! A server answers every request at the version the request arrived in,
-//! so `prj/1` clients keep round-tripping against `prj/2` servers
-//! unchanged. New clients discover a peer's ceiling with a
-//! [`Request::Hello`] exchange ([`client::ApiClient::negotiate`]): an old
-//! server rejects the `prj/2` prefix with a version error and the client
-//! falls back to `prj/1`.
+//! Every wire line is prefixed with `prj/2` ([`PROTOCOL_VERSION`]), the
+//! only dialect this build speaks. A line with any other `prj/N` prefix
+//! gets a typed [`ErrorKind::Version`] answer, never a dropped connection,
+//! so an incompatible peer fails loudly at its first exchange. A client
+//! may confirm the dialect up front with one [`Request::Hello`] exchange
+//! ([`client::ApiClient::negotiate`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -87,10 +75,7 @@ pub use response::{
     UnitOutcome, UnitPlanReport, UnitProfile, UnitRow, WorkerHealth,
 };
 
-/// The newest protocol version spoken by this build; the `2` of the `prj/2`
-/// wire prefix. Bump on any incompatible change to the request or response
+/// The protocol version spoken by this build; the `2` of the `prj/2` wire
+/// prefix. Bump on any incompatible change to the request or response
 /// grammar.
 pub const PROTOCOL_VERSION: u32 = 2;
-
-/// The oldest protocol version this build still decodes and answers.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;

@@ -83,8 +83,8 @@ impl ScoringSelector {
     }
 }
 
-/// Distributed-tracing context riding on a query or execution unit
-/// (`prj/2` only): the trace every span of the request should join, plus
+/// Distributed-tracing context riding on a query or execution unit:
+/// the trace every span of the request should join, plus
 /// the sender-side span to parent under. Raw `u64`s on the wire — the
 /// protocol does not depend on any particular tracing implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,8 +112,7 @@ pub struct QueryRequest {
     pub access: Option<AccessKind>,
     /// Pin an operator instantiation (planner's choice when `None`).
     pub algorithm: Option<Algorithm>,
-    /// Join an existing trace instead of starting a fresh one (`prj/2`
-    /// only; a traced query cannot be encoded at `prj/1`).
+    /// Join an existing trace instead of starting a fresh one.
     pub trace: Option<TraceContext>,
 }
 
@@ -156,7 +155,7 @@ impl QueryRequest {
         self
     }
 
-    /// Joins an existing trace (`prj/2` only).
+    /// Joins an existing trace.
     pub fn traced(mut self, trace: TraceContext) -> Self {
         self.trace = Some(trace);
         self
@@ -165,7 +164,7 @@ impl QueryRequest {
 
 /// One cluster-internal execution unit: shard `shard` of the driving
 /// relation joined against whole-relation views of the others, with the
-/// coordinator's plan pinned (`prj/2` only).
+/// coordinator's plan pinned.
 ///
 /// The coordinator snapshots its catalog, plans each unit, and ships this
 /// description to the worker owning the shard; the worker replays the unit
@@ -245,17 +244,16 @@ pub enum Request {
     Stats,
     /// Protocol negotiation: the sender's highest supported version. The
     /// peer answers [`crate::Response::HelloAck`] with the version both
-    /// sides will speak (`min` of the two ceilings). A pre-`prj/2` server
-    /// rejects the unknown `prj/2` prefix with a typed version error,
-    /// which a negotiating client reads as "speak `prj/1`".
+    /// sides will speak (`min` of the two ceilings), or with a typed
+    /// version error when the sender's ceiling is below `prj/2`.
     Hello {
         /// Highest protocol version the sender supports.
         max_version: u32,
     },
-    /// Cluster-internal (`prj/2`): execute one driving-shard unit against
+    /// Cluster-internal: execute one driving-shard unit against
     /// the worker's replicated catalog.
     ExecuteUnit(UnitRequest),
-    /// Cluster-internal (`prj/2`): install the set of driving shards this
+    /// Cluster-internal: install the set of driving shards this
     /// worker owns under a topology generation, so its work counters and
     /// diagnostics can name them.
     ShardAssignment {
@@ -264,13 +262,13 @@ pub enum Request {
         /// The driving shards assigned to this worker.
         shards: Vec<usize>,
     },
-    /// Cluster-internal (`prj/2`): the worker's work counters.
+    /// Cluster-internal: the worker's work counters.
     WorkerStats,
-    /// Metrics snapshot (`prj/2`): every registered counter, gauge, and
+    /// Metrics snapshot: every registered counter, gauge, and
     /// histogram series — the same data the `--metrics-addr` exposition
     /// endpoint renders as Prometheus text.
     Metrics,
-    /// Registers a standing query (`prj/2`): the server runs the query once,
+    /// Registers a standing query: the server runs the query once,
     /// answers [`crate::Response::Subscribed`] with a subscription id plus
     /// the initial certified top-K, and thereafter pushes
     /// [`crate::Response::Notify`] change events on the same connection
@@ -278,14 +276,14 @@ pub enum Request {
     /// answer. The planned algorithm is pinned at subscribe time so
     /// re-evaluations hit the per-shard unit cache.
     Subscribe(QueryRequest),
-    /// Cancels a standing query (`prj/2`). Acknowledged with
+    /// Cancels a standing query. Acknowledged with
     /// [`crate::Response::Unsubscribed`]; no notification bearing the id is
     /// emitted after the ack is sent.
     Unsubscribe {
         /// The subscription id returned by [`crate::Response::Subscribed`].
         id: u64,
     },
-    /// Query diagnostics (`prj/2`): answers
+    /// Query diagnostics: answers
     /// [`crate::Response::Explain`] with the plan the engine would run —
     /// chosen algorithm, driving relation, per-shard unit plans and the
     /// planner's cost inputs. With `analyze` the query is additionally
@@ -299,16 +297,16 @@ pub enum Request {
         /// `false` = plan only; `true` = plan + instrumented execution.
         analyze: bool,
     },
-    /// Fetches one retained trace from the tail-sampled trace store
-    /// (`prj/2`). On a coordinator the spans are already cluster-stitched.
+    /// Fetches one retained trace from the tail-sampled trace store.
+    /// On a coordinator the spans are already cluster-stitched.
     FetchTrace {
         /// The trace id (as reported in listings, notify lines, or slow
         /// query logs).
         trace: u64,
     },
-    /// Lists the retained traces, oldest first (`prj/2`).
+    /// Lists the retained traces, oldest first.
     ListTraces,
-    /// Typed health snapshot (`prj/2`): readiness/liveness plus the lag
+    /// Typed health snapshot: readiness/liveness plus the lag
     /// and backlog signals behind them — replication ack lag, compactor
     /// delta backlog and age, subscription notifier queue depth, worker
     /// connection-pool state. The same data `prj-serve --health-addr`

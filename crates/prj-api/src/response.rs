@@ -40,7 +40,7 @@ pub struct StatsReport {
     /// shard (parallel to `shard_depths`).
     pub shard_micros: Vec<u64>,
     /// Per-shard worker-side sorted accesses, aggregated across the fleet
-    /// from [`Response::WorkerReport`] lanes (`prj/2` clusters only; empty
+    /// from [`Response::WorkerReport`] lanes (clusters only; empty
     /// on single-node engines and pre-lane peers). Unlike `shard_depths`,
     /// which a coordinator measures around the round trip, these are
     /// measured where the unit actually ran.
@@ -50,7 +50,7 @@ pub struct StatsReport {
     pub worker_shard_micros: Vec<u64>,
 }
 
-/// The kind of a [`MetricSample`] series (`prj/2` only).
+/// The kind of a [`MetricSample`] series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// A monotonically increasing count.
@@ -83,7 +83,7 @@ impl MetricKind {
     }
 }
 
-/// One metric series of a [`MetricsReport`] (`prj/2` only): a name,
+/// One metric series of a [`MetricsReport`]: a name,
 /// sorted labels, and the current value. Histograms arrive pre-exploded
 /// into their `_bucket`/`_sum`/`_count` series so the report is a flat
 /// list.
@@ -99,7 +99,7 @@ pub struct MetricSample {
     pub value: f64,
 }
 
-/// Answer to [`crate::Request::Metrics`] (`prj/2`): the responder's full
+/// Answer to [`crate::Request::Metrics`]: the responder's full
 /// metrics snapshot. A coordinator's report also folds in every worker's
 /// samples, distinguished by an `instance` label.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -110,8 +110,7 @@ pub struct MetricsReport {
 
 /// One finished tracing span of a worker-side unit execution, shipped
 /// inside a [`UnitOutcome`] so the coordinator can stitch it into the
-/// query's trace (`prj/2` only; ids are worker-local and remapped on
-/// import).
+/// query's trace (ids are worker-local and remapped on import).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Span name (wire-safe identifier).
@@ -129,7 +128,7 @@ pub struct SpanRecord {
 
 /// One member tuple of a [`UnitRow`], with its full contents so the
 /// coordinator can rehydrate the combination without re-reading its own
-/// catalog (`prj/2` only).
+/// catalog.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnitMember {
     /// The tuple's relation registration index ([`prj_access::TupleId`]'s
@@ -143,7 +142,7 @@ pub struct UnitMember {
     pub coords: Vec<f64>,
 }
 
-/// One combination of a cluster-internal unit result (`prj/2` only).
+/// One combination of a cluster-internal unit result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnitRow {
     /// Aggregate score `S(τ)`.
@@ -152,7 +151,7 @@ pub struct UnitRow {
     pub members: Vec<UnitMember>,
 }
 
-/// One sample of a bound-convergence profile (`prj/2` only): the K-th
+/// One sample of a bound-convergence profile: the K-th
 /// retained score vs. the upper bound `t` at a given access depth. The
 /// wire twin of `prj-core`'s `TrajectoryPoint`; floats round-trip
 /// bit-exactly (including `-inf` while fewer than K results are held).
@@ -168,7 +167,7 @@ pub struct TrajectorySample {
 
 /// The outcome of one [`crate::Request::ExecuteUnit`]: the unit's certified
 /// top-K plus exactly the accounting the coordinator's bound-aware merge
-/// needs (`prj/2` only). Floats round-trip bit-exactly, so a merged
+/// needs. Floats round-trip bit-exactly, so a merged
 /// distributed answer is indistinguishable from a local one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnitOutcome {
@@ -198,8 +197,7 @@ pub struct UnitOutcome {
     pub trajectory: Vec<TrajectorySample>,
 }
 
-/// One relation's planner cost inputs inside an [`ExplainReport`]
-/// (`prj/2` only).
+/// One relation's planner cost inputs inside an [`ExplainReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelationPlanStat {
     /// The relation's catalog name.
@@ -213,7 +211,7 @@ pub struct RelationPlanStat {
     pub discount: f64,
 }
 
-/// One per-shard unit plan inside an [`ExplainReport`] (`prj/2` only).
+/// One per-shard unit plan inside an [`ExplainReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnitPlanReport {
     /// The driving-relation shard this unit covers.
@@ -226,8 +224,7 @@ pub struct UnitPlanReport {
     pub rationale: String,
 }
 
-/// One executed unit's measurements inside an [`AnalyzeReport`]
-/// (`prj/2` only).
+/// One executed unit's measurements inside an [`AnalyzeReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnitProfile {
     /// The driving-relation shard.
@@ -247,7 +244,7 @@ pub struct UnitProfile {
 }
 
 /// The execution half of an [`ExplainReport`], present only under
-/// `analyze` (`prj/2` only).
+/// `analyze`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzeReport {
     /// The query's rows — bit-identical to what a plain
@@ -263,7 +260,7 @@ pub struct AnalyzeReport {
     pub units: Vec<UnitProfile>,
 }
 
-/// Answer to [`crate::Request::Explain`] (`prj/2`).
+/// Answer to [`crate::Request::Explain`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainReport {
     /// Short id of the (merged) operator instantiation, e.g. `TBPA`.
@@ -282,7 +279,7 @@ pub struct ExplainReport {
     pub analyzed: Option<AnalyzeReport>,
 }
 
-/// One entry of a [`crate::Response::Traces`] listing (`prj/2` only).
+/// One entry of a [`crate::Response::Traces`] listing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
     /// The trace id (fetchable while retained).
@@ -297,8 +294,7 @@ pub struct TraceSummary {
     pub spans: usize,
 }
 
-/// One worker's connection-pool state inside a [`HealthReport`]
-/// (`prj/2` only).
+/// One worker's connection-pool state inside a [`HealthReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerHealth {
     /// The worker's address (`host:port`).
@@ -309,7 +305,7 @@ pub struct WorkerHealth {
     pub idle_connections: usize,
 }
 
-/// Answer to [`crate::Request::Health`] (`prj/2`): the instance's
+/// Answer to [`crate::Request::Health`]: the instance's
 /// readiness/liveness verdict plus the lag and backlog signals behind it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HealthReport {
@@ -394,16 +390,16 @@ pub enum Response {
         /// The negotiated protocol version.
         version: u32,
     },
-    /// Answer to [`crate::Request::ExecuteUnit`] (`prj/2`).
+    /// Answer to [`crate::Request::ExecuteUnit`].
     Unit(UnitOutcome),
-    /// Answer to [`crate::Request::ShardAssignment`] (`prj/2`).
+    /// Answer to [`crate::Request::ShardAssignment`].
     AssignmentAck {
         /// The installed topology generation.
         generation: u64,
         /// The installed shard set.
         shards: Vec<usize>,
     },
-    /// Answer to [`crate::Request::WorkerStats`] (`prj/2`).
+    /// Answer to [`crate::Request::WorkerStats`].
     WorkerReport {
         /// Topology generation of the worker's current assignment.
         generation: u64,
@@ -423,9 +419,9 @@ pub enum Response {
         /// Per-shard execution microseconds, parallel to `lane_units`.
         lane_micros: Vec<u64>,
     },
-    /// Answer to [`crate::Request::Metrics`] (`prj/2`).
+    /// Answer to [`crate::Request::Metrics`].
     Metrics(MetricsReport),
-    /// Answer to [`crate::Request::Subscribe`] (`prj/2`): the standing
+    /// Answer to [`crate::Request::Subscribe`]: the standing
     /// query is registered and its initial certified top-K follows.
     Subscribed {
         /// The subscription id, unique within the serving process;
@@ -439,19 +435,19 @@ pub enum Response {
         /// first notification's events apply to.
         rows: Vec<ResultRow>,
     },
-    /// Answer to [`crate::Request::Unsubscribe`] (`prj/2`).
+    /// Answer to [`crate::Request::Unsubscribe`].
     Unsubscribed {
         /// The cancelled subscription id.
         id: u64,
     },
-    /// A pushed change notification for a standing query (`prj/2`). Not
+    /// A pushed change notification for a standing query. Not
     /// the answer to any request: servers interleave notifications with
     /// responses on a subscribed connection, and clients demultiplex by
     /// form ([`crate::client::ApiClient`] buffers them automatically).
     Notify(Notification),
-    /// Answer to [`crate::Request::Explain`] (`prj/2`).
+    /// Answer to [`crate::Request::Explain`].
     Explain(ExplainReport),
-    /// Answer to [`crate::Request::FetchTrace`] (`prj/2`): one retained
+    /// Answer to [`crate::Request::FetchTrace`]: one retained
     /// trace with its full (cluster-stitched) span tree.
     Trace {
         /// The trace id.
@@ -461,12 +457,12 @@ pub enum Response {
         /// Every span of the trace, oldest first.
         spans: Vec<SpanRecord>,
     },
-    /// Answer to [`crate::Request::ListTraces`] (`prj/2`).
+    /// Answer to [`crate::Request::ListTraces`].
     Traces {
         /// Retained traces, oldest first.
         traces: Vec<TraceSummary>,
     },
-    /// Answer to [`crate::Request::Health`] (`prj/2`).
+    /// Answer to [`crate::Request::Health`].
     Health(HealthReport),
     /// The request failed.
     Error(ApiError),

@@ -1,4 +1,4 @@
-//! The line wire codec: `prj/1 …` / `prj/2 …`, one message per line.
+//! The line wire codec: `prj/2 …`, one message per line.
 //!
 //! The format is a versioned, human-readable text protocol chosen so that a
 //! round-trip needs nothing beyond a TCP stream and `BufRead::read_line` —
@@ -6,19 +6,19 @@
 //! per `\n`-terminated line):
 //!
 //! ```text
-//! request  := "prj/" ver SP verb (SP key "=" value)*
+//! request  := "prj/2" SP verb (SP key "=" value)*
 //! verb     := "register" | "append" | "drop" | "topk" | "stream" | "stats"
-//!           | "hello"
-//!           | "unit" | "assign" | "wstats" | "metrics"
-//!           | "subscribe" | "unsubscribe"                   (prj/2 only)
+//!           | "hello" | "unit" | "assign" | "wstats" | "metrics"
+//!           | "subscribe" | "unsubscribe"
+//!           | "explain" | "ftrace" | "traces" | "health"
 //! tuples   := tuple (";" tuple)*          tuple  := f64 ("," f64)* ":" f64
 //! rels     := ref ("," ref)*              ref    := "#" usize | ident
 //! scoring  := ident [":" f64 ("," f64)*]
 //! epochs   := u64-list ("|" u64-list)*
 //! trace    := u64 ":" u64                 (trace id ":" parent span id)
 //!
-//! response := "prj/" ver SP "ok" SP form (SP key "=" value)*
-//!           | "prj/" ver SP "err" SP "kind=" code SP "msg=" rest-of-line
+//! response := "prj/2" SP "ok" SP form (SP key "=" value)*
+//!           | "prj/2" SP "err" SP "kind=" code SP "msg=" rest-of-line
 //! row      := f64 "@" usize ":" usize ("+" usize ":" usize)*
 //! urow     := f64 "@" umember ("+" umember)*
 //! umember  := usize ":" usize ":" f64 ":" f64 ("," f64)*
@@ -35,7 +35,7 @@
 //!           | "s:" usize ":" f64          (score change at rank)
 //! ```
 //!
-//! A `trace=` field (`prj/2` only) may ride on `topk`, `stream`, and
+//! A `trace=` field may ride on `topk`, `stream`, and
 //! `unit` requests; `spans=` on `unit` responses and `samples=` on
 //! `metrics` responses carry the observability payloads. Label values
 //! (`lval`) exclude whitespace and the grammar's separators.
@@ -48,14 +48,10 @@
 //!
 //! ## Version handling
 //!
-//! The decoder accepts every version in
-//! [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`]. The pre-existing
-//! verbs and forms are identical under either prefix; the cluster-internal
-//! verbs require `prj/2` and decode to a *typed* [`ErrorKind::Version`]
-//! error on a `prj/1` line. Responses are expected to be encoded at the
-//! version the request arrived in ([`encode_response_at`]); encoding an
-//! error at `prj/1` downgrades post-`prj/1` error kinds to `internal` so
-//! old peers never read a code outside their vocabulary.
+//! Every line carries the [`PROTOCOL_VERSION`] prefix, `prj/2`. A line
+//! with any other `prj/N` prefix decodes to a typed [`ErrorKind::Version`]
+//! error, so a server answers it with an `err` line and keeps the
+//! connection open.
 
 use crate::error::{ApiError, ErrorKind};
 use crate::events::{ChangeEvent, Notification};
@@ -67,7 +63,7 @@ use crate::response::{
     RelationPlanStat, Response, ResultRow, SpanRecord, StatsReport, TraceSummary, TrajectorySample,
     UnitMember, UnitOutcome, UnitPlanReport, UnitProfile, UnitRow, WorkerHealth,
 };
-use crate::{MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+use crate::PROTOCOL_VERSION;
 use prj_access::AccessKind;
 use prj_core::Algorithm;
 use std::fmt::Write as _;
@@ -81,76 +77,15 @@ pub fn is_wire_safe_name(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
 }
 
-fn version_prefix(version: u32) -> String {
-    format!("prj/{version}")
+/// The `prj/2` prefix every encoded line starts with.
+fn prefix() -> String {
+    format!("prj/{PROTOCOL_VERSION}")
 }
 
-/// The lowest protocol version able to carry `request`: the original kinds
-/// stay encodable at `prj/1` (so they keep working against old servers),
-/// the cluster-internal kinds need `prj/2`.
-pub fn request_version(request: &Request) -> u32 {
-    match request {
-        Request::RegisterRelation { .. }
-        | Request::AppendTuples { .. }
-        | Request::DropRelation { .. }
-        | Request::Stats => MIN_PROTOCOL_VERSION,
-        // A query stays a prj/1 line — unless it carries a trace context,
-        // which entered the grammar with prj/2.
-        Request::TopK(q) | Request::Stream(q) => {
-            if q.trace.is_some() {
-                PROTOCOL_VERSION
-            } else {
-                MIN_PROTOCOL_VERSION
-            }
-        }
-        Request::Hello { .. }
-        | Request::ExecuteUnit(_)
-        | Request::ShardAssignment { .. }
-        | Request::WorkerStats
-        | Request::Metrics
-        | Request::Subscribe(_)
-        | Request::Unsubscribe { .. }
-        | Request::Explain { .. }
-        | Request::FetchTrace { .. }
-        | Request::ListTraces
-        | Request::Health => PROTOCOL_VERSION,
-    }
-}
-
-/// The lowest protocol version able to carry `response`.
-pub fn response_version(response: &Response) -> u32 {
-    match response {
-        Response::Registered { .. }
-        | Response::Appended { .. }
-        | Response::Dropped { .. }
-        | Response::Results { .. }
-        | Response::StreamItem(_)
-        | Response::StreamEnd { .. }
-        | Response::Stats(_)
-        // The negotiation answer must be expressible in *every* dialect —
-        // a conservative peer probing with `prj/1 hello` deserves a real
-        // ack, not an error (old servers reject the verb as malformed,
-        // which the negotiating client already handles).
-        | Response::HelloAck { .. }
-        | Response::Error(_) => MIN_PROTOCOL_VERSION,
-        Response::Unit(_)
-        | Response::AssignmentAck { .. }
-        | Response::WorkerReport { .. }
-        | Response::Metrics(_)
-        | Response::Subscribed { .. }
-        | Response::Unsubscribed { .. }
-        | Response::Notify(_)
-        | Response::Explain(_)
-        | Response::Trace { .. }
-        | Response::Traces { .. }
-        | Response::Health(_) => PROTOCOL_VERSION,
-    }
-}
-
-/// Splits off and checks the `prj/N` prefix, returning the version and the
-/// rest of the line. Versions outside the supported range are a typed
+/// Splits off and checks the `prj/N` prefix, returning the rest of the
+/// line. Any version other than [`PROTOCOL_VERSION`] is a typed
 /// [`ErrorKind::Version`] error.
-fn strip_version(line: &str) -> Result<(u32, &str), ApiError> {
+fn strip_prefix(line: &str) -> Result<&str, ApiError> {
     let line = line.trim_end_matches(['\r', '\n']);
     let (head, rest) = line
         .split_once(' ')
@@ -158,22 +93,19 @@ fn strip_version(line: &str) -> Result<(u32, &str), ApiError> {
         .unwrap_or((line, ""));
     let Some(version) = head.strip_prefix("prj/") else {
         return Err(ApiError::malformed(format!(
-            "expected a prj/{MIN_PROTOCOL_VERSION}..prj/{PROTOCOL_VERSION} message, got {head:?}"
+            "expected a prj/{PROTOCOL_VERSION} message, got {head:?}"
         )));
     };
     let parsed: u32 = version.parse().map_err(|_| {
         ApiError::malformed(format!("{version:?} is not a protocol version number"))
     })?;
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&parsed) {
+    if parsed != PROTOCOL_VERSION {
         return Err(ApiError::new(
             ErrorKind::Version,
-            format!(
-                "peer speaks prj/{parsed}, this build speaks \
-                 prj/{MIN_PROTOCOL_VERSION}..prj/{PROTOCOL_VERSION}"
-            ),
+            format!("peer speaks prj/{parsed}, this build speaks prj/{PROTOCOL_VERSION}"),
         ));
     }
-    Ok((parsed, rest))
+    Ok(rest)
 }
 
 /// Key=value fields after the verb. `msg` is handled separately because its
@@ -786,41 +718,12 @@ fn encode_unit_rows(out: &mut String, rows: &[UnitRow]) {
     }
 }
 
-/// Rejects encoding a message at a version that cannot carry it.
-fn check_encodable(version: u32, needed: u32) -> Result<(), ApiError> {
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-        return Err(ApiError::new(
-            ErrorKind::Version,
-            format!("cannot encode at unsupported version prj/{version}"),
-        ));
-    }
-    if version < needed {
-        return Err(ApiError::new(
-            ErrorKind::Version,
-            format!("message requires prj/{needed}, cannot encode at prj/{version}"),
-        ));
-    }
-    Ok(())
-}
-
-/// Encodes a request as one wire line (no trailing newline), at the lowest
-/// version able to carry it — pre-existing kinds stay `prj/1` lines, so
-/// they keep working against pre-cluster servers.
+/// Encodes a request as one wire line (no trailing newline).
 ///
 /// # Errors
 /// Fails with [`ErrorKind::Malformed`] when a name is not wire-safe.
 pub fn encode_request(request: &Request) -> Result<String, ApiError> {
-    encode_request_at(request, request_version(request))
-}
-
-/// Encodes a request at an explicit (e.g. negotiated) protocol version.
-///
-/// # Errors
-/// [`ErrorKind::Version`] when `version` cannot carry the request kind,
-/// [`ErrorKind::Malformed`] when a name is not wire-safe.
-pub fn encode_request_at(request: &Request, version: u32) -> Result<String, ApiError> {
-    check_encodable(version, request_version(request))?;
-    let mut out = version_prefix(version);
+    let mut out = prefix();
     match request {
         Request::RegisterRelation { name, tuples } => {
             if !is_wire_safe_name(name) {
@@ -913,63 +816,18 @@ pub fn encode_request_at(request: &Request, version: u32) -> Result<String, ApiE
     Ok(out)
 }
 
-/// Decodes one request line; see [`decode_request_versioned`] when the
-/// caller also needs the version the line arrived in.
+/// Decodes one request line.
 ///
 /// # Errors
-/// [`ErrorKind::Version`] on a version mismatch, [`ErrorKind::Malformed`]
-/// on anything unparseable.
+/// [`ErrorKind::Version`] on any prefix other than `prj/2`,
+/// [`ErrorKind::Malformed`] on anything unparseable.
 pub fn decode_request(line: &str) -> Result<Request, ApiError> {
-    decode_request_versioned(line).map(|(_, request)| request)
-}
-
-/// Decodes one request line, returning the protocol version it arrived in
-/// — which is the version the response should be encoded at.
-///
-/// # Errors
-/// [`ErrorKind::Version`] on an unsupported version *or* a cluster-internal
-/// verb on a `prj/1` line, [`ErrorKind::Malformed`] on anything
-/// unparseable.
-pub fn decode_request_versioned(line: &str) -> Result<(u32, Request), ApiError> {
-    let (version, rest) = strip_version(line)?;
+    let rest = strip_prefix(line)?;
     let (verb, rest) = rest
         .split_once(' ')
         .map(|(v, r)| (v, r.trim_start()))
         .unwrap_or((rest, ""));
-    // prj/2-only verbs on a prj/1 line are a *typed* version error (the
-    // peer may understand the answer and upgrade), never a dropped
-    // connection.
-    if version < 2
-        && matches!(
-            verb,
-            "unit"
-                | "assign"
-                | "wstats"
-                | "metrics"
-                | "subscribe"
-                | "unsubscribe"
-                | "explain"
-                | "ftrace"
-                | "traces"
-                | "health"
-        )
-    {
-        return Err(ApiError::new(
-            ErrorKind::Version,
-            format!("the {verb:?} verb requires prj/2"),
-        ));
-    }
-    let fields = parse_fields(rest)?;
-    // Same treatment for the prj/2 trace-context field riding a legacy
-    // verb: reject typed rather than silently dropping the context.
-    if version < 2 && matches!(verb, "topk" | "stream") && field(&fields, "trace").is_some() {
-        return Err(ApiError::new(
-            ErrorKind::Version,
-            format!("the trace= field on {verb:?} requires prj/2"),
-        ));
-    }
-    let request = decode_request_body(verb, &fields)?;
-    Ok((version, request))
+    decode_request_body(verb, &parse_fields(rest)?)
 }
 
 fn decode_request_body(verb: &str, fields: &[(&str, &str)]) -> Result<Request, ApiError> {
@@ -1179,47 +1037,11 @@ fn parse_events(s: &str) -> Result<Vec<ChangeEvent>, ApiError> {
     s.split(';').map(parse_event).collect()
 }
 
-/// Encodes a response as one wire line (no trailing newline), at the
-/// lowest version able to carry it.
+/// Encodes a response as one wire line (no trailing newline). A payload
+/// that cannot be written on the wire (an unsafe name or label) is
+/// encoded as a typed error instead.
 pub fn encode_response(response: &Response) -> String {
-    encode_response_at(response, response_version(response))
-}
-
-/// Encodes a response at the version the request arrived in, so every peer
-/// reads answers in its own dialect. A `version` unable to carry the
-/// response (a cluster-internal form at `prj/1` — only reachable through a
-/// server bug, since those forms only answer `prj/2` requests) is encoded
-/// as a typed internal error instead. Error kinds outside the `prj/1`
-/// vocabulary are downgraded to `internal` with the original code kept in
-/// the message.
-pub fn encode_response_at(response: &Response, version: u32) -> String {
-    let version = version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-    if version < response_version(response) {
-        return encode_response_at(
-            &Response::Error(ApiError::new(
-                ErrorKind::Internal,
-                format!(
-                    "response form requires prj/{}, peer speaks prj/{version}",
-                    response_version(response)
-                ),
-            )),
-            version,
-        );
-    }
-    if version < PROTOCOL_VERSION {
-        if let Response::Error(e) = response {
-            if !e.kind.known_to_v1() {
-                return encode_response_at(
-                    &Response::Error(ApiError::new(
-                        ErrorKind::Internal,
-                        format!("[{}] {}", e.kind.code(), e.message),
-                    )),
-                    version,
-                );
-            }
-        }
-    }
-    let mut out = version_prefix(version);
+    let mut out = prefix();
     match response {
         Response::Registered {
             id,
@@ -1315,7 +1137,7 @@ pub fn encode_response_at(response: &Response, version: u32) -> String {
             if !unit.spans.is_empty() {
                 out.push_str(" spans=");
                 if let Err(e) = encode_span_records(&mut out, &unit.spans) {
-                    return encode_response_at(&Response::Error(e), version);
+                    return encode_response(&Response::Error(e));
                 }
             }
             if !unit.trajectory.is_empty() {
@@ -1360,7 +1182,7 @@ pub fn encode_response_at(response: &Response, version: u32) -> String {
         Response::Metrics(report) => {
             out.push_str(" ok metrics samples=");
             if let Err(e) = encode_metric_samples(&mut out, &report.samples) {
-                return encode_response_at(&Response::Error(e), version);
+                return encode_response(&Response::Error(e));
             }
         }
         Response::Subscribed {
@@ -1388,12 +1210,9 @@ pub fn encode_response_at(response: &Response, version: u32) -> String {
             }
             if let Some(fin) = &n.fin {
                 if !is_wire_safe_name(fin) {
-                    return encode_response_at(
-                        &Response::Error(ApiError::malformed(format!(
-                            "notify fin token {fin:?} is not wire-safe"
-                        ))),
-                        version,
-                    );
+                    return encode_response(&Response::Error(ApiError::malformed(format!(
+                        "notify fin token {fin:?} is not wire-safe"
+                    ))));
                 }
                 let _ = write!(out, " fin={fin}");
             }
@@ -1462,7 +1281,7 @@ pub fn encode_response_at(response: &Response, version: u32) -> String {
         } => {
             let _ = write!(out, " ok trace id={trace} class={class} spans=");
             if let Err(e) = encode_span_records(&mut out, spans) {
-                return encode_response_at(&Response::Error(e), version);
+                return encode_response(&Response::Error(e));
             }
         }
         Response::Traces { traces } => {
@@ -1515,7 +1334,7 @@ pub fn encode_response_at(response: &Response, version: u32) -> String {
 /// `Ok(Response::Error(..))`; the `Err` side is for lines this codec cannot
 /// understand at all.
 pub fn decode_response(line: &str) -> Result<Response, ApiError> {
-    let (version, rest) = strip_version(line)?;
+    let rest = strip_prefix(line)?;
     if let Some(err) = rest.strip_prefix("err ") {
         let fields = parse_fields(err.split_once(" msg=").map(|(f, _)| f).unwrap_or(err))?;
         let kind = require(&fields, "kind", "err")?;
@@ -1536,27 +1355,6 @@ pub fn decode_response(line: &str) -> Result<Response, ApiError> {
         .split_once(' ')
         .map(|(f, r)| (f, r.trim_start()))
         .unwrap_or((ok, ""));
-    if version < 2
-        && matches!(
-            form,
-            "unit"
-                | "assigned"
-                | "worker"
-                | "metrics"
-                | "subscribed"
-                | "unsubscribed"
-                | "notify"
-                | "explain"
-                | "trace"
-                | "traces"
-                | "health"
-        )
-    {
-        return Err(ApiError::new(
-            ErrorKind::Version,
-            format!("the {form:?} response form requires prj/2"),
-        ));
-    }
     let fields = parse_fields(rest)?;
     match form {
         "registered" => Ok(Response::Registered {
@@ -1837,14 +1635,14 @@ mod tests {
 
     fn request_round_trip(request: Request) {
         let line = encode_request(&request).expect("encode");
-        assert!(line.starts_with("prj/1 "), "versioned: {line}");
+        assert!(line.starts_with("prj/2 "), "versioned: {line}");
         let decoded = decode_request(&line).expect("decode");
         assert_eq!(decoded, request, "wire line was: {line}");
     }
 
     fn response_round_trip(response: Response) {
         let line = encode_response(&response);
-        assert!(line.starts_with("prj/1 "), "versioned: {line}");
+        assert!(line.starts_with("prj/2 "), "versioned: {line}");
         let decoded = decode_response(&line).expect("decode");
         assert_eq!(decoded, response, "wire line was: {line}");
     }
@@ -1956,13 +1754,17 @@ mod tests {
             ErrorKind::UnknownRelation,
             "no relation named bars; try register first",
         )));
+        response_round_trip(Response::Error(ApiError::new(
+            ErrorKind::WorkerUnavailable,
+            "worker 2 is gone",
+        )));
     }
 
     #[test]
     fn stats_without_shard_fields_decode_with_defaults() {
         // A pre-sharding peer's stats line still decodes (one shard, no
         // breakdown).
-        let line = "prj/1 ok stats queries=1 cache_hits=0 executed=1 relations=1 \
+        let line = "prj/2 ok stats queries=1 cache_hits=0 executed=1 relations=1 \
                     cache_entries=1 invalidations=0 sum_depths=9";
         match decode_response(line).unwrap() {
             Response::Stats(s) => {
@@ -1995,28 +1797,16 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_detected() {
-        let err = decode_request("prj/3 stats").unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-        let err = decode_response("prj/0 ok end n=1").unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
+        for line in ["prj/1 stats", "prj/3 stats"] {
+            let err = decode_request(line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Version, "line: {line}");
+        }
+        for line in ["prj/1 ok end n=3", "prj/0 ok end n=1"] {
+            let err = decode_response(line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Version, "line: {line}");
+        }
         let err = decode_request("http/1.1 GET /").unwrap_err();
         assert_eq!(err.kind, ErrorKind::Malformed);
-    }
-
-    #[test]
-    fn both_supported_versions_decode_legacy_messages() {
-        // The original grammar is identical under either prefix, and the
-        // decoder reports which version the line arrived in.
-        for version in [1, 2] {
-            let (v, request) = decode_request_versioned(&format!("prj/{version} stats")).unwrap();
-            assert_eq!(v, version);
-            assert_eq!(request, Request::Stats);
-            let line = format!("prj/{version} ok end n=3");
-            assert_eq!(
-                decode_response(&line).unwrap(),
-                Response::StreamEnd { count: 3 }
-            );
-        }
     }
 
     fn sample_unit_request() -> Request {
@@ -2050,6 +1840,7 @@ mod tests {
                 shards: Vec::new(),
             },
             Request::WorkerStats,
+            Request::Metrics,
         ] {
             let line = encode_request(&request).expect("encode");
             assert!(line.starts_with("prj/2 "), "versioned: {line}");
@@ -2129,30 +1920,6 @@ mod tests {
     }
 
     #[test]
-    fn subscription_verbs_on_v1_are_typed_version_errors() {
-        for line in [
-            "prj/1 subscribe rels=#0 q=0.0",
-            "prj/1 unsubscribe id=4",
-            "prj/1 ok subscribed id=0 algo=TBPA rows=",
-            "prj/1 ok unsubscribed id=0",
-            "prj/1 ok notify id=0 seq=1 n=0",
-        ] {
-            let err = if line.contains(" ok ") {
-                decode_response(line).unwrap_err()
-            } else {
-                decode_request(line).unwrap_err()
-            };
-            assert_eq!(err.kind, ErrorKind::Version, "line: {line}");
-        }
-        let err = encode_request_at(
-            &Request::Subscribe(QueryRequest::new(vec![0.into()], [0.0])),
-            1,
-        )
-        .unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-    }
-
-    #[test]
     fn malformed_events_are_rejected() {
         for events in ["z:1", "x:", "x:1:junk", "m:1", "e:0", "s:0:abc", "m:1:2:3"] {
             let line = format!("prj/2 ok notify id=0 seq=1 n=0 events={events}");
@@ -2161,23 +1928,9 @@ mod tests {
     }
 
     #[test]
-    fn hello_ack_round_trips_in_both_dialects() {
-        // The negotiation answer is version-agnostic: a conservative peer
-        // probing with `prj/1 hello` gets a real ack.
-        let ack = Response::HelloAck { version: 2 };
-        for version in [1, 2] {
-            let line = encode_response_at(&ack, version);
-            assert!(
-                line.starts_with(&format!("prj/{version} ok hello")),
-                "{line}"
-            );
-            assert_eq!(decode_response(&line).unwrap(), ack);
-        }
-    }
-
-    #[test]
     fn cluster_responses_round_trip_at_v2() {
         for response in [
+            Response::HelloAck { version: 2 },
             Response::Unit(UnitOutcome {
                 rows: vec![
                     UnitRow {
@@ -2323,49 +2076,10 @@ mod tests {
                 }
             }),
         ] {
-            // A trace context lifts the query's floor to prj/2.
             let line = encode_request(&request).expect("encode");
             assert!(line.starts_with("prj/2 "), "versioned: {line}");
             assert_eq!(decode_request(&line).expect("decode"), request);
         }
-    }
-
-    #[test]
-    fn trace_context_on_v1_is_a_typed_version_error() {
-        for line in [
-            "prj/1 topk rels=#0 q=0.0 trace=7:0",
-            "prj/1 stream rels=#0 q=0.0 trace=7:3",
-        ] {
-            let err = decode_request(line).unwrap_err();
-            assert_eq!(err.kind, ErrorKind::Version, "line: {line}");
-        }
-        // Encoding a traced query at prj/1 is refused up front, not
-        // silently stripped.
-        let traced = Request::TopK(QueryRequest::new(vec![RelationRef::Id(0)], [0.0]).traced(
-            TraceContext {
-                trace: 9,
-                parent: 0,
-            },
-        ));
-        let err = encode_request_at(&traced, 1).unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-        // An untraced query still travels as a prj/1 line.
-        let plain = Request::TopK(QueryRequest::new(vec![RelationRef::Id(0)], [0.0]));
-        assert!(encode_request(&plain).unwrap().starts_with("prj/1 "));
-    }
-
-    #[test]
-    fn metrics_on_v1_is_a_typed_version_error() {
-        let err = decode_request("prj/1 metrics").unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-        let err = decode_response("prj/1 ok metrics samples=").unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-        let err = encode_request_at(&Request::Metrics, 1).unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-        // At prj/2 the verb is a plain round-trip.
-        let line = encode_request(&Request::Metrics).unwrap();
-        assert_eq!(line, "prj/2 metrics");
-        assert_eq!(decode_request(&line).unwrap(), Request::Metrics);
     }
 
     #[test]
@@ -2409,78 +2123,20 @@ mod tests {
     }
 
     #[test]
-    fn cluster_messages_on_v1_are_typed_version_errors() {
-        for line in [
-            "prj/1 unit rels=#0 epochs=0 drive=0 shard=0 q=0.0 k=1 \
-             scoring=euclidean-log access=distance algo=tbrr",
-            "prj/1 assign gen=0 shards=",
-            "prj/1 wstats",
-        ] {
-            let err = decode_request(line).unwrap_err();
-            assert_eq!(err.kind, ErrorKind::Version, "line: {line}");
-        }
-        let err = decode_response(
-            "prj/1 ok unit bound=0.0 updates=0 formed=0 micros=0 \
-                                   capped=false depths= rows=",
-        )
-        .unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-        // Encoding a cluster request at prj/1 is refused up front.
-        let err = encode_request_at(&sample_unit_request(), 1).unwrap_err();
-        assert_eq!(err.kind, ErrorKind::Version);
-    }
-
-    #[test]
-    fn post_v1_error_kinds_downgrade_when_answering_v1_peers() {
-        let error = ApiError::new(ErrorKind::WorkerUnavailable, "worker 2 is gone");
-        let line = encode_response_at(&Response::Error(error.clone()), 1);
-        assert!(line.starts_with("prj/1 err kind=internal"), "line: {line}");
-        match decode_response(&line).unwrap() {
-            Response::Error(e) => {
-                assert_eq!(e.kind, ErrorKind::Internal);
-                assert!(
-                    e.message.contains("worker-unavailable"),
-                    "msg: {}",
-                    e.message
-                );
-            }
-            other => panic!("unexpected decode: {other:?}"),
-        }
-        // The same error at prj/2 keeps its kind.
-        let line = encode_response_at(&Response::Error(error.clone()), 2);
-        assert_eq!(decode_response(&line).unwrap(), Response::Error(error));
-    }
-
-    #[test]
-    fn responses_echo_the_requested_version() {
-        let end = Response::StreamEnd { count: 1 };
-        assert!(encode_response_at(&end, 1).starts_with("prj/1 "));
-        assert!(encode_response_at(&end, 2).starts_with("prj/2 "));
-        // A cluster-only form demanded at v1 degrades to a typed error
-        // rather than emitting a line the peer cannot parse.
-        let ack = Response::AssignmentAck {
-            generation: 1,
-            shards: vec![0],
-        };
-        let line = encode_response_at(&ack, 1);
-        assert!(line.starts_with("prj/1 err kind=internal"), "line: {line}");
-    }
-
-    #[test]
     fn malformed_requests_are_rejected() {
         for line in [
-            "prj/1",
-            "prj/1 frobnicate x=1",
-            "prj/1 register tuples=1:1",                // missing name
-            "prj/1 register name=a;b tuples=",          // unsafe name
-            "prj/1 topk q=0.0",                         // missing rels
-            "prj/1 topk rels= q=0.0",                   // empty rels
-            "prj/1 topk rels=#x q=0.0",                 // bad id
-            "prj/1 topk rels=a q=zero",                 // bad float
-            "prj/1 topk rels=a q=0.0 algo=newton",      // bad algorithm
-            "prj/1 topk rels=a q=0.0 access=telepathy", // bad access kind
-            "prj/1 append rel=a tuples=1,2",            // tuple missing score
-            "prj/1 stats k",                            // token without =
+            "prj/2",
+            "prj/2 frobnicate x=1",
+            "prj/2 register tuples=1:1",                // missing name
+            "prj/2 register name=a;b tuples=",          // unsafe name
+            "prj/2 topk q=0.0",                         // missing rels
+            "prj/2 topk rels= q=0.0",                   // empty rels
+            "prj/2 topk rels=#x q=0.0",                 // bad id
+            "prj/2 topk rels=a q=zero",                 // bad float
+            "prj/2 topk rels=a q=0.0 algo=newton",      // bad algorithm
+            "prj/2 topk rels=a q=0.0 access=telepathy", // bad access kind
+            "prj/2 append rel=a tuples=1,2",            // tuple missing score
+            "prj/2 stats k",                            // token without =
         ] {
             assert!(
                 decode_request(line).is_err(),
@@ -2716,36 +2372,6 @@ mod tests {
             Response::Unit(unit) => assert!(unit.trajectory.is_empty()),
             other => panic!("unexpected decode: {other:?}"),
         }
-    }
-
-    #[test]
-    fn diagnostics_verbs_on_v1_are_typed_version_errors() {
-        for line in [
-            "prj/1 explain analyze=0 rels=#0 q=0.0",
-            "prj/1 ftrace id=7",
-            "prj/1 traces",
-            "prj/1 health",
-        ] {
-            match decode_request(line) {
-                Err(e) => assert_eq!(e.kind, ErrorKind::Version, "line: {line}"),
-                Ok(other) => panic!("should be rejected: {other:?}"),
-            }
-        }
-        for line in [
-            "prj/1 ok explain analyzed=0 algo=CBRR drive=0 k=1 rationale=",
-            "prj/1 ok trace id=7 class=ok spans=",
-            "prj/1 ok traces list=",
-            "prj/1 ok health ready=true live=true role=single repl_us=0 delta=0 \
-             delta_age_ms=0 sub_depth=0 subs=0 traces=0",
-        ] {
-            match decode_response(line) {
-                Err(e) => assert_eq!(e.kind, ErrorKind::Version, "line: {line}"),
-                Ok(other) => panic!("should be rejected: {other:?}"),
-            }
-        }
-        // Demanding a diagnostics form at prj/1 degrades to a typed error.
-        let line = encode_response_at(&Response::Health(HealthReport::default()), 1);
-        assert!(line.starts_with("prj/1 err kind=internal"), "line: {line}");
     }
 
     #[test]

@@ -1,15 +1,12 @@
-//! Version-negotiation behaviour of [`ApiClient`] against peers of both
-//! generations, using hand-rolled loopback servers (no engine involved).
+//! The [`ApiClient::negotiate`] handshake against hand-rolled loopback
+//! peers (no engine involved).
 
-use prj_api::{ApiClient, ErrorKind, Request, UnitRequest};
+use prj_api::{ApiClient, ErrorKind, Request, Response};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 
-/// A fake *pre-cluster* server: it only understands `prj/1` lines, answers
-/// anything else with the version error an old build would produce, and
-/// serves a canned stats line — exactly the behaviour of the PR 2/3
-/// binaries this build must stay compatible with.
-fn fake_v1_server() -> std::net::SocketAddr {
+/// A fake peer that answers every request line with `answer(line)`.
+fn fake_peer(answer: fn(&str) -> String) -> std::net::SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     std::thread::spawn(move || {
@@ -20,17 +17,10 @@ fn fake_v1_server() -> std::net::SocketAddr {
         let reader = BufReader::new(stream);
         for line in reader.lines() {
             let Ok(line) = line else { break };
-            let response = if !line.starts_with("prj/1 ") {
-                "prj/1 err kind=version msg=peer speaks a newer prj, this build speaks prj/1\n"
-                    .to_string()
-            } else if line.trim_end().ends_with("stats") {
-                "prj/1 ok stats queries=0 cache_hits=0 executed=0 relations=0 \
-                 cache_entries=0 invalidations=0 sum_depths=0\n"
-                    .to_string()
-            } else {
-                "prj/1 err kind=malformed msg=unsupported in the fake\n".to_string()
-            };
-            if writer.write_all(response.as_bytes()).is_err() {
+            if writer
+                .write_all(format!("{}\n", answer(&line)).as_bytes())
+                .is_err()
+            {
                 break;
             }
         }
@@ -39,100 +29,26 @@ fn fake_v1_server() -> std::net::SocketAddr {
 }
 
 #[test]
-fn negotiation_downgrades_to_v1_against_an_old_server_and_legacy_calls_work() {
-    let addr = fake_v1_server();
-    let mut client = ApiClient::connect(addr).expect("connect");
-    assert_eq!(
-        client.version(),
-        None,
-        "no version pinned before negotiation"
-    );
-    // The old server rejects the prj/2 hello with a version error, which
-    // the client reads as "speak prj/1" — not as a failure.
-    assert_eq!(client.negotiate().expect("negotiate"), 1);
-    assert_eq!(client.version(), Some(1));
-    // Legacy requests keep working (encoded at prj/1).
-    let stats = client.stats().expect("stats over prj/1");
-    assert_eq!(stats.queries, 0);
-    assert_eq!(
-        stats.shards, 1,
-        "pre-sharding stats line decodes with defaults"
-    );
-    // Cluster requests are refused *client-side* with a typed error — they
-    // can never reach the old peer as garbage.
-    let err = client
-        .execute_unit(UnitRequest {
-            relations: vec![prj_api::RelationRef::Id(0)],
-            epochs: vec![vec![0]],
-            drive: 0,
-            shard: 0,
-            query: vec![0.0],
-            k: 1,
-            scoring: prj_api::ScoringSelector::named("euclidean-log"),
-            access: prj_access::AccessKind::Distance,
-            algorithm: prj_core::Algorithm::Tbrr,
-            dominance_period: None,
-            convergence: 0,
-            trace: None,
-        })
-        .expect_err("cluster call against a prj/1 peer");
-    assert_eq!(err.kind, ErrorKind::Version);
-    // Same for the prj/2-only metrics verb and for a traced query: both
-    // are refused before a byte reaches the old peer.
-    let err = client
-        .metrics()
-        .expect_err("metrics call against a prj/1 peer");
-    assert_eq!(err.kind, ErrorKind::Version);
-    let traced = Request::TopK(
-        prj_api::QueryRequest::new(vec![prj_api::RelationRef::Id(0)], [0.0]).traced(
-            prj_api::TraceContext {
-                trace: 7,
-                parent: 0,
-            },
-        ),
-    );
-    let err = client
-        .call(&traced)
-        .expect_err("traced query against a prj/1 peer");
-    assert_eq!(err.kind, ErrorKind::Version);
-}
-
-#[test]
-fn unnegotiated_clients_encode_legacy_requests_at_v1() {
-    // Without a hello exchange the client encodes each request at the
-    // lowest version able to carry it, so old servers keep understanding
-    // it. Verified against the same fake v1 server.
-    let addr = fake_v1_server();
-    let mut client = ApiClient::connect(addr).expect("connect");
-    let stats = client.stats().expect("stats without negotiation");
-    assert_eq!(stats.executed, 0);
-}
-
-#[test]
 fn wire_level_hello_answers_the_common_version() {
-    // A fake *new* peer: hello at max=1 should pin the conversation at 1.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
-    std::thread::spawn(move || {
-        let Ok((stream, _)) = listener.accept() else {
-            return;
+    // A fake prj/2 peer: it acks the common version of the hello.
+    let addr = fake_peer(|line| {
+        let request = prj_api::wire::decode_request(line).expect("decode");
+        let Request::Hello { max_version } = request else {
+            panic!("expected hello, got {request:?}");
         };
-        let mut writer = stream.try_clone().expect("clone");
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            let request = prj_api::wire::decode_request(&line).expect("decode");
-            let Request::Hello { max_version } = request else {
-                panic!("expected hello, got {request:?}");
-            };
-            let version = max_version.min(prj_api::PROTOCOL_VERSION);
-            let response =
-                prj_api::wire::encode_response_at(&prj_api::Response::HelloAck { version }, 2);
-            writer
-                .write_all(format!("{response}\n").as_bytes())
-                .expect("write");
-        }
+        let version = max_version.min(prj_api::PROTOCOL_VERSION);
+        prj_api::wire::encode_response(&Response::HelloAck { version })
     });
     let mut client = ApiClient::connect(addr).expect("connect");
     assert_eq!(client.negotiate().expect("negotiate"), 2);
+}
+
+#[test]
+fn negotiation_against_a_version_rejecting_peer_is_a_typed_error() {
+    // A peer of another dialect rejects the prj/2 hello; the client
+    // reports that as a typed error, not as a silent downgrade.
+    let addr = fake_peer(|_| "prj/2 err kind=version msg=this peer speaks prj/3".to_string());
+    let mut client = ApiClient::connect(addr).expect("connect");
+    let err = client.negotiate().expect_err("a version-rejecting peer");
+    assert_eq!(err.kind, ErrorKind::Version);
 }

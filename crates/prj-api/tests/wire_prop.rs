@@ -1,4 +1,4 @@
-//! Property and robustness tests for the `prj/1` wire codec.
+//! Property and robustness tests for the `prj/2` wire codec.
 //!
 //! Three families of guarantees:
 //!
@@ -220,7 +220,7 @@ proptest! {
     fn random_requests_round_trip(seed in 0u64..u64::MAX) {
         let request = random_request(seed);
         let line = encode_request(&request).expect("wire-safe by construction");
-        prop_assert!(line.starts_with("prj/1 ") || line == "prj/1 stats");
+        prop_assert!(line.starts_with("prj/2 "));
         prop_assert!(!line.contains('\n'), "one frame per line");
         let decoded = decode_request(&line).expect("own encoding must decode");
         prop_assert_eq!(decoded, request, "line: {}", line);
@@ -265,7 +265,7 @@ proptest! {
         let _ = decode_response(&garbage);
         // Prefixing the version magic exercises the field parsers instead
         // of the version check.
-        let versioned = format!("prj/1 {garbage}");
+        let versioned = format!("prj/2 {garbage}");
         if let Err(e) = decode_request(&versioned) {
             prop_assert_eq!(e.kind, ErrorKind::Malformed);
         }
@@ -321,19 +321,19 @@ fn malformed_corpus_is_rejected_with_typed_errors() {
         "\n",
         "prj/",
         "prj/one stats",
-        "prj/1",
-        "prj/1 ",
-        "prj/1 register",
-        "prj/1 register name=",
-        "prj/1 register name=#tag tuples=1:1",
-        "prj/1 append rel=r tuples=1,2:",
-        "prj/1 append rel=r tuples=:5",
-        "prj/1 topk rels=r q=1,,2",
-        "prj/1 topk rels=r q=0 k=-3",
-        "prj/1 topk rels=r q=0 k=1e9999",
-        "prj/1 stream rels= q=0",
-        "prj/1 topk rels=#18446744073709551616 q=0", // usize overflow
-        "prj/1 stats extra",
+        "prj/2",
+        "prj/2 ",
+        "prj/2 register",
+        "prj/2 register name=",
+        "prj/2 register name=#tag tuples=1:1",
+        "prj/2 append rel=r tuples=1,2:",
+        "prj/2 append rel=r tuples=:5",
+        "prj/2 topk rels=r q=1,,2",
+        "prj/2 topk rels=r q=0 k=-3",
+        "prj/2 topk rels=r q=0 k=1e9999",
+        "prj/2 stream rels= q=0",
+        "prj/2 topk rels=#18446744073709551616 q=0", // usize overflow
+        "prj/2 stats extra",
     ] {
         match decode_request(line) {
             Err(e) => assert!(
@@ -345,13 +345,13 @@ fn malformed_corpus_is_rejected_with_typed_errors() {
         }
     }
     for line in [
-        "prj/1 ok",
-        "prj/1 ok nonsense",
-        "prj/1 ok registered id=x name=a epoch=0 n=1",
-        "prj/1 ok results cached=true rows=1@0:0", // missing algo
-        "prj/1 ok stats queries=1",                // missing fields
-        "prj/1 err",
-        "prj/1 err kind=doom msg=x",
+        "prj/2 ok",
+        "prj/2 ok nonsense",
+        "prj/2 ok registered id=x name=a epoch=0 n=1",
+        "prj/2 ok results cached=true rows=1@0:0", // missing algo
+        "prj/2 ok stats queries=1",                // missing fields
+        "prj/2 err",
+        "prj/2 err kind=doom msg=x",
     ] {
         match decode_response(line) {
             Err(e) => assert!(

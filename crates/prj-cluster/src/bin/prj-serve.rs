@@ -40,15 +40,14 @@
 //!                             distributed round-trip + worker-kill check, exit
 //! ```
 //!
-//! The protocol is `prj-api`'s line format (`prj/1` legacy, `prj/2`
-//! negotiated); try it by hand:
+//! The protocol is `prj-api`'s `prj/2` line format; try it by hand:
 //!
 //! ```text
 //! $ nc 127.0.0.1 7878
-//! prj/1 register name=hotels tuples=0.0,-0.5:0.5;0.0,1.0:1.0
-//! prj/1 ok registered id=0 name=hotels epoch=0 n=2
-//! prj/1 topk rels=hotels q=0.0,0.0 k=1
-//! prj/1 ok results cached=false algo=TBRR rows=-0.9431471805599453@0:0
+//! prj/2 register name=hotels tuples=0.0,-0.5:0.5;0.0,1.0:1.0
+//! prj/2 ok registered id=0 name=hotels epoch=0 n=2
+//! prj/2 topk rels=hotels q=0.0,0.0 k=1
+//! prj/2 ok results cached=false algo=TBRR rows=-0.9431471805599453@0:0
 //! ```
 
 use prj_api::{
@@ -348,14 +347,9 @@ fn self_check(options: &Options) -> Result<(), String> {
     let server = Server::bind("127.0.0.1:0", handler).map_err(|e| format!("bind failed: {e}"))?;
     let addr = server.local_addr();
     let mut client = ApiClient::connect(addr).map_err(|e| format!("connect failed: {e}"))?;
-    // The standalone server negotiates prj/2 even though clients may stay
-    // on prj/1.
-    let version = client
+    client
         .negotiate()
         .map_err(|e| format!("negotiate failed: {e}"))?;
-    if version != prj_api::PROTOCOL_VERSION {
-        return Err(format!("negotiated prj/{version}, expected prj/2"));
-    }
 
     let hotels_id = match client
         .call(&Request::RegisterRelation {
@@ -931,7 +925,8 @@ fn serve(options: &Options) -> Result<(), String> {
         threads,
     );
     println!(
-        "try: printf 'prj/1 stats\\n' | nc {} {}",
+        "try: printf 'prj/{} stats\\n' | nc {} {}",
+        prj_api::PROTOCOL_VERSION,
         addr.ip(),
         addr.port()
     );

@@ -67,16 +67,7 @@ impl WorkerPool {
     fn dial(&self, w: usize) -> Result<ApiClient, ApiError> {
         let mut client =
             ApiClient::connect_with(&self.slots[w].addr, &self.config).map_err(ApiError::io)?;
-        let version = client.negotiate()?;
-        if version < 2 {
-            return Err(ApiError::new(
-                ErrorKind::Version,
-                format!(
-                    "worker {} negotiated prj/{version}; cluster execution needs prj/2",
-                    self.slots[w].addr
-                ),
-            ));
-        }
+        client.negotiate()?;
         Ok(client)
     }
 

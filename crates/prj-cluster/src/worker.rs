@@ -2,7 +2,7 @@
 //! single driving-shard units on demand.
 //!
 //! A [`WorkerSession`] wraps a plain [`Session`] (so workers serve every
-//! ordinary `prj/1`/`prj/2` request — that is how the coordinator
+//! ordinary `prj/2` request — that is how the coordinator
 //! replicates catalog mutations to them) and adds the cluster-internal
 //! verbs:
 //!

@@ -659,8 +659,9 @@ fn sustained_ingest_with_skewed_compaction_stays_exact() {
     assert_eq!(cluster_view, oracle, "post-kill query diverged from oracle");
 }
 
-/// The spawned worker process speaks both dialects: legacy `prj/1` lines
-/// round-trip, and cluster verbs on `prj/1` earn a typed version error.
+/// The spawned worker process serves `prj/2` lines, ordinary and cluster
+/// verbs alike, and answers a `prj/1` line with a typed version error on
+/// the same connection.
 #[test]
 fn worker_process_serves_both_protocol_versions() {
     use std::io::{BufRead, Write};
@@ -675,16 +676,16 @@ fn worker_process_serves_both_protocol_versions() {
         reader.read_line(&mut response).expect("read");
         response.trim_end().to_string()
     };
-    let response = exchange("prj/1 register name=w tuples=0.5,0.5:0.5");
+    let response = exchange("prj/2 register name=w tuples=0.5,0.5:0.5");
     assert!(
-        response.starts_with("prj/1 ok registered"),
+        response.starts_with("prj/2 ok registered"),
         "got: {response}"
     );
     let response = exchange("prj/2 hello max=2");
     assert_eq!(response, "prj/2 ok hello ver=2");
     let response = exchange("prj/1 wstats");
     assert!(
-        response.starts_with("prj/1 err kind=version"),
+        response.starts_with("prj/2 err kind=version"),
         "got: {response}"
     );
     let response = exchange("prj/2 wstats");

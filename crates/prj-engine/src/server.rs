@@ -125,8 +125,8 @@ impl Drop for Server {
     }
 }
 
-fn write_line(writer: &Mutex<TcpStream>, response: &Response, version: u32) -> std::io::Result<()> {
-    let mut line = wire::encode_response_at(response, version);
+fn write_line(writer: &Mutex<TcpStream>, response: &Response) -> std::io::Result<()> {
+    let mut line = wire::encode_response(response);
     line.push('\n');
     // One lock per full line keeps concurrent writers (the request loop
     // and subscription forwarders) from interleaving partial lines.
@@ -150,23 +150,16 @@ fn serve_connection(stream: TcpStream, handler: &dyn RequestHandler) {
         if line.trim().is_empty() {
             continue;
         }
-        // Answer every request in the dialect it arrived in, so prj/1
-        // clients round-trip against this server unchanged. Lines too
-        // broken to reveal a version are answered at prj/1, which every
-        // peer parses.
-        let (version, outcome) = match wire::decode_request_versioned(&line) {
-            Err(e) => (
-                prj_api::MIN_PROTOCOL_VERSION,
-                Dispatch::One(Response::Error(e)),
-            ),
-            Ok((version, request)) => (version, handler.dispatch_request(request)),
+        let outcome = match wire::decode_request(&line) {
+            Err(e) => Dispatch::One(Response::Error(e)),
+            Ok(request) => handler.dispatch_request(request),
         };
         let io = match outcome {
-            Dispatch::One(response) => write_line(&writer, &response, version),
+            Dispatch::One(response) => write_line(&writer, &response),
             Dispatch::Stream(mut stream) => loop {
                 match stream.next_row() {
                     Some(row) => {
-                        if let Err(e) = write_line(&writer, &Response::StreamItem(row), version) {
+                        if let Err(e) = write_line(&writer, &Response::StreamItem(row)) {
                             // The client went away mid-stream; dropping the
                             // SessionStream aborts the engine-side run.
                             break Err(e);
@@ -176,14 +169,13 @@ fn serve_connection(stream: TcpStream, handler: &dyn RequestHandler) {
                     // line, not an end marker a client would read as a
                     // complete top-K.
                     None => match stream.error() {
-                        Some(error) => break write_line(&writer, &Response::Error(error), version),
+                        Some(error) => break write_line(&writer, &Response::Error(error)),
                         None => {
                             break write_line(
                                 &writer,
                                 &Response::StreamEnd {
                                     count: stream.delivered(),
                                 },
-                                version,
                             )
                         }
                     },
@@ -192,7 +184,7 @@ fn serve_connection(stream: TcpStream, handler: &dyn RequestHandler) {
             Dispatch::Subscribed { ack, feed } => {
                 // Ack first — the client must learn the subscription id and
                 // baseline top-K before any notification referencing them.
-                let acked = write_line(&writer, &ack, version);
+                let acked = write_line(&writer, &ack);
                 if acked.is_ok() {
                     let feed_writer = Arc::clone(&writer);
                     let handle = std::thread::Builder::new()
@@ -205,7 +197,7 @@ fn serve_connection(stream: TcpStream, handler: &dyn RequestHandler) {
                             // client is gone; stop forwarding and let the
                             // manager notice on its next send.
                             while let Ok(notify) = feed.recv() {
-                                if write_line(&feed_writer, &notify, version).is_err() {
+                                if write_line(&feed_writer, &notify).is_err() {
                                     break;
                                 }
                             }

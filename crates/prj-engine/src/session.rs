@@ -318,9 +318,17 @@ impl Session {
                     delivered: 0,
                 }));
             }
-            Request::Hello { max_version } => Response::HelloAck {
-                version: max_version
-                    .clamp(prj_api::MIN_PROTOCOL_VERSION, prj_api::PROTOCOL_VERSION),
+            Request::Hello { max_version } if max_version < prj_api::PROTOCOL_VERSION => {
+                return Err(ApiError::new(
+                    ErrorKind::Version,
+                    format!(
+                        "peer speaks up to prj/{max_version}, this build speaks prj/{}",
+                        prj_api::PROTOCOL_VERSION
+                    ),
+                ));
+            }
+            Request::Hello { .. } => Response::HelloAck {
+                version: prj_api::PROTOCOL_VERSION,
             },
             // Cluster-internal requests are only served by a cluster
             // worker (`prj-cluster`'s WorkerSession); answering with a

@@ -117,37 +117,38 @@ fn raw_socket_speaks_the_versioned_line_protocol() {
         response.trim_end().to_string()
     };
 
-    let response = exchange("prj/1 topk rels=R1,R2,R3 q=0.0,0.0 k=1");
+    let response = exchange("prj/2 topk rels=R1,R2,R3 q=0.0,0.0 k=1");
     assert!(
-        response.starts_with("prj/1 ok results cached=false"),
+        response.starts_with("prj/2 ok results cached=false"),
         "got: {response}"
     );
     assert!(response.contains("rows=-7.0"), "got: {response}");
 
     // A malformed line gets a diagnostic, not a dropped connection.
-    let response = exchange("prj/1 topk q=0.0");
+    let response = exchange("prj/2 topk q=0.0");
     assert!(
-        response.starts_with("prj/1 err kind=malformed"),
+        response.starts_with("prj/2 err kind=malformed"),
         "got: {response}"
     );
 
-    // A wrong protocol version is refused loudly.
-    let response = exchange("prj/9 stats");
-    assert!(
-        response.starts_with("prj/1 err kind=version"),
-        "got: {response}"
-    );
+    // Every other protocol version is refused loudly.
+    for line in ["prj/9 stats", "prj/1 stats", "prj/3 stats"] {
+        let response = exchange(line);
+        assert!(
+            response.starts_with("prj/2 err kind=version"),
+            "{line} got: {response}"
+        );
+    }
 
     // The connection is still usable afterwards.
-    let response = exchange("prj/1 stats");
-    assert!(response.starts_with("prj/1 ok stats"), "got: {response}");
+    let response = exchange("prj/2 stats");
+    assert!(response.starts_with("prj/2 ok stats"), "got: {response}");
     server.shutdown();
 }
 
-/// Satellite coverage for `prj/2` negotiation: mixed-version peers
-/// round-trip every pre-existing request kind unchanged, each answered in
-/// its own dialect, and cluster verbs degrade to *typed* errors — never a
-/// dropped connection.
+/// Peers of any other protocol version get typed errors, never a dropped
+/// connection, while `prj/2` round-trips every request kind; cluster verbs
+/// sent to a plain server degrade to typed errors too.
 #[test]
 fn mixed_version_peers_round_trip_all_legacy_requests() {
     let (server, _session) = boot_table1();
@@ -161,64 +162,42 @@ fn mixed_version_peers_round_trip_all_legacy_requests() {
         reader.read_line(&mut response).expect("read");
         response.trim_end().to_string()
     }
-    // The original grammar is identical under either prefix, and the
-    // server answers in the version the request arrived in.
-    for version in [1, 2] {
-        let prefix = format!("prj/{version} ok");
-        let response = send(
-            &mut writer,
-            &mut reader,
-            &format!("prj/{version} register name=v{version} tuples=1.0,2.0:0.5"),
-        );
-        assert!(
-            response.starts_with(&format!("{prefix} registered")),
-            "got: {response}"
-        );
-        let response = send(
-            &mut writer,
-            &mut reader,
-            &format!("prj/{version} topk rels=R1,R2,R3 q=0.0,0.0 k=1"),
-        );
-        assert!(
-            response.starts_with(&format!("{prefix} results")),
-            "got: {response}"
-        );
-        let response = send(
-            &mut writer,
-            &mut reader,
-            &format!("prj/{version} append rel=v{version} tuples=3.0,4.0:0.25"),
-        );
-        assert!(
-            response.starts_with(&format!("{prefix} appended")),
-            "got: {response}"
-        );
-        let response = send(
-            &mut writer,
-            &mut reader,
-            &format!("prj/{version} drop rel=v{version}"),
-        );
-        assert!(
-            response.starts_with(&format!("{prefix} dropped")),
-            "got: {response}"
-        );
-        let response = send(&mut writer, &mut reader, &format!("prj/{version} stats"));
-        assert!(
-            response.starts_with(&format!("{prefix} stats")),
-            "got: {response}"
-        );
-        // Streams answer item/end lines in the same dialect.
-        writer
-            .write_all(format!("prj/{version} stream rels=R1 q=0.0,0.0 k=2\n").as_bytes())
-            .expect("write stream");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("item");
-        assert!(line.starts_with(&format!("{prefix} item")), "got: {line}");
-        line.clear();
-        reader.read_line(&mut line).expect("item 2");
-        line.clear();
-        reader.read_line(&mut line).expect("end");
-        assert!(line.starts_with(&format!("{prefix} end")), "got: {line}");
-    }
+    let response = send(
+        &mut writer,
+        &mut reader,
+        "prj/2 register name=v2 tuples=1.0,2.0:0.5",
+    );
+    assert!(
+        response.starts_with("prj/2 ok registered"),
+        "got: {response}"
+    );
+    let response = send(
+        &mut writer,
+        &mut reader,
+        "prj/2 topk rels=R1,R2,R3 q=0.0,0.0 k=1",
+    );
+    assert!(response.starts_with("prj/2 ok results"), "got: {response}");
+    let response = send(
+        &mut writer,
+        &mut reader,
+        "prj/2 append rel=v2 tuples=3.0,4.0:0.25",
+    );
+    assert!(response.starts_with("prj/2 ok appended"), "got: {response}");
+    let response = send(&mut writer, &mut reader, "prj/2 drop rel=v2");
+    assert!(response.starts_with("prj/2 ok dropped"), "got: {response}");
+    let response = send(&mut writer, &mut reader, "prj/2 stats");
+    assert!(response.starts_with("prj/2 ok stats"), "got: {response}");
+    writer
+        .write_all(b"prj/2 stream rels=R1 q=0.0,0.0 k=2\n")
+        .expect("write stream");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("item");
+    assert!(line.starts_with("prj/2 ok item"), "got: {line}");
+    line.clear();
+    reader.read_line(&mut line).expect("item 2");
+    line.clear();
+    reader.read_line(&mut line).expect("end");
+    assert!(line.starts_with("prj/2 ok end"), "got: {line}");
 
     // Negotiation: the server answers hello with the common version.
     let response = send(&mut writer, &mut reader, "prj/2 hello max=2");
@@ -228,11 +207,17 @@ fn mixed_version_peers_round_trip_all_legacy_requests() {
         response, "prj/2 ok hello ver=2",
         "ceiling is this build's version"
     );
+    // A peer whose ceiling is below prj/2 gets a typed version error.
+    let response = send(&mut writer, &mut reader, "prj/2 hello max=1");
+    assert!(
+        response.starts_with("prj/2 err kind=version"),
+        "got: {response}"
+    );
 
     // A cluster verb on a prj/1 line is a typed version error…
     let response = send(&mut writer, &mut reader, "prj/1 wstats");
     assert!(
-        response.starts_with("prj/1 err kind=version"),
+        response.starts_with("prj/2 err kind=version"),
         "got: {response}"
     );
     // …and on prj/2 against a non-worker, a typed unsupported error.
@@ -253,19 +238,19 @@ fn mixed_version_peers_round_trip_all_legacy_requests() {
     );
 
     // The connection survives all of the above.
-    let response = send(&mut writer, &mut reader, "prj/1 stats");
-    assert!(response.starts_with("prj/1 ok stats"), "got: {response}");
+    let response = send(&mut writer, &mut reader, "prj/2 stats");
+    assert!(response.starts_with("prj/2 ok stats"), "got: {response}");
     server.shutdown();
 }
 
-/// The negotiating client pins the agreed version and keeps working
-/// against this (prj/2) server.
+/// The negotiating client agrees on prj/2 and keeps working against this
+/// server.
 #[test]
 fn api_client_negotiates_v2_against_the_server() {
     let (server, _session) = boot_table1();
     let mut client = ApiClient::connect(server.local_addr()).expect("connect");
-    assert_eq!(client.negotiate().expect("negotiate"), 2);
-    assert_eq!(client.version(), Some(2));
+    let version = client.negotiate().expect("negotiate");
+    assert_eq!(version, prj_api::PROTOCOL_VERSION);
     let (rows, _) = client
         .top_k(table1_query())
         .expect("topk after negotiation");

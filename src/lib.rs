@@ -18,8 +18,8 @@
 //!   thread-pool executor with streaming results, an epoch-keyed LRU result
 //!   cache, and the `Session` / `prj-serve` serving entry points.
 //! * [`api`] — the versioned, transport-agnostic request/response protocol
-//!   (`Request`/`Response`/`ApiError`), its negotiated `prj/1`/`prj/2` line
-//!   wire codec, and a TCP client with timeouts and connect retries.
+//!   (`Request`/`Response`/`ApiError`), its `prj/2` line wire codec, and
+//!   a TCP client with timeouts and connect retries.
 //! * [`cluster`] — distributed shard execution: coordinator + worker
 //!   processes over the `prj/2` cluster-internal messages, exact by
 //!   bound-aware merging (and home of the `prj-serve` binary).
