@@ -4,8 +4,9 @@
 //! workload and commits its lane measurements; this module compares two
 //! such files lane by lane — matched on `(shape, shards)` — and reports
 //! the p50/p99/qps drift. A lane whose p99 grew beyond the configured
-//! ratio (or that disappeared outright) is a **regression**, which the
-//! `bench-diff` binary turns into a non-zero exit for CI.
+//! ratio, whose deterministic counters (`sum_depths`, `rows`) differ at all,
+//! or that disappeared outright is a **regression**, which the `bench-diff`
+//! binary turns into a non-zero exit for CI.
 //!
 //! The parser is deliberately minimal: it reads exactly the JSON the
 //! workspace's own emitter ([`crate::macrobench::to_json`]) produces (the
@@ -27,6 +28,10 @@ pub struct LaneSnapshot {
     pub p99_us: u64,
     /// Concurrent throughput, queries/second.
     pub qps: f64,
+    /// Total sorted-access depth over the lane's queries (deterministic).
+    pub sum_depths: u64,
+    /// Total result rows over the lane's queries (deterministic).
+    pub rows: u64,
 }
 
 /// The comparison of one matched lane pair.
@@ -117,6 +122,8 @@ pub fn parse_lanes(json: &str) -> Result<Vec<LaneSnapshot>, String> {
                 p50_us: num_field(obj, "p50_us").ok_or("lane without p50_us")? as u64,
                 p99_us: num_field(obj, "p99_us").ok_or("lane without p99_us")? as u64,
                 qps: num_field(obj, "qps").ok_or("lane without qps")?,
+                sum_depths: num_field(obj, "sum_depths").ok_or("lane without sum_depths")? as u64,
+                rows: num_field(obj, "rows").ok_or("lane without rows")? as u64,
             })
         })
         .collect::<Result<_, &str>>()
@@ -137,7 +144,8 @@ fn ratio(candidate: f64, baseline: f64) -> f64 {
 
 /// Compares `candidate` against `baseline`, lane by lane. Every baseline
 /// lane must still exist; a lane whose p99 grew by more than
-/// `max_p99_ratio` regresses the gate.
+/// `max_p99_ratio` regresses the gate, and so does any difference in the
+/// deterministic counters, which only a behaviour change can cause.
 pub fn diff_lanes(
     baseline: &[LaneSnapshot],
     candidate: &[LaneSnapshot],
@@ -165,6 +173,18 @@ pub fn diff_lanes(
             p99_base_us: base.p99_us,
             p99_cand_us: cand.p99_us,
         };
+        for (counter, base_value, cand_value) in [
+            ("sum_depths", base.sum_depths, cand.sum_depths),
+            ("rows", base.rows, cand.rows),
+        ] {
+            if base_value != cand_value {
+                regressions.push(format!(
+                    "lane {}/S={}: {counter} {base_value} -> {cand_value} \
+                     (deterministic counter changed: a behaviour change)",
+                    base.shape, base.shards
+                ));
+            }
+        }
         if delta.p99_ratio > max_p99_ratio {
             regressions.push(format!(
                 "lane {}/S={}: p99 {}µs -> {}µs ({:.2}x > {:.2}x gate)",
@@ -261,7 +281,27 @@ mod tests {
         assert_eq!(lanes[0].p50_us, 885);
         assert_eq!(lanes[0].p99_us, 2957);
         assert!((lanes[0].qps - 1348.0).abs() < 1e-9);
+        assert_eq!(lanes[0].sum_depths, 2763);
+        assert_eq!(lanes[0].rows, 512);
         assert_eq!(lanes[1].shards, 4);
+        assert_eq!(lanes[1].sum_depths, 12789);
+    }
+
+    #[test]
+    fn counter_mismatch_is_a_behaviour_change_regression() {
+        let baseline = parse_lanes(SAMPLE).unwrap();
+        let mut candidate = baseline.clone();
+        // Fewer accesses is still a change of behaviour, not a pass.
+        candidate[0].sum_depths -= 1;
+        candidate[1].rows += 1;
+        let diff = diff_lanes(&baseline, &candidate, 1.2);
+        assert_eq!(diff.regressions.len(), 2, "{:?}", diff.regressions);
+        assert!(diff.regressions[0].contains("uniform/S=1: sum_depths 2763 -> 2762"));
+        assert!(diff.regressions[1].contains("uniform/S=4: rows 512 -> 513"));
+        assert!(diff
+            .regressions
+            .iter()
+            .all(|r| r.contains("behaviour change")));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! Compares the candidate trajectory's serving lanes (`shape` × `shards`)
 //! against the baseline's, prints the p50/p99/qps drift, and exits
-//! non-zero when any lane's p99 regressed beyond the gate (default 1.2x)
-//! or disappeared. Also prints each file's sharded p99 gap (largest shard
+//! non-zero when any lane's p99 regressed beyond the gate (default 1.2x),
+//! its deterministic counters (`sum_depths`, `rows`) changed at all, or it
+//! disappeared. Also prints each file's sharded p99 gap (largest shard
 //! count over `shards = 1`) — the figure the hot-path work tracks.
 
 use prj_bench::bench_diff::{diff_lanes, parse_lanes, render_diff, sharded_p99_gaps};

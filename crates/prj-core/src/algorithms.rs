@@ -112,7 +112,6 @@ impl Algorithm {
                     weights,
                     TightBoundConfig {
                         dominance_period: config.dominance_period,
-                        recompute_every: config.recompute_every,
                     },
                 ))
             }

@@ -9,8 +9,9 @@
 //!   at least `δ_i` from the query and has score at most `σ_max`; the optimal
 //!   completion locations are collinear with the query and the centroid of
 //!   the seen part (Theorem 3.4), which reduces the problem to the
-//!   one-dimensional convex QP of Eq. 14, solved here with
-//!   `prj_solver::BoundedQp`;
+//!   one-dimensional convex QP of Eq. 14, solved exactly here by its KKT
+//!   closed form `prj_solver::ray_optimum` (of which Eq. 11/29 is the
+//!   equal-radius case);
 //! * **score-based access** — every unseen tuple of `R_i` has score at most
 //!   `σ(R_i[p_i])` and an unconstrained location; the optimum has the closed
 //!   form of Eq. 41.
@@ -30,35 +31,24 @@
 use super::partial::{proper_subsets, SubsetState};
 use super::BoundingScheme;
 use crate::dominance::{dominance_coefficients, is_dominated, DominanceCoefficients};
-use crate::scoring::{ScoringFunction, Weights};
+use crate::scoring::{Member, ScoringFunction, Weights};
 use crate::state::JoinState;
 use prj_access::AccessKind;
-use prj_geometry::{mean_centroid, Ray, Vector};
-use prj_solver::{score_based_optimum, BoundedQp};
+use prj_geometry::Vector;
+use prj_solver::{ray_optimum, score_based_optimum};
 use std::time::{Duration, Instant};
 
+/// Upper bound on the number of relations: subsets are `u32` bitmasks (see
+/// [`proper_subsets`]), so a combination has fewer than 32 members.
+const MAX_RELATIONS: usize = 32;
+
 /// Configuration of the tight bounding scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TightBoundConfig {
     /// Run the LP dominance test every `period` accesses (`None` disables it).
     /// Only meaningful under distance-based access; score-based access uses
     /// the incremental best-only bookkeeping of Algorithm 3 instead.
     pub dominance_period: Option<usize>,
-    /// Recompute the bound only every `recompute_every` accesses (1 = after
-    /// every access, the paper's default). Values larger than 1 trade extra
-    /// sorted accesses for less CPU, as discussed in Sec. 4.2; the stale bound
-    /// remains a correct upper bound because the set of potential results only
-    /// shrinks as access deepens.
-    pub recompute_every: usize,
-}
-
-impl Default for TightBoundConfig {
-    fn default() -> Self {
-        TightBoundConfig {
-            dominance_period: None,
-            recompute_every: 1,
-        }
-    }
 }
 
 /// The tight bounding scheme (used by TBRR and TBPA).
@@ -70,7 +60,7 @@ pub struct TightBound {
     bound: f64,
     potentials: Vec<f64>,
     access_count: usize,
-    qp_solves: usize,
+    solves: usize,
     dominance_tests: usize,
     dominated: usize,
     dominance_time: Duration,
@@ -79,12 +69,21 @@ pub struct TightBound {
     /// a subset's flat ranks lane before (re)evaluation.
     depths: Vec<usize>,
     eval_queue: Vec<usize>,
+    /// Scratch lanes reused across partial evaluations: `ray` holds the seen
+    /// centroid and then, under distance access, the unit ray direction;
+    /// `projections` the seen members' Eq. 13 lengths; `lower` and `lengths`
+    /// the unseen relations' distance bounds and optimal lengths;
+    /// `unseen_points` the reconstructed unseen locations.
+    ray: Vector,
+    projections: Vec<f64>,
+    lower: Vec<f64>,
+    lengths: Vec<f64>,
+    unseen_points: Vec<Vector>,
 }
 
 impl TightBound {
     /// Creates the scheme for `n` relations with the Eq. 2 weights `weights`.
     pub fn new(n: usize, weights: Weights, config: TightBoundConfig) -> Self {
-        assert!(config.recompute_every >= 1, "recompute_every must be >= 1");
         TightBound {
             weights,
             config,
@@ -92,18 +91,25 @@ impl TightBound {
             bound: f64::INFINITY,
             potentials: vec![f64::INFINITY; n],
             access_count: 0,
-            qp_solves: 0,
+            solves: 0,
             dominance_tests: 0,
             dominated: 0,
             dominance_time: Duration::ZERO,
             depths: Vec::with_capacity(n),
             eval_queue: Vec::new(),
+            ray: Vector::zeros(0),
+            projections: Vec::with_capacity(n),
+            lower: Vec::with_capacity(n),
+            lengths: Vec::with_capacity(n),
+            unseen_points: Vec::new(),
         }
     }
 
-    /// Number of QP / closed-form optimisations solved so far.
+    /// Number of completion-bound optimisations solved so far: one closed
+    /// form per evaluated partial combination (Eq. 14 under distance-based
+    /// access, Eq. 41 under score-based access).
     pub fn optimizations_solved(&self) -> usize {
-        self.qp_solves
+        self.solves
     }
 
     /// Number of LP dominance tests performed so far.
@@ -122,6 +128,13 @@ impl TightBound {
     }
 
     /// Evaluates the completion bound `t(τ)` of one partial combination.
+    ///
+    /// The bound is the exact aggregate score of the optimal completion:
+    /// the seen members in member order, then the unseen relations in
+    /// ascending order. Under distance-based access, once the scratch lanes
+    /// have grown, every intermediate lives in them or on the stack, so the
+    /// only allocations left are those of `scoring.score_members` (none for
+    /// [`EuclideanLogScore`](crate::scoring::EuclideanLogScore)).
     fn evaluate_partial<S: ScoringFunction>(
         &mut self,
         state: &JoinState,
@@ -129,89 +142,102 @@ impl TightBound {
         subset_index: usize,
         partial_index: usize,
     ) -> f64 {
+        self.solves += 1;
         let n = state.n();
+        let query = state.query();
+        let dim = query.dim();
+        let Weights { w_q, w_mu, .. } = self.weights;
         let subset = &self.subsets[subset_index];
         let ranks = subset.ranks_of(partial_index);
-        let query = state.query();
         let m = subset.arity();
+        debug_assert!(m < n, "proper subsets always have unseen relations");
+        let unseen = || (0..n).filter(|&j| !subset.contains(j));
 
-        // Seen members.
-        let mut members: Vec<(&Vector, f64)> = Vec::with_capacity(n);
-        let mut seen_points: Vec<&Vector> = Vec::with_capacity(m);
+        let mut full: [Member<'_>; MAX_RELATIONS] = [(query, 0.0); MAX_RELATIONS];
         for (pos, &rel) in subset.members.iter().enumerate() {
             let tuple = state
                 .buffer(rel)
                 .get(ranks[pos])
                 .expect("partial combination references an unseen rank");
-            seen_points.push(&tuple.vector);
-            members.push((&tuple.vector, tuple.score));
+            full[pos] = (&tuple.vector, tuple.score);
         }
-        let unseen: Vec<usize> = (0..n).filter(|j| !subset.contains(*j)).collect();
-        debug_assert!(
-            !unseen.is_empty(),
-            "proper subsets always have unseen relations"
-        );
 
-        let nu = if m > 0 {
-            Some(mean_centroid(&seen_points))
-        } else {
-            None
-        };
+        if self.ray.dim() != dim {
+            self.ray = Vector::zeros(dim);
+            self.unseen_points.clear();
+        }
+        // The centroid ν of the seen part, with `mean_centroid`'s arithmetic.
+        let ray = &mut self.ray;
+        if m > 0 {
+            ray.as_mut_slice().fill(0.0);
+            for (x, _) in &full[..m] {
+                *ray += *x;
+            }
+            ray.scale_in_place(1.0 / m as f64);
+        }
 
         match state.kind() {
             AccessKind::Score => {
                 // Appendix C.2 closed form: all unseen tuples at y*, each with
                 // the score of the last tuple seen from its relation.
-                self.qp_solves += 1;
-                let y = score_based_optimum(
-                    query,
-                    nu.as_ref(),
-                    m,
-                    n,
-                    self.weights.w_q,
-                    self.weights.w_mu,
-                );
-                let mut full = members;
-                for &j in &unseen {
-                    full.push((&y, state.buffer(j).unseen_score_bound()));
+                let nu = (m > 0).then_some(&*ray);
+                let y = score_based_optimum(query, nu, m, n, w_q, w_mu);
+                for (idx, j) in unseen().enumerate() {
+                    full[m + idx] = (&y, state.buffer(j).unseen_score_bound());
                 }
-                scoring.score_members(&full, query)
+                scoring.score_members(&full[..n], query)
             }
             AccessKind::Distance => {
                 // Theorem 3.4 reduction: optimal unseen locations lie on the
-                // ray from the query through the centroid of the seen part.
-                let ray = match &nu {
-                    Some(nu) => Ray::through(query, nu).unwrap_or_else(|| Ray::canonical(query)),
-                    None => Ray::canonical(query),
-                };
-                let mut qp = BoundedQp::ray_problem(n, self.weights.w_q, self.weights.w_mu);
-                for (pos, &rel) in subset.members.iter().enumerate() {
-                    let theta = ray.project(seen_points[pos]);
-                    qp = qp.fix(rel, theta);
-                }
-                for &j in &unseen {
-                    qp = qp.lower_bound(j, state.buffer(j).unseen_distance_bound());
-                }
-                self.qp_solves += 1;
-                let solution = match qp.solve() {
-                    Ok(sol) => sol,
-                    Err(_) => {
-                        // The Hessian is positive definite whenever w_q > 0, so
-                        // this should never trigger; +∞ keeps the bound correct
-                        // (never terminates early) if it somehow does.
-                        debug_assert!(false, "ray QP unexpectedly failed");
-                        return f64::INFINITY;
+                // ray from the query through ν. Its unit direction replaces ν
+                // in place, with `Ray::through`'s arithmetic; the canonical
+                // axis stands in exactly where that ray has no direction.
+                let mut directed = false;
+                if m > 0 {
+                    *ray -= query;
+                    let norm = ray.norm();
+                    if norm > f64::EPSILON {
+                        ray.scale_in_place(1.0 / norm);
+                        directed = true;
                     }
-                };
-                let unseen_points: Vec<Vector> = unseen
-                    .iter()
-                    .map(|&j| ray.point_at(solution.theta[j]))
-                    .collect();
-                let mut full = members;
-                for (idx, &j) in unseen.iter().enumerate() {
-                    full.push((&unseen_points[idx], state.buffer(j).unseen_score_bound()));
                 }
-                scoring.score_members(&full, query)
+                if !directed {
+                    ray.as_mut_slice().fill(0.0);
+                    ray[0] = 1.0;
+                }
+                let u = ray.as_slice();
+                let q = query.as_slice();
+                // Eq. 13 projections (x − q)·u of the seen members.
+                self.projections.clear();
+                self.projections.extend(full[..m].iter().map(|(x, _)| {
+                    x.iter()
+                        .zip(q)
+                        .zip(u)
+                        .map(|((x, q), u)| (x - q) * u)
+                        .sum::<f64>()
+                }));
+                self.lower.clear();
+                self.lower
+                    .extend(unseen().map(|j| state.buffer(j).unseen_distance_bound()));
+                self.lengths.clear();
+                self.lengths.resize(n - m, 0.0);
+                ray_optimum(&self.projections, &self.lower, w_q, w_mu, &mut self.lengths);
+                // Eq. 15: the unseen tuples at q + u·θ.
+                if self.unseen_points.len() < n {
+                    self.unseen_points.resize_with(n, || Vector::zeros(dim));
+                }
+                for (point, &theta) in self.unseen_points.iter_mut().zip(&self.lengths) {
+                    for ((p, q), u) in point.as_mut_slice().iter_mut().zip(q).zip(u) {
+                        *p = q + u * theta;
+                    }
+                }
+                for (idx, j) in unseen().enumerate() {
+                    full[m + idx] = (
+                        &self.unseen_points[idx],
+                        state.buffer(j).unseen_score_bound(),
+                    );
+                }
+                scoring.score_members(&full[..n], query)
             }
         }
     }
@@ -298,14 +324,6 @@ impl<S: ScoringFunction> BoundingScheme<S> for TightBound {
             }
         }
 
-        // The very first update (self.bound still at its +∞ sentinel) must
-        // always evaluate, otherwise a recompute block > 1 could report −∞
-        // before anything has been optimised.
-        let recompute = accessed.is_none()
-            || self.bound.is_infinite()
-            || self
-                .access_count
-                .is_multiple_of(self.config.recompute_every);
         let run_dominance = state.kind() == AccessKind::Distance
             && accessed.is_some()
             && self
@@ -323,39 +341,37 @@ impl<S: ScoringFunction> BoundingScheme<S> for TightBound {
                 self.subsets[subset_index].best = f64::NEG_INFINITY;
                 continue;
             }
-            if recompute {
-                // Batched pass 1: stream over the subset's contiguous ranks
-                // lane and gather the partials that must be (re)evaluated —
-                // no per-partial allocation or branching on scattered state.
-                let subset = &self.subsets[subset_index];
-                let accessed_pos = accessed.map(|i| (i, subset.member_position(i)));
-                self.eval_queue.clear();
-                for (partial_index, partial) in subset.partials.iter().enumerate() {
-                    if partial.dominated {
-                        continue;
-                    }
-                    let uses_new = match accessed_pos {
-                        // Partial uses the newly retrieved tuple of R_i.
-                        Some((i, Some(pos))) => {
-                            subset.ranks_of(partial_index)[pos] == self.depths[i] - 1
-                        }
-                        // R_i is unseen for this subset: its access
-                        // frontier moved, so the bound must be refreshed.
-                        Some((_, None)) => true,
-                        None => false,
-                    };
-                    if partial.needs_evaluation() || uses_new {
-                        self.eval_queue.push(partial_index);
-                    }
+            // Batched pass 1: stream over the subset's contiguous ranks
+            // lane and gather the partials that must be (re)evaluated —
+            // no per-partial allocation or branching on scattered state.
+            let subset = &self.subsets[subset_index];
+            let accessed_pos = accessed.map(|i| (i, subset.member_position(i)));
+            self.eval_queue.clear();
+            for (partial_index, partial) in subset.partials.iter().enumerate() {
+                if partial.dominated {
+                    continue;
                 }
-                // Pass 2: evaluate the gathered batch.
-                let queue = std::mem::take(&mut self.eval_queue);
-                for &partial_index in &queue {
-                    let value = self.evaluate_partial(state, scoring, subset_index, partial_index);
-                    self.subsets[subset_index].partials[partial_index].bound = value;
+                let uses_new = match accessed_pos {
+                    // Partial uses the newly retrieved tuple of R_i.
+                    Some((i, Some(pos))) => {
+                        subset.ranks_of(partial_index)[pos] == self.depths[i] - 1
+                    }
+                    // R_i is unseen for this subset: its access
+                    // frontier moved, so the bound must be refreshed.
+                    Some((_, None)) => true,
+                    None => false,
+                };
+                if partial.needs_evaluation() || uses_new {
+                    self.eval_queue.push(partial_index);
                 }
-                self.eval_queue = queue;
             }
+            // Pass 2: evaluate the gathered batch.
+            let queue = std::mem::take(&mut self.eval_queue);
+            for &partial_index in &queue {
+                let value = self.evaluate_partial(state, scoring, subset_index, partial_index);
+                self.subsets[subset_index].partials[partial_index].bound = value;
+            }
+            self.eval_queue = queue;
             if run_dominance && accessed.is_some_and(|i| self.subsets[subset_index].contains(i)) {
                 self.run_dominance_tests(state, subset_index);
             }
@@ -363,7 +379,7 @@ impl<S: ScoringFunction> BoundingScheme<S> for TightBound {
             // combination per subset; the relative order of completion bounds
             // is invariant under further accesses, so the rest can be flagged
             // as dominated permanently.
-            if state.kind() == AccessKind::Score && recompute {
+            if state.kind() == AccessKind::Score {
                 let subset = &mut self.subsets[subset_index];
                 let best = subset
                     .partials
@@ -653,7 +669,6 @@ mod tests {
                 scoring.weights(),
                 TightBoundConfig {
                     dominance_period: dominance,
-                    recompute_every: 1,
                 },
             );
             let pts: [(usize, [f64; 2], f64); 8] = [
@@ -706,41 +721,5 @@ mod tests {
         let b3 = tb.update(&state, &scoring, Some(0));
         assert!(b3 <= b2 + 1e-9);
         assert!(tb.optimizations_solved() > 0);
-    }
-
-    #[test]
-    fn recompute_block_keeps_bound_conservative() {
-        let scoring = EuclideanLogScore::new(1.0, 1.0, 1.0);
-        let run = |every: usize| {
-            let mut state =
-                JoinState::new(Vector::from([0.0, 0.0]), AccessKind::Distance, &[1.0, 1.0]);
-            let mut tb = TightBound::new(
-                2,
-                scoring.weights(),
-                TightBoundConfig {
-                    dominance_period: None,
-                    recompute_every: every,
-                },
-            );
-            let mut bounds = Vec::new();
-            let mut counters = [0usize; 2];
-            for step in 0..6 {
-                let rel = step % 2;
-                let d = 0.3 * (step as f64 + 1.0);
-                push(&mut state, rel, counters[rel], [d, 0.0], 0.9);
-                counters[rel] += 1;
-                bounds.push(tb.update(&state, &scoring, Some(rel)));
-            }
-            bounds
-        };
-        let every_access = run(1);
-        let blocked = run(3);
-        for (step, (tight, stale)) in every_access.iter().zip(blocked.iter()).enumerate() {
-            assert!(
-                stale + 1e-9 >= *tight,
-                "blocked recomputation must stay an upper bound of the fresh bound \
-                 (step {step}: fresh {tight}, blocked {stale})"
-            );
-        }
     }
 }

@@ -13,9 +13,6 @@ pub struct ProxRjConfig {
     /// the paper's default for the main experiments; Figures 3(m)/(n) sweep
     /// this parameter).
     pub dominance_period: Option<usize>,
-    /// Recompute the tight bound only every `recompute_every` accesses
-    /// (1 = after every access, the paper's default).
-    pub recompute_every: usize,
     /// Hard cap on the total number of sorted accesses (safety valve for
     /// experiments; `None` = unlimited). When the cap is hit the current
     /// top-K is returned even though it may not be certified.
@@ -37,7 +34,6 @@ impl Default for ProxRjConfig {
     fn default() -> Self {
         ProxRjConfig {
             dominance_period: None,
-            recompute_every: 1,
             max_accesses: None,
             termination_tolerance: 1e-9,
             convergence_every: 0,

@@ -246,6 +246,34 @@ impl ScoringFunction for EuclideanLogScore {
             - self.weights.w_mu * dist_to_centroid * dist_to_centroid
     }
 
+    /// The trait default without its three allocations (the point list, the
+    /// centroid and the parts): every centroid coordinate is re-accumulated
+    /// where it is needed. The floating-point operations and their order are
+    /// the default's — centroid sums from `0.0` in member order scaled by
+    /// `1/len`, distances as `sqrt(Σ d²)` squared again, parts summed in
+    /// member order — so the result has the same bits.
+    fn score_members(&self, members: &[Member<'_>], query: &Vector) -> f64 {
+        assert!(!members.is_empty(), "cannot score an empty combination");
+        let inv_len = 1.0 / members.len() as f64;
+        let centroid = |k: usize| members.iter().fold(0.0, |acc, (p, _)| acc + p[k]) * inv_len;
+        members
+            .iter()
+            .map(|(v, sigma)| {
+                let dist_to_query = v.distance(query);
+                let dist_to_centroid = v
+                    .iter()
+                    .enumerate()
+                    .map(|(k, a)| {
+                        let d = a - centroid(k);
+                        d * d
+                    })
+                    .sum::<f64>()
+                    .sqrt();
+                self.proximity_weighted_score(*sigma, dist_to_query, dist_to_centroid)
+            })
+            .sum()
+    }
+
     fn euclidean_weights(&self) -> Option<Weights> {
         Some(self.weights)
     }

@@ -1,84 +1,76 @@
-//! Closed-form solutions for special cases of the tight-bound optimisation.
+//! Closed-form solutions of the tight-bound optimisations.
 //!
-//! * [`symmetric_distance_optimum`] — paper Eq. 11 / Eq. 29: the distance-based
-//!   bound when all unseen relations share the same minimum distance `δ` from
-//!   the query (problem (10)). The optimal common location of the unseen
-//!   tuples lies on the ray from the query through the centroid of the seen
-//!   partial combination, either at the unconstrained optimum or clamped onto
-//!   the sphere of radius `δ`.
+//! * [`ray_optimum`] — paper Eq. 14: the distance-based bound after the
+//!   collinearity reduction of Theorem 3.4, a one-dimensional convex problem
+//!   on the ray from the query through the centroid of the seen partial
+//!   combination. Its KKT conditions have a closed form; when all unseen
+//!   relations share one minimum distance `δ` it is Eq. 11 / Eq. 29.
 //! * [`score_based_optimum`] — paper Eq. 41: the *unconstrained* optimum used
 //!   by the score-based tight bound (Appendix C.2).
 //!
-//! Both functions return the optimal location; the caller evaluates the exact
-//! aggregate score at the returned point (which is how the bound value is
-//! obtained throughout `prj-core`, keeping a single source of truth for the
-//! scoring function).
+//! Both functions return the optimal location (a signed length along the
+//! ray, or a point); the caller evaluates the exact aggregate score at the
+//! reconstructed completion (which is how the bound value is obtained
+//! throughout `prj-core`, keeping a single source of truth for the scoring
+//! function).
 
 use prj_geometry::Vector;
 
-/// Solves paper Eq. 11 / Eq. 29: the optimal common location `y*` of the
-/// `n − m` unseen tuples completing a partial combination with centroid `nu`
-/// (of the `m` seen tuples), when every unseen tuple must be at distance at
-/// least `delta` from the query `q`.
+/// Solves paper Eq. 14 exactly:
 ///
-/// * `q` — the query point.
-/// * `nu` — the centroid of the seen partial combination; pass `None` when
-///   `m = 0` (the unconstrained optimum is then the query itself, possibly
-///   pushed out to the sphere of radius `delta` in an arbitrary direction).
-/// * `m` — number of seen tuples, `n` — total number of relations.
-/// * `w_q`, `w_mu` — the query- and centroid-proximity weights of Eq. 2.
-/// * `delta` — the common minimum distance of unseen tuples from the query.
+/// ```text
+/// minimise    w_q·Σ θ_i² + w_μ·Σ (θ_i − θ̄)²
+/// subject to  θ_i = seen[i]        for the m seen relations
+///             θ_j ≥ lower[j]       for the n − m unseen relations
+/// ```
+///
+/// and writes the optimal unseen lengths into `unseen` (aligned with
+/// `lower`). By the KKT conditions every unseen variable off its bound
+/// takes one common value `c = w_μ·A / (n·w_q + w_μ·(n − k))`, where `k` is
+/// the number of such free variables and `A` is the sum of the seen lengths
+/// and of the bounds still active. Starting from every bound active, the
+/// smallest active bound is released while it lies below `c`; each release
+/// only raises `c`, so the set where this stops satisfies the KKT conditions
+/// and, the objective being strictly convex for `w_q > 0`, is the unique
+/// optimum. With one unseen relation this is O(1); with equal bounds it is
+/// the closed form of Eq. 11 / Eq. 29.
+///
+/// `seen` is summed in slice order. Allocates nothing.
 ///
 /// # Panics
-/// Panics if `m >= n` or `delta < 0`.
-pub fn symmetric_distance_optimum(
-    q: &Vector,
-    nu: Option<&Vector>,
-    m: usize,
-    n: usize,
-    w_q: f64,
-    w_mu: f64,
-    delta: f64,
-) -> Vector {
-    assert!(m < n, "at least one relation must be unseen (m < n)");
-    assert!(delta >= 0.0, "delta must be non-negative");
-    match nu {
-        None => {
-            // m = 0 (or degenerate): the unconstrained optimum is q itself;
-            // if delta > 0 any point on the sphere is optimal by symmetry, so
-            // pick the first canonical direction.
-            if delta <= 0.0 {
-                q.clone()
-            } else {
-                let dir = Vector::basis(q.dim().max(1), 0);
-                q + &dir.scaled(delta)
-            }
-        }
-        Some(nu) => {
-            let shrink = if m == 0 {
-                0.0
-            } else {
-                (m as f64 * w_mu) / (m as f64 * w_mu + n as f64 * w_q)
-            };
-            let offset = (nu - q).scaled(shrink);
-            if offset.norm() >= delta {
-                q + &offset
-            } else {
-                // Clamp onto the sphere of radius delta along the ray q -> nu.
-                match (nu - q).normalized() {
-                    Some(dir) => q + &dir.scaled(delta),
-                    None => {
-                        // nu coincides with q: any direction works.
-                        if delta <= 0.0 {
-                            q.clone()
-                        } else {
-                            let dir = Vector::basis(q.dim().max(1), 0);
-                            q + &dir.scaled(delta)
-                        }
-                    }
+/// Panics if `lower` is empty (at least one relation must be unseen), has
+/// more than 64 entries, or `unseen.len() != lower.len()`.
+pub fn ray_optimum(seen: &[f64], lower: &[f64], w_q: f64, w_mu: f64, unseen: &mut [f64]) {
+    assert!(!lower.is_empty(), "at least one relation must be unseen");
+    assert!(lower.len() <= 64, "at most 64 unseen relations");
+    assert_eq!(unseen.len(), lower.len(), "one output per unseen relation");
+    let n = (seen.len() + lower.len()) as f64;
+    let seen_sum: f64 = seen.iter().sum();
+    // Bit j set ⇔ unseen variable j is off its bound.
+    let mut free = 0u64;
+    let mut k = 0.0;
+    let c = loop {
+        let mut active_sum = seen_sum;
+        let mut next: Option<usize> = None;
+        for (j, &d) in lower.iter().enumerate() {
+            if free & (1 << j) == 0 {
+                active_sum += d;
+                if next.is_none_or(|i| d < lower[i]) {
+                    next = Some(j);
                 }
             }
         }
+        let c = w_mu * active_sum / (n * w_q + w_mu * (n - k));
+        match next {
+            Some(j) if lower[j] < c => {
+                free |= 1 << j;
+                k += 1.0;
+            }
+            _ => break c,
+        }
+    };
+    for (j, (theta, &d)) in unseen.iter_mut().zip(lower).enumerate() {
+        *theta = if free & (1 << j) != 0 { c } else { d };
     }
 }
 
@@ -120,55 +112,83 @@ mod tests {
         Vector::from(x)
     }
 
+    /// Solves Eq. 14 for `w_q = w_μ = 1` and returns the unseen lengths.
+    fn solve(seen: &[f64], lower: &[f64]) -> Vec<f64> {
+        solve_weighted(seen, lower, 1.0, 1.0)
+    }
+
+    fn solve_weighted(seen: &[f64], lower: &[f64], w_q: f64, w_mu: f64) -> Vec<f64> {
+        let mut unseen = vec![f64::NAN; lower.len()];
+        ray_optimum(seen, lower, w_q, w_mu, &mut unseen);
+        unseen
+    }
+
+    fn assert_close(got: &[f64], expected: &[f64]) {
+        assert_eq!(got.len(), expected.len());
+        for (g, e) in got.iter().zip(expected) {
+            assert!((g - e).abs() < 1e-12, "got {got:?}, expected {expected:?}");
+        }
+    }
+
     #[test]
     fn unconstrained_optimum_shrinks_toward_query() {
-        // With wq = wmu = 1, m = 1, n = 2: shrink = 1/(1+2) = 1/3.
-        let q = v(&[0.0, 0.0]);
-        let nu = v(&[3.0, 0.0]);
-        let y = symmetric_distance_optimum(&q, Some(&nu), 1, 2, 1.0, 1.0, 0.0);
-        assert!(y.approx_eq(&v(&[1.0, 0.0]), 1e-12));
+        // With wq = wmu = 1, m = 1, n = 2 the free length is θ_seen/(1+2):
+        // the seen tuple at distance 3 pulls the unseen one to distance 1.
+        assert_close(&solve(&[3.0], &[0.0]), &[1.0]);
     }
 
     #[test]
     fn constrained_optimum_clamps_to_sphere() {
-        let q = v(&[0.0, 0.0]);
-        let nu = v(&[3.0, 0.0]);
-        // Unconstrained optimum is at distance 1; with delta = 2 it clamps.
-        let y = symmetric_distance_optimum(&q, Some(&nu), 1, 2, 1.0, 1.0, 2.0);
-        assert!(y.approx_eq(&v(&[2.0, 0.0]), 1e-12));
-        assert!((y.distance(&q) - 2.0).abs() < 1e-12);
+        // The unconstrained optimum is at distance 1; with δ = 2 it clamps.
+        assert_close(&solve(&[3.0], &[2.0]), &[2.0]);
     }
 
     #[test]
     fn paper_example_3_2_partial_tau2() {
-        // Example 3.2, partial combination τ2^(1): x = [1,1], so ν = [1,1];
-        // m = 1, n = 3, ws = wq = wμ = 1, δ1 = 1.
-        // Shrink = 1/(1+3) = 0.25 -> unconstrained at [0.25,0.25], norm ≈ 0.354 < δ1 = 1,
-        // so clamp to the sphere of radius 1: y1* = [√2/2, √2/2].
-        let q = v(&[0.0, 0.0]);
-        let nu = v(&[1.0, 1.0]);
-        let y1 = symmetric_distance_optimum(&q, Some(&nu), 1, 3, 1.0, 1.0, 1.0);
-        let s = std::f64::consts::FRAC_1_SQRT_2;
-        assert!(y1.approx_eq(&v(&[s, s]), 1e-9), "{y1:?}");
-        // δ3 = 2√2: clamp to radius 2√2 -> [2, 2].
-        let y3 = symmetric_distance_optimum(&q, Some(&nu), 1, 3, 1.0, 1.0, 2.0 * 2.0_f64.sqrt());
-        assert!(y3.approx_eq(&v(&[2.0, 2.0]), 1e-9), "{y3:?}");
+        // Example 3.2, partial combination τ2^(1): x = [1,1], so the seen
+        // length is √2; m = 1, n = 3, ws = wq = wμ = 1. The unconstrained
+        // common length √2/4 ≈ 0.354 lies inside both spheres, so each unseen
+        // tuple clamps: y1* at radius δ1 = 1, y3* at radius δ3 = 2√2.
+        let root2 = 2.0_f64.sqrt();
+        assert_close(&solve(&[root2], &[1.0, 2.0 * root2]), &[1.0, 2.0 * root2]);
+        // The equal-radius cases of Eq. 11 / Eq. 29: both clamp.
+        assert_close(&solve(&[root2], &[1.0, 1.0]), &[1.0, 1.0]);
+        assert_close(
+            &solve(&[root2], &[2.0 * root2, 2.0 * root2]),
+            &[2.0 * root2, 2.0 * root2],
+        );
+    }
+
+    #[test]
+    fn released_bounds_share_one_length_and_raise_it() {
+        // n = 3, seen length 6: the bound 0 is released first (c = 8/6),
+        // then c = 8/5 = 1.6 stays below the bound 2, which stays active.
+        assert_close(&solve(&[6.0], &[2.0, 0.0]), &[2.0, 1.6]);
+        // Tied bounds are both released: c = 7/6, 6.5/5, then 6/4 = 1.5.
+        assert_close(&solve(&[6.0], &[0.5, 0.5]), &[1.5, 1.5]);
     }
 
     #[test]
     fn empty_partial_combination() {
-        let q = v(&[1.0, 2.0]);
-        let y = symmetric_distance_optimum(&q, None, 0, 3, 1.0, 1.0, 0.0);
-        assert!(y.approx_eq(&q, 1e-12));
-        let y = symmetric_distance_optimum(&q, None, 0, 3, 1.0, 1.0, 1.5);
-        assert!((y.distance(&q) - 1.5).abs() < 1e-12);
+        // m = 0: the optimum is the query itself, or the spheres' radii.
+        assert_close(&solve(&[], &[0.0, 0.0, 0.0]), &[0.0, 0.0, 0.0]);
+        assert_close(&solve(&[], &[1.5, 1.5, 1.5]), &[1.5, 1.5, 1.5]);
     }
 
     #[test]
     fn degenerate_centroid_at_query() {
-        let q = v(&[0.0, 0.0]);
-        let y = symmetric_distance_optimum(&q, Some(&q.clone()), 1, 2, 1.0, 1.0, 2.0);
-        assert!((y.distance(&q) - 2.0).abs() < 1e-12);
+        // The seen tuple projects to 0 (its centroid is the query).
+        assert_close(&solve(&[0.0], &[2.0]), &[2.0]);
+    }
+
+    #[test]
+    fn zero_centroid_weight_puts_optimum_at_query() {
+        // With w_mu = 0 the mutual-proximity pull vanishes: every unseen
+        // tuple sits as close to the query as its bound allows.
+        assert_close(
+            &solve_weighted(&[5.0 * 2.0_f64.sqrt(), 4.0], &[0.0, 0.7], 1.0, 0.0),
+            &[0.0, 0.7],
+        );
     }
 
     #[test]
@@ -183,18 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_centroid_weight_puts_optimum_at_query() {
-        // With w_mu = 0 the mutual-proximity pull vanishes and the optimum is q.
-        let q = v(&[0.0, 0.0]);
-        let nu = v(&[5.0, 5.0]);
-        let y = symmetric_distance_optimum(&q, Some(&nu), 2, 3, 1.0, 0.0, 0.0);
-        assert!(y.approx_eq(&q, 1e-12));
-    }
-
-    #[test]
     #[should_panic]
     fn all_seen_panics() {
-        let q = v(&[0.0]);
-        let _ = symmetric_distance_optimum(&q, Some(&q.clone()), 2, 2, 1.0, 1.0, 0.0);
+        let _ = solve(&[1.0, 2.0], &[]);
     }
 }

@@ -11,10 +11,11 @@
 //! ```
 //!
 //! with `H = w_q·I + w_μ·(I − 11ᵀ/n)ᵀ(I − 11ᵀ/n)` (paper Eq. 31), which is
-//! symmetric positive definite whenever `w_q > 0`. [`BoundedQp`] solves the
-//! slightly more general problem `min ½θᵀHθ + cᵀθ` with per-variable optional
-//! fixings and lower bounds, which is also reused by the score-based bound and
-//! by tests.
+//! symmetric positive definite whenever `w_q > 0`. The tight bound solves
+//! that problem with its closed form,
+//! [`ray_optimum`](crate::closed_form::ray_optimum). [`BoundedQp`] solves the
+//! more general problem `min ½θᵀHθ + cᵀθ` with per-variable optional fixings
+//! and lower bounds, and is the reference the closed form is tested against.
 
 use crate::linalg::Matrix;
 use crate::SOLVER_EPS;

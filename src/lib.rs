@@ -7,7 +7,9 @@
 //! for the full API:
 //!
 //! * [`geometry`] — vectors, metrics, centroids, projections, bounding boxes.
-//! * [`solver`] — convex QP (active set) and LP feasibility (simplex) solvers.
+//! * [`solver`] — the closed-form Eq. 14 solve the tight bound uses, LP
+//!   feasibility (simplex), and the active-set convex QP kept as the
+//!   closed form's test reference.
 //! * [`index`] — R-tree substrate with incremental nearest-neighbour access.
 //! * [`access`] — sorted-access abstraction (distance-based / score-based).
 //! * [`core`] — the ProxRJ operator, bounding schemes, dominance and pulling

@@ -4,7 +4,7 @@
 //! with or without dominance pruning — while respecting the depth
 //! relationships the paper proves (tight ≤ corner, TBPA ≤ TBRR per relation).
 
-use proximity_rank_join::core::{naive_rank_join, Problem, ProxRjConfig, RelationBackend};
+use proximity_rank_join::core::{naive_rank_join, Problem, RelationBackend};
 use proximity_rank_join::data::{generate_synthetic, SyntheticConfig};
 use proximity_rank_join::prelude::*;
 use rand::rngs::StdRng;
@@ -247,46 +247,4 @@ fn exhaustion_is_handled_when_k_exceeds_the_cross_product() {
         let result = algo.run(&mut problem).unwrap();
         assert_eq!(result.combinations.len(), total, "{algo}");
     }
-}
-
-#[test]
-fn recompute_blocks_trade_accesses_for_correct_results() {
-    let config = SyntheticConfig {
-        density: 40.0,
-        seed: 31,
-        ..Default::default()
-    };
-    let relations = generate_synthetic(&config);
-    let mut baseline = build_problem(
-        relations.clone(),
-        2,
-        10,
-        AccessKind::Distance,
-        RelationBackend::SortedVec,
-        None,
-    );
-    let expected = naive_rank_join(&mut baseline);
-    let mut blocked = build_problem(
-        relations,
-        2,
-        10,
-        AccessKind::Distance,
-        RelationBackend::SortedVec,
-        None,
-    );
-    blocked.set_config(ProxRjConfig {
-        recompute_every: 4,
-        ..Default::default()
-    });
-    let tbpa_blocked = Algorithm::Tbpa.run(&mut blocked).unwrap();
-    let tbpa_fresh = Algorithm::Tbpa.run(&mut baseline).unwrap();
-    for (got, exp) in tbpa_blocked
-        .combinations
-        .iter()
-        .zip(expected.combinations.iter())
-    {
-        assert!((got.score - exp.score).abs() < 1e-9);
-    }
-    // Stale bounds can only delay termination, never accelerate it.
-    assert!(tbpa_blocked.sum_depths() >= tbpa_fresh.sum_depths());
 }

@@ -1,11 +1,24 @@
 //! Property-based tests for the substrate crates (solver and index), driven
-//! through the facade: the QP and LP solvers that power the tight bound, and
-//! the R-tree that powers distance-based access.
+//! through the facade: the closed form, QP and LP solvers behind the tight
+//! bound, the allocation-free Eq. 2 scoring, and the R-tree that powers
+//! distance-based access.
 
 use proptest::prelude::*;
+use proximity_rank_join::core::{EuclideanLogScore, ScoringFunction};
 use proximity_rank_join::index::{RTree, ScoreIndex};
 use proximity_rank_join::prelude::Vector;
-use proximity_rank_join::solver::{halfspaces_feasible, BoundedQp, Matrix};
+use proximity_rank_join::solver::{halfspaces_feasible, ray_optimum, BoundedQp, Matrix};
+
+/// Eq. 2 scored through the trait's default `score_members`, the formula
+/// `EuclideanLogScore`'s own implementation must reproduce bit for bit.
+struct DefaultFormula(EuclideanLogScore);
+
+impl ScoringFunction for DefaultFormula {
+    fn proximity_weighted_score(&self, sigma: f64, to_query: f64, to_centroid: f64) -> f64 {
+        self.0
+            .proximity_weighted_score(sigma, to_query, to_centroid)
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -46,6 +59,97 @@ proptest! {
                 "random feasible point beats the active-set optimum"
             );
         }
+    }
+
+    /// The Eq. 14 closed form agrees with the active-set QP on the same ray
+    /// problem, for n = 2..=5 and every proper subset of seen relations.
+    /// Bounds are drawn as 0, a value shared by several relations, or a free
+    /// value, so zero and tied bounds are exercised; `w_μ` is 0 in a third
+    /// of the cases.
+    #[test]
+    fn ray_closed_form_matches_the_qp(
+        n in 2usize..6,
+        seen_lengths in prop::collection::vec(-1.0..3.0f64, 5),
+        bound_kinds in prop::collection::vec(0usize..3, 5),
+        free_bounds in prop::collection::vec(0.0..3.0f64, 5),
+        tied_bound in 0.0..3.0f64,
+        w_q in 0.1..3.0f64,
+        w_mu in 0.0..3.0f64,
+        zero_w_mu in 0usize..3,
+    ) {
+        let w_mu = if zero_w_mu == 0 { 0.0 } else { w_mu };
+        let bounds: Vec<f64> = (0..n)
+            .map(|j| match bound_kinds[j] {
+                0 => 0.0,
+                1 => tied_bound,
+                _ => free_bounds[j],
+            })
+            .collect();
+        for mask in 0u32..(1 << n) - 1 {
+            let is_seen = |i: usize| mask & (1 << i) != 0;
+            let mut qp = BoundedQp::ray_problem(n, w_q, w_mu);
+            let mut seen = Vec::new();
+            let mut lower = Vec::new();
+            for i in 0..n {
+                if is_seen(i) {
+                    qp = qp.fix(i, seen_lengths[i]);
+                    seen.push(seen_lengths[i]);
+                } else {
+                    qp = qp.lower_bound(i, bounds[i]);
+                    lower.push(bounds[i]);
+                }
+            }
+            let reference = qp.solve().expect("the ray problem is strictly convex");
+            let mut unseen = vec![f64::NAN; lower.len()];
+            ray_optimum(&seen, &lower, w_q, w_mu, &mut unseen);
+            let (mut seen_iter, mut unseen_iter) = (seen.iter(), unseen.iter());
+            let theta: Vec<f64> = (0..n)
+                .map(|i| {
+                    let next = if is_seen(i) { seen_iter.next() } else { unseen_iter.next() };
+                    *next.unwrap()
+                })
+                .collect();
+            for (i, (got, want)) in theta.iter().zip(&reference.theta).enumerate() {
+                prop_assert!(
+                    (got - want).abs() <= 1e-9,
+                    "mask {mask:#b}, θ_{i}: closed form {got} vs QP {want}"
+                );
+            }
+            // Relative agreement, measured against at least 1 so that a zero
+            // optimum is compared absolutely.
+            let objective = qp.objective(&theta);
+            prop_assert!(
+                (objective - reference.objective).abs()
+                    <= 1e-9 * reference.objective.abs().max(1.0),
+                "mask {mask:#b}: objective {objective} vs QP {}",
+                reference.objective
+            );
+        }
+    }
+
+    /// `EuclideanLogScore::score_members` returns exactly the bits of the
+    /// trait's default formula.
+    #[test]
+    fn euclidean_log_score_members_match_the_default_bits(
+        members in 1usize..5,
+        dim in 1usize..13,
+        coords in prop::collection::vec(-5.0..5.0f64, 48),
+        scores in prop::collection::vec(0.01..1.0f64, 4),
+        query in prop::collection::vec(-5.0..5.0f64, 12),
+        weights in (0.0..2.0f64, 0.1..2.0f64, 0.0..2.0f64),
+    ) {
+        let scoring = EuclideanLogScore::new(weights.0, weights.1, weights.2);
+        let points: Vec<Vector> = coords
+            .chunks(dim)
+            .take(members)
+            .map(Vector::from)
+            .collect();
+        let combination: Vec<(&Vector, f64)> =
+            points.iter().zip(scores.iter().copied()).collect();
+        let query = Vector::from(&query[..dim]);
+        let own = scoring.score_members(&combination, &query);
+        let default = DefaultFormula(scoring).score_members(&combination, &query);
+        prop_assert_eq!(own.to_bits(), default.to_bits());
     }
 
     /// Any half-space system constructed around a witness point is feasible,
