@@ -1,12 +1,15 @@
 //! The mutable delta side-structure of a relation shard.
 //!
-//! Copy-on-write shard rebuilds make every append O(n/S): the whole shard's
-//! tuple array and R-tree are re-materialised per publish. A [`DeltaBuffer`]
-//! turns the append path into O(delta): freshly appended tuples land in a
-//! small score-sorted side structure next to the immutable base, and reads
-//! see base + delta through the ordinary merged sorted-access machinery
-//! ([`crate::MergedAccess`]) so bounds stay admissible and stops stay
-//! certified. A background compactor folds the delta into the base once it
+//! A copy-on-write shard extension still costs O(n/S) per append: the
+//! shard's R-tree is copied (a memcpy of its flat lanes) and the batch
+//! inserted in O(batch·log n), and the shard's score lane is rebuilt by one
+//! linear merge with the sorted batch — no sort, but one pass over the
+//! whole shard. A [`DeltaBuffer`] turns the append path into O(delta):
+//! freshly appended tuples land in a small score-sorted side structure next
+//! to the immutable base, and reads see base + delta through the ordinary
+//! merged sorted-access machinery ([`crate::MergedAccess`]) so bounds stay
+//! admissible and stops stay certified. A background compactor folds the
+//! delta into the base once it
 //! crosses a size/age threshold.
 //!
 //! Like [`crate::RelationBuffer`], the buffer keeps struct-of-arrays lanes —
@@ -20,6 +23,7 @@
 //! [`crate::SharedScoreRelation`] can read it directly and a merged
 //! base+delta view is deterministic regardless of when tuples arrived.
 
+use crate::source::{merge_score_sorted, score_order};
 use crate::stats::RelationStats;
 use crate::tuple::{Tuple, TupleId};
 use std::collections::HashSet;
@@ -65,28 +69,14 @@ impl DeltaBuffer {
     /// A new buffer holding this buffer's tuples plus `extra`.
     ///
     /// O(delta + extra·log extra): `extra` is sorted, then merged with the
-    /// already-sorted lane. The receiver is untouched (readers holding it
-    /// see exactly what they snapshotted).
-    pub fn appended(&self, mut extra: Vec<Tuple>) -> Self {
+    /// already-sorted lane ([`merge_score_sorted`], the same routine that
+    /// extends the engine catalog's base lane). The receiver is untouched
+    /// (readers holding it see exactly what they snapshotted).
+    pub fn appended(&self, extra: Vec<Tuple>) -> Self {
         if extra.is_empty() {
             return self.clone_buffer();
         }
-        extra.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
-        let mut merged = Vec::with_capacity(self.tuples.len() + extra.len());
-        let mut extra = extra.into_iter().peekable();
-        for t in self.tuples.iter() {
-            while let Some(e) = extra.peek() {
-                let first = e.score.total_cmp(&t.score).then(t.id.cmp(&e.id)).is_gt();
-                if first {
-                    merged.push(extra.next().expect("peeked"));
-                } else {
-                    break;
-                }
-            }
-            merged.push(t.clone());
-        }
-        merged.extend(extra);
-        Self::from_sorted(merged)
+        Self::from_sorted(merge_score_sorted(&self.tuples, extra))
     }
 
     /// The tuples of `self` whose ids are **not** in `other`, preserving
@@ -110,16 +100,14 @@ impl DeltaBuffer {
 
     fn from_sorted(tuples: Vec<Tuple>) -> Self {
         debug_assert!(
-            tuples.windows(2).all(|w| w[1]
-                .score
-                .total_cmp(&w[0].score)
-                .then(w[0].id.cmp(&w[1].id))
-                != std::cmp::Ordering::Greater),
+            tuples
+                .windows(2)
+                .all(|w| !score_order(&w[0], &w[1]).is_gt()),
             "DeltaBuffer lane must be score-desc, id-asc"
         );
         let ids = tuples.iter().map(|t| t.id).collect();
-        let scores = tuples.iter().map(|t| t.score).collect();
-        let stats = RelationStats::from_tuples(&tuples);
+        let scores: Vec<f64> = tuples.iter().map(|t| t.score).collect();
+        let stats = RelationStats::from_scores(tuples.first().map_or(0, |t| t.dim()), &scores);
         DeltaBuffer {
             tuples: Arc::new(tuples),
             ids,

@@ -4,6 +4,34 @@ use crate::kind::AccessKind;
 use crate::tuple::{Tuple, TupleId};
 use prj_geometry::Vector;
 use prj_index::{NearestCursor, RTree};
+use std::cmp::Ordering;
+
+/// The score-based sorted-access order with a total tie-break: score
+/// descending, ties by tuple id ascending. Every score-sorted lane —
+/// [`VecRelation::score_sorted`], a [`crate::DeltaBuffer`], the engine
+/// catalog's per-shard base — is kept in this order.
+pub fn score_order(a: &Tuple, b: &Tuple) -> Ordering {
+    b.score.total_cmp(&a.score).then(a.id.cmp(&b.id))
+}
+
+/// `sorted` (already in [`score_order`]) extended by `extra` (any order),
+/// in [`score_order`]: `extra` is sorted alone and merged in with one pass
+/// over `sorted` — O(n + m·log m) for n sorted and m extra tuples, no
+/// re-sort. Ids are unique, so the order is total and the result is
+/// exactly what sorting the union from scratch produces.
+pub fn merge_score_sorted(sorted: &[Tuple], mut extra: Vec<Tuple>) -> Vec<Tuple> {
+    extra.sort_by(score_order);
+    let mut merged = Vec::with_capacity(sorted.len() + extra.len());
+    let mut rest = sorted;
+    for e in extra {
+        let ahead = rest.partition_point(|t| score_order(t, &e).is_lt());
+        merged.extend_from_slice(&rest[..ahead]);
+        merged.push(e);
+        rest = &rest[ahead..];
+    }
+    merged.extend_from_slice(rest);
+    merged
+}
 
 /// Pull-based sorted access to one relation (Definition 2.1).
 ///
@@ -96,7 +124,7 @@ impl VecRelation {
     /// Builds a score-sorted relation: tuples are returned in decreasing score.
     pub fn score_sorted(name: impl Into<String>, tuples: Vec<Tuple>) -> Self {
         let mut sorted = tuples;
-        sorted.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+        sorted.sort_by(score_order);
         let max_score = sorted.first().map(|t| t.score).unwrap_or(1.0);
         VecRelation {
             name: name.into(),

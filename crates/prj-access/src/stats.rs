@@ -100,10 +100,18 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
-    /// Computes the statistics of `tuples` in one pass over the scores.
+    /// Computes the statistics of `tuples` in one pass over the scores
+    /// ([`RelationStats::from_scores`] over their scores, in slice order).
     pub fn from_tuples(tuples: &[Tuple]) -> Self {
-        let cardinality = tuples.len();
-        let dimensions = tuples.first().map(|t| t.dim()).unwrap_or(0);
+        let scores: Vec<f64> = tuples.iter().map(|t| t.score).collect();
+        Self::from_scores(tuples.first().map_or(0, |t| t.dim()), &scores)
+    }
+
+    /// Computes the statistics of a relation of `dimensions`-dimensional
+    /// tuples with the given scores. The moments are summed in slice order,
+    /// so the same scores in the same order give the same bits.
+    pub fn from_scores(dimensions: usize, scores: &[f64]) -> Self {
+        let cardinality = scores.len();
         if cardinality == 0 {
             return RelationStats {
                 cardinality,
@@ -119,16 +127,16 @@ impl RelationStats {
         let mut min_score = f64::INFINITY;
         let mut max_score = f64::NEG_INFINITY;
         let mut sum = 0.0;
-        for t in tuples {
-            min_score = min_score.min(t.score);
-            max_score = max_score.max(t.score);
-            sum += t.score;
+        for &score in scores {
+            min_score = min_score.min(score);
+            max_score = max_score.max(score);
+            sum += score;
         }
         let mean_score = sum / n;
         let mut m2 = 0.0;
         let mut m3 = 0.0;
-        for t in tuples {
-            let d = t.score - mean_score;
+        for &score in scores {
+            let d = score - mean_score;
             m2 += d * d;
             m3 += d * d * d;
         }
@@ -363,5 +371,44 @@ mod tests {
         let constant = RelationStats::from_tuples(&tuples_with_scores(&[0.5, 0.5, 0.5]));
         assert_eq!(constant.score_stddev, 0.0);
         assert_eq!(constant.score_skewness, 0.0);
+    }
+
+    #[test]
+    fn from_scores_matches_from_tuples_bit_for_bit() {
+        let bits = |s: RelationStats| {
+            (
+                s.cardinality,
+                s.dimensions,
+                [
+                    s.min_score,
+                    s.max_score,
+                    s.mean_score,
+                    s.score_stddev,
+                    s.score_skewness,
+                ]
+                .map(f64::to_bits),
+            )
+        };
+        let skewed: Vec<f64> = (0..97)
+            .map(|i| {
+                let u = ((i * 61) % 97) as f64 / 97.0 + 0.003;
+                u * u * u
+            })
+            .collect();
+        for scores in [
+            vec![],
+            vec![0.42],
+            vec![0.5, 0.5, 0.5],
+            vec![0.1, 0.7, 0.1, 0.3, 0.7],
+            skewed,
+        ] {
+            let tuples = tuples_with_scores(&scores);
+            let dim = if scores.is_empty() { 0 } else { 2 };
+            assert_eq!(
+                bits(RelationStats::from_scores(dim, &scores)),
+                bits(RelationStats::from_tuples(&tuples)),
+                "scores {scores:?}"
+            );
+        }
     }
 }

@@ -12,8 +12,9 @@
 //!
 //! Each relation is partitioned into `S` spatial shards by the catalog's
 //! [`ShardingPolicy`] (hash-by-grid-cell; `S = 1` disables partitioning).
-//! Every shard is a self-contained [`RelationShard`]: its own tuple slice,
-//! R-tree, score-sorted array, [`RelationStats`] and **epoch** counter.
+//! Every shard is a self-contained [`RelationShard`]: its own R-tree,
+//! score-sorted tuple array (its one copy of its slice of the tuples),
+//! [`RelationStats`] and **epoch** counter.
 //! Shard-local views ([`CatalogRelation::shard_distance_view`], …) drive the
 //! executor's partitioned runs; merged views
 //! ([`CatalogRelation::distance_view`], …) recombine the shards into one
@@ -25,12 +26,13 @@
 //! Relations are *mutable*: [`Catalog::append`] adds tuples and
 //! [`Catalog::drop_relation`] removes a relation. Mutations are
 //! copy-on-write and **shard-local**: an append routes each new tuple to its
-//! shard, clones only the touched shards' R-trees (an O(|relation|/S)
-//! publish instead of O(|relation|)), extends them with the engine's
-//! incremental insert, and bumps only those shards' epochs. In-flight
-//! queries keep reading their old `Arc`s untouched. The engine keys its
-//! result cache by each relation's **epoch vector**
-//! ([`CatalogRelation::epochs`]), which is what makes a memoised
+//! shard and extends only the touched shards, bumping only their epochs.
+//! Extending a shard of n tuples by a batch of m costs a memcpy of its
+//! R-tree's flat lanes plus m incremental inserts (O(m·log n)), and one
+//! linear merge of the sorted batch into the shard's score lane — no sort
+//! of the shard. In-flight queries keep reading their old `Arc`s
+//! untouched. The engine keys its result cache by each relation's **epoch
+//! vector** ([`CatalogRelation::epochs`]), which is what makes a memoised
 //! pre-mutation result structurally unservable afterwards — ingest on one
 //! shard invalidates exactly the results that could have read that shard's
 //! relation, and nothing needs carefully ordered invalidation calls.
@@ -53,19 +55,19 @@
 //!
 //! [`Catalog::compact_shard`] — driven by the engine's background compactor
 //! — folds a shard's delta into its base: the fold replays the delta in
-//! arrival (id) order through the same incremental R-tree inserts the
-//! rebuild path would have used, so the folded shard is physically
-//! identical to the one immediate rebuilds would have produced. Compaction
-//! is a pure physical reorganisation: it preserves the shard's **epoch**
-//! (same logical data, so cached results and replicated epoch vectors stay
-//! valid) and only bumps the shard's `compactions` counter. Appends that
-//! race the fold are never lost: the publish step recomputes the residual
-//! delta (live minus folded snapshot) under the mutation mutex.
+//! arrival (id) order through the same shard extension the rebuild append
+//! uses, so the folded shard is physically identical to the one immediate
+//! rebuilds would have produced. Compaction is a pure physical
+//! reorganisation: it preserves the shard's **epoch** (same logical data,
+//! so cached results and replicated epoch vectors stay valid) and only
+//! bumps the shard's `compactions` counter. Appends that race the fold are
+//! never lost: the publish step recomputes the residual delta (live minus
+//! folded snapshot) under the mutation mutex.
 
 use crate::sharding::ShardingPolicy;
 use prj_access::{
-    DeltaBuffer, MergeOrder, MergedAccess, RelationStats, SharedRTreeRelation, SharedScoreRelation,
-    SortedAccess, Tuple, TupleId, VecRelation,
+    merge_score_sorted, score_order, DeltaBuffer, MergeOrder, MergedAccess, RelationStats,
+    SharedRTreeRelation, SharedScoreRelation, SortedAccess, Tuple, TupleId, VecRelation,
 };
 use prj_core::ScoringFunction;
 use prj_geometry::Vector;
@@ -146,17 +148,17 @@ pub struct MutationOutcome {
 
 /// One immutable shard of a relation: a disjoint slice of the tuples plus
 /// the access structures built from them, stamped with the epoch it was
-/// published at. The slice splits into an indexed **base** (tuple array,
-/// R-tree, score-sorted array) and a small **delta** of freshly appended
-/// tuples not yet folded into the base (always empty when the catalog's
-/// delta limit is 0).
+/// published at. The slice splits into an indexed **base** (R-tree and
+/// score-sorted array) and a small **delta** of freshly appended tuples not
+/// yet folded into the base (always empty when the catalog's delta limit
+/// is 0). The score-sorted array is the shard's only copy of the base
+/// tuples; the R-tree's payload pool keeps their `(id, score)` pairs in
+/// ingestion order.
 #[derive(Debug)]
 pub struct RelationShard {
-    /// The base tuples, in ingestion order.
-    tuples: Arc<Vec<Tuple>>,
     /// R-tree over the base tuples (distance-based access path).
     rtree: Arc<RTree<(TupleId, f64)>>,
-    /// The base tuples in non-increasing score order (score-based path).
+    /// The base tuples in [`score_order`] (score-based path).
     score_sorted: Arc<Vec<Tuple>>,
     /// Appended-but-not-yet-compacted tuples (the O(delta) ingest lane).
     delta: Arc<DeltaBuffer>,
@@ -171,34 +173,32 @@ pub struct RelationShard {
 }
 
 impl RelationShard {
-    fn build(tuples: Vec<Tuple>, epoch: u64) -> Self {
-        let stats = RelationStats::from_tuples(&tuples);
-        let dim = stats.dimensions.max(1);
+    /// A shard over `tuples` (in ingestion order): the R-tree is bulk-loaded
+    /// and the owned tuples are sorted in place into the score lane.
+    fn build(mut tuples: Vec<Tuple>, epoch: u64) -> Self {
+        // An empty shard gets a placeholder dimensionality; its first
+        // extension builds for real.
+        let dim = tuples.first().map_or(0, |t| t.dim()).max(1);
         let items: Vec<(Vector, (TupleId, f64))> = tuples
             .iter()
             .map(|t| (t.vector.clone(), (t.id, t.score)))
             .collect();
-        let rtree = Arc::new(RTree::bulk_load(dim, items));
-        Self::assemble(tuples, rtree, stats, epoch)
+        let rtree = RTree::bulk_load(dim, items);
+        tuples.sort_by(score_order);
+        Self::with_base(rtree, tuples, epoch)
     }
 
-    fn assemble(
-        tuples: Vec<Tuple>,
-        rtree: Arc<RTree<(TupleId, f64)>>,
-        stats: RelationStats,
-        epoch: u64,
-    ) -> Self {
-        // Reuse VecRelation's ordering (score desc, ties by id) so catalog
-        // views are indistinguishable from single-query sources.
-        let score_sorted = Arc::new(
-            VecRelation::score_sorted(String::new(), tuples.clone())
-                .sorted_tuples()
-                .to_vec(),
-        );
+    /// A shard with an empty delta over the given base. The statistics are
+    /// read off the R-tree's payload pool, which holds the base scores in
+    /// ingestion order — the order [`RelationStats::from_tuples`] sums them
+    /// in over the ingestion-order tuples, so the bits are the same.
+    fn with_base(rtree: RTree<(TupleId, f64)>, score_sorted: Vec<Tuple>, epoch: u64) -> Self {
+        let scores: Vec<f64> = rtree.payloads().iter().map(|&(_, score)| score).collect();
+        let dim = score_sorted.first().map_or(0, |t| t.dim());
+        let stats = RelationStats::from_scores(dim, &scores);
         RelationShard {
-            tuples: Arc::new(tuples),
-            rtree,
-            score_sorted,
+            rtree: Arc::new(rtree),
+            score_sorted: Arc::new(score_sorted),
             delta: Arc::new(DeltaBuffer::empty()),
             base_stats: stats,
             stats,
@@ -207,29 +207,33 @@ impl RelationShard {
         }
     }
 
-    /// A new shard snapshot with `extra` appended at a bumped epoch. The
-    /// R-tree is extended copy-on-write with the incremental insert path —
-    /// no bulk re-load — so in-flight readers of the old shard are
-    /// unaffected, and only this shard's structures are rebuilt.
+    /// This shard's base extended by `extra`, at `epoch`, with an empty
+    /// delta — the one routine behind both the rebuild append and the
+    /// compaction fold. The R-tree is cloned (a memcpy of its flat lanes)
+    /// and `extra` inserted in the given (arrival) order through the
+    /// incremental insert, O(|extra|·log n); the score lane is one linear
+    /// merge with the batch sorted alone ([`merge_score_sorted`]) — no sort
+    /// of the shard. In-flight readers of `self` are unaffected.
+    fn extended(&self, extra: Vec<Tuple>, epoch: u64) -> RelationShard {
+        if self.rtree.is_empty() {
+            // The empty shard's R-tree was built with a placeholder
+            // dimensionality; build from scratch.
+            return RelationShard::build(extra, epoch);
+        }
+        let mut rtree = self.rtree.as_ref().clone();
+        rtree.extend(extra.iter().map(|t| (t.vector.clone(), (t.id, t.score))));
+        let score_sorted = merge_score_sorted(&self.score_sorted, extra);
+        Self::with_base(rtree, score_sorted, epoch)
+    }
+
+    /// A new shard snapshot with `extra` appended at a bumped epoch: only
+    /// this shard's structures are extended, copy-on-write.
     fn appended(&self, extra: Vec<Tuple>) -> RelationShard {
         debug_assert!(
             self.delta.is_empty(),
             "rebuild appends and delta appends must not mix on one shard"
         );
-        let epoch = self.epoch + 1;
-        if self.tuples.is_empty() {
-            // The empty shard's R-tree was built with a placeholder
-            // dimensionality; rebuild from scratch.
-            return RelationShard::build(extra, epoch);
-        }
-        let mut tuples = self.tuples.as_ref().clone();
-        let mut rtree = self.rtree.as_ref().clone();
-        for t in &extra {
-            rtree.insert(t.vector.clone(), (t.id, t.score));
-        }
-        tuples.extend(extra);
-        let stats = RelationStats::from_tuples(&tuples);
-        Self::assemble(tuples, Arc::new(rtree), stats, epoch)
+        self.extended(extra, self.epoch + 1)
     }
 
     /// A new shard snapshot with `extra` published into the delta at a
@@ -240,7 +244,6 @@ impl RelationShard {
         let delta = self.delta.appended(extra);
         let stats = RelationStats::combine(&[self.base_stats, delta.stats()]);
         RelationShard {
-            tuples: Arc::clone(&self.tuples),
             rtree: Arc::clone(&self.rtree),
             score_sorted: Arc::clone(&self.score_sorted),
             delta: Arc::new(delta),
@@ -253,23 +256,14 @@ impl RelationShard {
 
     /// The expensive half of a compaction, run **outside every lock**: a
     /// fresh base with this snapshot's delta folded in (and an empty
-    /// delta). The delta is replayed in arrival (id) order through the same
-    /// incremental inserts [`RelationShard::appended`] uses, so the folded
-    /// structures are physically identical to the ones the immediate-
-    /// rebuild path would have built from the same appends.
+    /// delta). The delta is replayed in arrival (id) order through
+    /// [`RelationShard::extended`], the routine the rebuild append uses, so
+    /// the folded structures are physically identical to the ones the
+    /// immediate-rebuild path would have built from the same appends.
     fn folded_base(&self) -> RelationShard {
         let mut delta: Vec<Tuple> = self.delta.tuples().as_ref().clone();
         delta.sort_by_key(|t| t.id);
-        if self.tuples.is_empty() {
-            // Placeholder-dimensionality base: build for real.
-            return RelationShard::build(delta, self.epoch);
-        }
-        let mut tuples = self.tuples.as_ref().clone();
-        let mut rtree = self.rtree.as_ref().clone();
-        rtree.extend(delta.iter().map(|t| (t.vector.clone(), (t.id, t.score))));
-        tuples.extend(delta);
-        let stats = RelationStats::from_tuples(&tuples);
-        Self::assemble(tuples, Arc::new(rtree), stats, self.epoch)
+        self.extended(delta, self.epoch)
     }
 
     /// The cheap publish half of a compaction: the folded base plus the
@@ -287,7 +281,6 @@ impl RelationShard {
             RelationStats::combine(&[base.base_stats, residual.stats()])
         };
         RelationShard {
-            tuples: Arc::clone(&base.tuples),
             rtree: Arc::clone(&base.rtree),
             score_sorted: Arc::clone(&base.score_sorted),
             delta: Arc::new(residual),
@@ -304,13 +297,8 @@ impl RelationShard {
         self.epoch
     }
 
-    /// The shard's base tuples, in ingestion order (excludes the delta;
-    /// see [`RelationShard::delta`]).
-    pub fn tuples(&self) -> &Arc<Vec<Tuple>> {
-        &self.tuples
-    }
-
-    /// The shard's shared R-tree (over the base tuples).
+    /// The shard's shared R-tree (over the base tuples; its payload pool
+    /// holds their `(id, score)` pairs in ingestion order).
     pub fn rtree(&self) -> &Arc<RTree<(TupleId, f64)>> {
         &self.rtree
     }
@@ -438,13 +426,15 @@ impl CatalogRelation {
         self.stats.cardinality
     }
 
-    /// Every tuple of the relation — base then delta, concatenated shard by
-    /// shard. O(n); used by the non-Euclidean fallback path and by tests —
-    /// hot paths go through the shared per-shard structures instead.
+    /// Every tuple of the relation, in no guaranteed order (shard by shard,
+    /// the base's score lane then the delta). O(n); used by the
+    /// non-Euclidean fallback path, which re-sorts with an id tie-break,
+    /// and by tests — hot paths go through the shared per-shard structures
+    /// instead.
     pub fn all_tuples(&self) -> Vec<Tuple> {
         let mut all = Vec::with_capacity(self.cardinality());
         for shard in &self.shards {
-            all.extend(shard.tuples.iter().cloned());
+            all.extend(shard.score_sorted.iter().cloned());
             all.extend(shard.delta.tuples().iter().cloned());
         }
         all
@@ -528,7 +518,7 @@ impl CatalogRelation {
     ) -> Box<dyn SortedAccess> {
         let shard = &self.shards[j];
         let q = query.clone();
-        let mut tuples = shard.tuples.as_ref().clone();
+        let mut tuples = shard.score_sorted.as_ref().clone();
         tuples.extend(shard.delta.tuples().iter().cloned());
         let rel = VecRelation::distance_sorted_by(self.name.to_string(), tuples, move |t| {
             scoring.distance(&t.vector, &q)
@@ -832,7 +822,7 @@ impl Catalog {
         let cur = current.shard(j);
         // Only fold onto the base we folded from: a different base means a
         // concurrent compaction published first.
-        if !Arc::ptr_eq(&cur.tuples, &snapshot.shard(j).tuples) {
+        if !Arc::ptr_eq(&cur.rtree, &snapshot.shard(j).rtree) {
             return Ok(false);
         }
         // Appends only ever add to a shard's delta, so the live delta is a
@@ -981,6 +971,7 @@ impl Catalog {
 mod tests {
     use super::*;
     use prj_access::AccessKind;
+    use proptest::prelude::*;
 
     fn mk_tuples(rel: usize, n: usize) -> Vec<Tuple> {
         (0..n)
@@ -1037,12 +1028,12 @@ mod tests {
         assert_eq!(rel.num_shards(), 4);
         assert_eq!(rel.cardinality(), 60);
         assert_eq!(rel.epochs(), vec![0, 0, 0, 0]);
-        let per_shard: usize = (0..4).map(|j| rel.shard(j).tuples().len()).sum();
+        let per_shard: usize = (0..4).map(|j| rel.shard(j).score_sorted.len()).sum();
         assert_eq!(per_shard, 60);
         // Every tuple sits on the shard the policy assigns it to.
         let policy = catalog.policy();
         for j in 0..4 {
-            for t in rel.shard(j).tuples().iter() {
+            for t in rel.shard(j).score_sorted.iter() {
                 assert_eq!(policy.shard_of(&t.vector), j);
             }
         }
@@ -1108,7 +1099,7 @@ mod tests {
         }
         // Ids keep counting from the previous cardinality.
         assert_eq!(
-            after.shard(target).tuples().last().unwrap().id,
+            after.shard(target).rtree().payloads().last().unwrap().0,
             TupleId::new(0, 10)
         );
         // The appended tuple is reachable through the merged distance view.
@@ -1281,11 +1272,16 @@ mod tests {
         assert_eq!(delta_catalog.delta_tuples_total(), 0);
         assert_eq!(delta_catalog.delta_backlog(0), vec![]);
         // The folded shards are physically identical to the rebuild path's:
-        // same tuple order, same score order, same tree size.
+        // same score lane, same ingestion order (the payload pool), same
+        // tree size.
         for j in 0..2 {
             assert_eq!(
-                after.shard(j).tuples().as_slice(),
-                reference.shard(j).tuples().as_slice()
+                after.shard(j).score_sorted.as_slice(),
+                reference.shard(j).score_sorted.as_slice()
+            );
+            assert_eq!(
+                after.shard(j).rtree().payloads(),
+                reference.shard(j).rtree().payloads()
             );
             assert_eq!(
                 after.shard(j).rtree().len(),
@@ -1435,5 +1431,100 @@ mod tests {
         assert_eq!(catalog.lookup("r"), Some(new));
         catalog.drop_relation(new).unwrap();
         assert_eq!(catalog.lookup("r"), Some(old));
+    }
+
+    fn stats_bits(s: &RelationStats) -> (usize, usize, [u64; 5]) {
+        let moments = [
+            s.min_score,
+            s.max_score,
+            s.mean_score,
+            s.score_stddev,
+            s.score_skewness,
+        ];
+        (s.cardinality, s.dimensions, moments.map(f64::to_bits))
+    }
+
+    /// Rows with scores drawn from eight levels, so ties are common.
+    fn scored_rows(rows: Vec<([f64; 2], usize)>) -> Vec<(Vector, f64)> {
+        rows.into_iter()
+            .map(|(p, level)| (Vector::from(p), (level + 1) as f64 / 8.0))
+            .collect()
+    }
+
+    /// Checks every shard of `rel` against a model of its base tuples in
+    /// ingestion order: the score lane, the statistics and the R-tree's
+    /// payload pool must be exactly what a from-scratch rebuild gives.
+    fn assert_matches_rebuild(rel: &CatalogRelation, model: &[Vec<Tuple>]) {
+        for (j, base) in model.iter().enumerate() {
+            let shard = rel.shard(j);
+            let rebuilt = VecRelation::score_sorted(String::new(), base.clone());
+            assert_eq!(shard.score_sorted.as_slice(), rebuilt.sorted_tuples());
+            assert_eq!(
+                stats_bits(&shard.base_stats),
+                stats_bits(&RelationStats::from_tuples(base))
+            );
+            let ingestion: Vec<(TupleId, f64)> = base.iter().map(|t| (t.id, t.score)).collect();
+            assert_eq!(shard.rtree().payloads(), ingestion.as_slice());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The incrementally extended base lanes (rebuild appends and
+        /// compaction folds) equal a from-scratch rebuild, bit for bit.
+        #[test]
+        fn incremental_lanes_equal_a_rebuild(
+            registered in prop::collection::vec(
+                (prop::array::uniform2(-5.0..5.0f64), 0usize..8),
+                0..201,
+            ),
+            layout in (0usize..2, 0usize..2),
+            steps in prop::collection::vec(
+                (
+                    0usize..3,
+                    prop::collection::vec((prop::array::uniform2(-5.0..5.0f64), 0usize..8), 1..9),
+                    0usize..4,
+                ),
+                0..12,
+            ),
+        ) {
+            let shards = [1, 4][layout.0];
+            let delta_limit = [0, 4][layout.1];
+            let catalog =
+                Catalog::with_policy_and_delta(ShardingPolicy::new(shards), delta_limit);
+            let rows = scored_rows(registered);
+            let (id, _) = catalog.register_rows("r", rows.clone()).unwrap();
+            let policy = catalog.policy();
+            let mut base: Vec<Vec<Tuple>> = vec![Vec::new(); shards];
+            let mut delta: Vec<Vec<Tuple>> = vec![Vec::new(); shards];
+            for (i, (v, score)) in rows.into_iter().enumerate() {
+                base[policy.shard_of(&v)].push(Tuple::new(TupleId::new(id.0, i), v, score));
+            }
+            assert_matches_rebuild(&catalog.relation(id).unwrap(), &base);
+            for (kind, rows, shard) in steps {
+                if kind < 2 {
+                    let first = catalog.relation(id).unwrap().cardinality();
+                    let rows = scored_rows(rows);
+                    catalog.append_rows(id, rows.clone()).unwrap();
+                    let lanes = if delta_limit == 0 { &mut base } else { &mut delta };
+                    for (i, (v, score)) in rows.into_iter().enumerate() {
+                        let j = policy.shard_of(&v);
+                        lanes[j].push(Tuple::new(TupleId::new(id.0, first + i), v, score));
+                    }
+                } else {
+                    let j = shard % shards;
+                    let folded = catalog.compact_shard(id, j).unwrap();
+                    prop_assert_eq!(folded, !delta[j].is_empty());
+                    let arrived = std::mem::take(&mut delta[j]);
+                    base[j].extend(arrived);
+                }
+                let rel = catalog.relation(id).unwrap();
+                assert_matches_rebuild(&rel, &base);
+                for (j, pending) in delta.iter().enumerate() {
+                    prop_assert_eq!(rel.shard(j).delta_len(), pending.len());
+                }
+            }
+        }
     }
 }

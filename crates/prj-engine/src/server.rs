@@ -12,6 +12,11 @@
 //! This is deliberately a *minimal* front-end (std `TcpListener`, blocking
 //! I/O, thread per connection): enough to serve the protocol end to end and
 //! to be booted on a loopback port by the integration tests.
+//!
+//! Accepted sockets set `TCP_NODELAY`: a notification pushed right after a
+//! response line would otherwise wait in Nagle's buffer for the client's
+//! delayed ACK of that response (40 ms on Linux), and so would streamed
+//! rows and a cluster worker's unit rows.
 
 use crate::session::{Dispatch, Session};
 use prj_api::{wire, Request, Response};
@@ -137,6 +142,8 @@ fn write_line(writer: &Mutex<TcpStream>, response: &Response) -> std::io::Result
 }
 
 fn serve_connection(stream: TcpStream, handler: &dyn RequestHandler) {
+    // A socket option, so the cloned write half below shares it.
+    stream.set_nodelay(true).ok();
     let Ok(write_half) = stream.try_clone() else {
         return;
     };

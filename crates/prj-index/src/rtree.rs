@@ -417,6 +417,12 @@ impl<T> RTree<T> {
         self.dim
     }
 
+    /// The payload pool: one payload per indexed point, in insertion order
+    /// (bulk-load order, then one per [`RTree::insert`]).
+    pub fn payloads(&self) -> &[T] {
+        &self.data
+    }
+
     /// Inserts a point with its payload (Guttman insertion, quadratic split).
     ///
     /// # Panics
@@ -931,6 +937,10 @@ mod tests {
         assert_eq!(*nn[0].data, "a");
         let nn = tree.knn(&v(&[6.0, 6.0]), 1);
         assert_eq!(*nn[0].data, "b");
+        // The pool keeps insertion order across bulk load and inserts.
+        let mut tree = tree;
+        tree.insert(v(&[0.0, 3.0]), "c");
+        assert_eq!(tree.payloads(), &["a", "b", "c"]);
     }
 
     #[test]
