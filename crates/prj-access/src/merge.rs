@@ -21,8 +21,7 @@ use std::cmp::Ordering;
 /// The bare k-way head-merge mechanism: one lazily primed lookahead slot
 /// per part, `next` always yielding the best head under the caller's
 /// comparator and refilling that part. [`MergedAccess`] instantiates it
-/// over tuples; `prj_core`'s `CertifiedMerge` over scored combinations —
-/// one implementation, two element types.
+/// over tuples.
 #[derive(Debug)]
 pub struct HeadMerge<T> {
     heads: Vec<Option<T>>,
@@ -36,12 +35,6 @@ impl<T> HeadMerge<T> {
             heads: (0..parts).map(|_| None).collect(),
             primed: false,
         }
-    }
-
-    /// The current lookahead heads, one per part (`None` for drained or
-    /// unprimed parts).
-    pub fn heads(&self) -> &[Option<T>] {
-        &self.heads
     }
 
     /// Yields the best head under `compare` and refills that part from

@@ -6,7 +6,9 @@
 //! the p50/p99/qps drift. A lane whose p99 grew beyond the configured
 //! ratio, whose deterministic counters (`sum_depths`, `rows`) differ at all,
 //! or that disappeared outright is a **regression**, which the `bench-diff`
-//! binary turns into a non-zero exit for CI.
+//! binary turns into a non-zero exit for CI. So is a candidate whose
+//! sharded lanes read anything but what its unsharded lanes read
+//! ([`shard_depth_mismatches`]).
 //!
 //! The parser is deliberately minimal: it reads exactly the JSON the
 //! workspace's own emitter ([`crate::macrobench::to_json`]) produces (the
@@ -204,31 +206,27 @@ pub fn diff_lanes(
     }
 }
 
-/// The headline sharded-overhead figure of one trajectory: per shape, the
-/// p99 of the highest shard count over the p99 of `shards = 1`. This is
-/// the "sharded latency gap" the hot-path work tracks across PRs.
-pub fn sharded_p99_gaps(lanes: &[LaneSnapshot]) -> Vec<(String, f64)> {
-    let mut shapes: Vec<&str> = Vec::new();
-    for lane in lanes {
-        if !shapes.contains(&lane.shape.as_str()) {
-            shapes.push(&lane.shape);
-        }
-    }
-    shapes
-        .into_iter()
-        .filter_map(|shape| {
-            let of_shape = |pred: &dyn Fn(&&LaneSnapshot) -> bool| {
-                lanes.iter().filter(|l| l.shape == shape).find(pred)
-            };
-            let single = of_shape(&|l| l.shards == 1)?;
-            let sharded = lanes
+/// The sharding-as-storage invariant of one trajectory: in-process
+/// queries run one operator over the shards' merged views, so every
+/// `shards > 1` lane must read exactly the `sum_depths` of its shape's
+/// `shards = 1` lane. Returns one description per lane that does not (empty
+/// means the invariant holds); shapes without a `shards = 1` lane are not
+/// checked.
+pub fn shard_depth_mismatches(lanes: &[LaneSnapshot]) -> Vec<String> {
+    lanes
+        .iter()
+        .filter(|lane| lane.shards > 1)
+        .filter_map(|lane| {
+            let single = lanes
                 .iter()
-                .filter(|l| l.shape == shape && l.shards > 1)
-                .max_by_key(|l| l.shards)?;
-            Some((
-                shape.to_string(),
-                ratio(sharded.p99_us as f64, single.p99_us as f64),
-            ))
+                .find(|l| l.shape == lane.shape && l.shards == 1)?;
+            (lane.sum_depths != single.sum_depths).then(|| {
+                format!(
+                    "lane {}/S={}: sum_depths {} differs from S=1's {} \
+                     (sharding must not change what a query reads)",
+                    lane.shape, lane.shards, lane.sum_depths, single.sum_depths
+                )
+            })
         })
         .collect()
 }
@@ -356,12 +354,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_gap_reports_p99_over_the_single_shard_lane() {
-        let lanes = parse_lanes(SAMPLE).unwrap();
-        let gaps = sharded_p99_gaps(&lanes);
-        assert_eq!(gaps.len(), 1);
-        assert_eq!(gaps[0].0, "uniform");
-        assert!((gaps[0].1 - 4322.0 / 2957.0).abs() < 1e-9);
+    fn sharded_lanes_must_read_the_single_shard_depths() {
+        let mut lanes = parse_lanes(SAMPLE).unwrap();
+        let mismatches = shard_depth_mismatches(&lanes);
+        assert_eq!(mismatches.len(), 1, "{mismatches:?}");
+        assert!(mismatches[0].contains("uniform/S=4: sum_depths 12789 differs from S=1's 2763"));
+        lanes[1].sum_depths = lanes[0].sum_depths;
+        assert!(shard_depth_mismatches(&lanes).is_empty());
+        // The committed baseline the CI gate diffs against holds it too.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_10.json");
+        let json = std::fs::read_to_string(path).expect("BENCH_10.json");
+        assert_eq!(
+            shard_depth_mismatches(&parse_lanes(&json).unwrap()),
+            Vec::<String>::new()
+        );
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! against the baseline's, prints the p50/p99/qps drift, and exits
 //! non-zero when any lane's p99 regressed beyond the gate (default 1.2x),
 //! its deterministic counters (`sum_depths`, `rows`) changed at all, or it
-//! disappeared. Also prints each file's sharded p99 gap (largest shard
-//! count over `shards = 1`) — the figure the hot-path work tracks.
+//! disappeared — or when any candidate lane with `shards > 1` read a
+//! different `sum_depths` than its shape's `shards = 1` lane (sharding is
+//! storage, not execution).
 
-use prj_bench::bench_diff::{diff_lanes, parse_lanes, render_diff, sharded_p99_gaps};
+use prj_bench::bench_diff::{diff_lanes, parse_lanes, render_diff, shard_depth_mismatches};
 
 fn read_lanes(path: &str) -> Vec<prj_bench::bench_diff::LaneSnapshot> {
     let json = match std::fs::read_to_string(path) {
@@ -64,13 +65,9 @@ fn main() {
     let candidate = read_lanes(&paths[1]);
     println!("baseline:  {}", paths[0]);
     println!("candidate: {}", paths[1]);
-    let diff = diff_lanes(&baseline, &candidate, max_p99_ratio);
+    let mut diff = diff_lanes(&baseline, &candidate, max_p99_ratio);
+    diff.regressions.extend(shard_depth_mismatches(&candidate));
     print!("{}", render_diff(&diff));
-    for (label, lanes) in [("baseline", &baseline), ("candidate", &candidate)] {
-        for (shape, gap) in sharded_p99_gaps(lanes) {
-            println!("{label} sharded p99 gap [{shape}]: {gap:.2}x");
-        }
-    }
     if !diff.passed() {
         std::process::exit(1);
     }

@@ -71,7 +71,7 @@ pub use algorithms::{Algorithm, BoundingSchemeKind, PullStrategyKind};
 pub use bounds::{BoundingScheme, CornerBound, TightBound, TightBoundConfig};
 pub use combination::{ScoredCombination, TopKBuffer};
 pub use error::PrjError;
-pub use merge::{merge_results, merge_shared, CertifiedMerge};
+pub use merge::{merge_results, merge_shared};
 pub use naive::naive_rank_join;
 pub use operator::{execute, RankJoinResult, RunMetrics, StreamingRun, TrajectoryPoint};
 pub use problem::{Problem, ProblemBuilder, ProxRjConfig, RelationBackend};

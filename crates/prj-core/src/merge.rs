@@ -1,33 +1,26 @@
-//! Bound-aware merging of partitioned (sharded) ProxRJ runs.
+//! Bound-aware merging of partitioned ProxRJ runs.
 //!
 //! The ProxRJ combination space factorises over any partition of the first
 //! relation: a combination `τ_1 × … × τ_n` belongs to exactly one part —
-//! the one holding `τ_1`. A sharded execution therefore runs one complete
-//! ProxRJ instance per part (each with the *global* `K`, each certified by
-//! its own bound `t_j`) and recombines them here:
+//! the one holding `τ_1`. A partitioned execution (a cluster's per-shard
+//! remote units) therefore runs one complete ProxRJ instance per part
+//! (each with the *global* `K`, each certified by its own bound `t_j`) and
+//! recombines them here. [`merge_results`] k-way merges completed per-part
+//! results into the exact global top-K; [`merge_shared`] does the same
+//! over borrowed parts. Because any part-`j` combination missing from part
+//! `j`'s output scores at most `t_j`, the merged bound `t = max_j t_j`
+//! upper-bounds every unreturned combination, so the paper's stopping
+//! condition — `K`-th retained score ≥ `t` — carries over to the merged
+//! result verbatim. [`RankJoinResult::certifies_top_k`] checks exactly
+//! this invariant and is what the differential test harness asserts.
 //!
-//! * [`merge_results`] — k-way merges completed per-part results into the
-//!   exact global top-K. Because any part-`j` combination missing from part
-//!   `j`'s output scores at most `t_j`, the merged bound `t = max_j t_j`
-//!   upper-bounds every unreturned combination, so the paper's stopping
-//!   condition — `K`-th retained score ≥ `t` — carries over to the merged
-//!   result verbatim. [`RankJoinResult::certifies_top_k`] checks exactly
-//!   this invariant and is what the differential test harness asserts.
-//! * [`CertifiedMerge`] — the same recombination for *incremental* runs:
-//!   each part emits certified results in non-increasing score order
-//!   ([`crate::StreamingRun::next_certified`]), and the merge keeps a
-//!   one-result lookahead per part, always yielding the globally best head.
-//!   Each emitted result is therefore certified globally while each part
-//!   has only done the work its own next result required.
-//!
-//! Ties are resolved by [`ScoredCombination::compare`] (score, then member
-//! tuple ids), which makes merged output independent of shard assignment —
-//! the property the differential suite pins down bit-for-bit.
+//! Ties are resolved by [`crate::ScoredCombination::compare`] (score, then
+//! member tuple ids), which makes merged output independent of shard
+//! assignment — the property the differential suite pins down bit-for-bit.
 
-use crate::combination::{ScoredCombination, TopKBuffer};
+use crate::combination::TopKBuffer;
 use crate::operator::{RankJoinResult, RunMetrics};
-use prj_access::{AccessStats, HeadMerge};
-use std::cmp::Ordering;
+use prj_access::AccessStats;
 
 impl RankJoinResult {
     /// `true` when the result is certified exact for `top_k(k)`: either the
@@ -138,72 +131,11 @@ impl MergeAccumulator {
     }
 }
 
-/// An incremental k-way merge over per-part certified result streams.
-///
-/// `pull(j)` must return part `j`'s next certified result (non-increasing
-/// in score within each part), or `None` once the part is exhausted. The
-/// merge holds one lookahead head per part — filled lazily, so constructing
-/// it costs nothing — and emits at most `limit` results in the globally
-/// sorted order of [`ScoredCombination::compare`].
-pub struct CertifiedMerge<P> {
-    pull: P,
-    /// The shared k-way head-merge mechanism (`prj_access::HeadMerge`),
-    /// instantiated here over scored combinations.
-    merge: HeadMerge<ScoredCombination>,
-    emitted: usize,
-    limit: usize,
-}
-
-impl<P: FnMut(usize) -> Option<ScoredCombination>> CertifiedMerge<P> {
-    /// A merge over `parts` sources, emitting at most `limit` results.
-    pub fn new(parts: usize, limit: usize, pull: P) -> Self {
-        CertifiedMerge {
-            pull,
-            merge: HeadMerge::new(parts),
-            emitted: 0,
-            limit,
-        }
-    }
-
-    /// Number of results emitted so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-
-    /// The current lookahead heads, one per part (`None` for parts whose
-    /// stream is drained or not yet primed). A pulled-but-unemitted head is
-    /// certified yet outside the merged output, so when a consumer stops at
-    /// `limit` the tightest valid bound on everything unreturned is the
-    /// maximum over these head scores and the parts' own residual bounds.
-    pub fn heads(&self) -> &[Option<ScoredCombination>] {
-        self.merge.heads()
-    }
-
-    /// The next globally certified result, best first; `None` once `limit`
-    /// results have been emitted or every part is exhausted.
-    pub fn next_merged(&mut self) -> Option<ScoredCombination> {
-        if self.emitted >= self.limit {
-            return None;
-        }
-        let pull = &mut self.pull;
-        let combo = self.merge.next(|a, b| a.compare(b), &mut *pull)?;
-        debug_assert!(
-            self.merge
-                .heads()
-                .iter()
-                .flatten()
-                .all(|head| combo.compare(head) != Ordering::Greater),
-            "part streams must be non-increasing"
-        );
-        self.emitted += 1;
-        Some(combo)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::Algorithm;
+    use crate::combination::ScoredCombination;
     use crate::problem::ProblemBuilder;
     use crate::scoring::EuclideanLogScore;
     use prj_access::{Tuple, TupleId};
@@ -299,62 +231,6 @@ mod tests {
             vec![mk_result(&[-1.0, -3.0], -4.0), mk_result(&[-2.0], -2.5)],
         );
         assert!(!merged.certifies_top_k(3, 1e-9));
-    }
-
-    #[test]
-    fn certified_merge_interleaves_streams_in_global_order() {
-        let part_results: Vec<Vec<ScoredCombination>> =
-            vec![vec![-1.0, -4.0, -6.0], vec![-2.0, -3.0], vec![], vec![-5.0]]
-                .into_iter()
-                .enumerate()
-                .map(|(rel, scores)| {
-                    scores
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, s)| {
-                            ScoredCombination::new(
-                                vec![Tuple::new(TupleId::new(rel, i), Vector::from([0.0]), 0.5)],
-                                s,
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-        let mut cursors = vec![0usize; part_results.len()];
-        let mut merge = CertifiedMerge::new(4, 5, |j| {
-            let combo = part_results[j].get(cursors[j]).cloned();
-            cursors[j] += combo.is_some() as usize;
-            combo
-        });
-        let mut scores = Vec::new();
-        while let Some(combo) = merge.next_merged() {
-            scores.push(combo.score);
-        }
-        // Limit 5 cuts the 6-long union.
-        assert_eq!(scores, vec![-1.0, -2.0, -3.0, -4.0, -5.0]);
-        assert_eq!(merge.emitted(), 5);
-        assert!(merge.next_merged().is_none());
-    }
-
-    #[test]
-    fn certified_merge_breaks_ties_by_ids() {
-        let combo = |rel: usize, idx: usize, score: f64| {
-            ScoredCombination::new(
-                vec![Tuple::new(TupleId::new(rel, idx), Vector::from([0.0]), 0.5)],
-                score,
-            )
-        };
-        let parts = [vec![combo(0, 7, -1.0)], vec![combo(0, 2, -1.0)]];
-        let mut cursors = [0usize; 2];
-        let mut merge = CertifiedMerge::new(2, 10, |j| {
-            let c = parts[j].get(cursors[j]).cloned();
-            cursors[j] += c.is_some() as usize;
-            c
-        });
-        let ids: Vec<usize> = std::iter::from_fn(|| merge.next_merged())
-            .map(|c| c.tuples[0].id.index)
-            .collect();
-        assert_eq!(ids, vec![2, 7], "equal scores order by member ids");
     }
 
     #[test]

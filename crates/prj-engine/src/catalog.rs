@@ -14,12 +14,15 @@
 //! [`ShardingPolicy`] (hash-by-grid-cell; `S = 1` disables partitioning).
 //! Every shard is a self-contained [`RelationShard`]: its own R-tree,
 //! score-sorted tuple array (its one copy of its slice of the tuples),
-//! [`RelationStats`] and **epoch** counter.
-//! Shard-local views ([`CatalogRelation::shard_distance_view`], …) drive the
-//! executor's partitioned runs; merged views
+//! [`RelationStats`] and **epoch** counter. Shards are the unit of storage,
+//! publish cost and cluster placement. Merged views
 //! ([`CatalogRelation::distance_view`], …) recombine the shards into one
-//! globally sorted access stream via [`prj_access::MergedAccess`], so
-//! unsharded consumers observe exactly the Definition 2.1 contract.
+//! globally sorted access stream via [`prj_access::MergedAccess`] (ties by
+//! tuple id), so consumers observe exactly the Definition 2.1 contract —
+//! in-process queries run one operator over them and read what an
+//! unsharded relation would yield. Shard-local views
+//! ([`CatalogRelation::shard_distance_view`], …) serve a cluster's per-shard
+//! units and build the merged views.
 //!
 //! ## Mutation and epoch vectors
 //!

@@ -4,18 +4,22 @@
 //! A query's life: [`Engine::submit`] snapshots the catalog relations (Arc
 //! clones stamped with their per-shard epoch vectors), derives the cache
 //! key from that same snapshot and returns a memoised result immediately on
-//! a hit; on a miss it builds one *execution unit* per (non-empty) shard of
-//! the driving relation — each planned by the [`Planner`] from its own
-//! shard statistics, each a [`prj_core::Problem`] out of O(1) shared-index
-//! views — and hands the fan-out to the [`Executor`]'s thread pool, where
-//! the certified per-unit top-Ks recombine exactly through
-//! [`prj_core::merge_shared`] (the shard count is unobservable through
-//! results). The caller gets a [`QueryTicket`] to wait on;
-//! [`Engine::stream`] instead returns a [`ResultStream`] whose
+//! a hit; on a miss it plans the query once from whole-relation statistics
+//! and builds **one** execution unit — a [`prj_core::Problem`] over the
+//! catalog's shard-merged views, O(1) to build — which runs on the
+//! [`Executor`] worker that picks it up. Shards are the unit of storage,
+//! publish cost and cluster placement, not of in-process execution: the
+//! merged views are one globally sorted stream per relation, so a query
+//! reads exactly what it would read unsharded and the shard count is
+//! unobservable through results *and* cost counters. Only a cluster
+//! coordinator (a [`RemoteUnitBackend`] that routes driving shards to
+//! worker processes) splits a query into one unit per driving shard and
+//! recombines their certified top-Ks through [`prj_core::merge_shared`].
+//! The caller gets a [`QueryTicket`] to wait on; [`Engine::stream`]
+//! instead returns a [`ResultStream`] whose
 //! [`next_result`](ResultStream::next_result) pulls certified results one
-//! at a time out of incremental [`prj_core::StreamingRun`]s (lazily merged
-//! by [`prj_core::CertifiedMerge`] when sharded), mirroring the paper's
-//! pulling model end to end.
+//! at a time out of an incremental [`prj_core::StreamingRun`], mirroring
+//! the paper's pulling model end to end.
 //!
 //! Scoring is an *open set*: a [`QuerySpec`] carries an
 //! `Arc<dyn ScoringSpec>` and the engine exposes a
@@ -41,8 +45,8 @@ use crate::stats::{EngineStats, EngineStatsSnapshot, QueryRecord, UnitRecord};
 use prj_access::{AccessKind, RelationStats};
 use prj_api::ScoringSelector;
 use prj_core::{
-    merge_shared, Algorithm, CertifiedMerge, EuclideanLogScore, PrjError, Problem, ProblemBuilder,
-    RankJoinResult, RunMetrics, ScoredCombination, ScoringSpec, StreamingRun, TrajectoryPoint,
+    merge_shared, Algorithm, EuclideanLogScore, PrjError, Problem, ProblemBuilder, RankJoinResult,
+    ScoredCombination, ScoringSpec, StreamingRun, TrajectoryPoint,
 };
 use prj_geometry::Vector;
 use prj_obs::{Recorder, Sample, SpanGuard, SpanId, TraceClass, TraceId};
@@ -242,10 +246,11 @@ pub struct EngineResult {
     pub from_cache: bool,
     /// End-to-end latency observed by the engine.
     pub latency: Duration,
-    /// How many execution units actually ran for this query (0 on a cache
-    /// hit; on a partitioned miss, unit-cache hits are excluded). This is
-    /// what lets a standing query assert that a single-shard append
-    /// re-executed exactly one unit.
+    /// How many execution units actually ran for this query: 0 on a cache
+    /// hit, 1 on an in-process miss. On a cluster coordinator's
+    /// partitioned miss, unit-cache hits are excluded — this is what lets
+    /// a standing query assert that a single-shard append re-executed
+    /// exactly one remote unit.
     pub fresh_units: usize,
 }
 
@@ -435,6 +440,71 @@ pub trait RemoteUnitBackend: Send + Sync {
     fn execute(&self, call: &RemoteUnitCall) -> Result<RankJoinResult, EngineError>;
 }
 
+/// A [`RemoteUnitBackend`] that routes every driving shard to a replica
+/// [`Engine`] in the same process and answers through
+/// [`Engine::execute_unit`]: the cluster's per-shard unit path (unit
+/// cache, merge, epoch check) with no TCP and no worker processes. A test
+/// double. The replica is held weakly, so it may be the coordinator engine
+/// itself — the degenerate fully replicated cluster, always in step —
+/// without the backend keeping its own engine alive.
+pub struct InProcessBackend {
+    replica: std::sync::Weak<Engine>,
+}
+
+impl InProcessBackend {
+    /// A backend answering every unit on `replica`.
+    pub fn new(replica: &Arc<Engine>) -> Arc<Self> {
+        Arc::new(InProcessBackend {
+            replica: Arc::downgrade(replica),
+        })
+    }
+}
+
+impl RemoteUnitBackend for InProcessBackend {
+    fn generation(&self) -> u64 {
+        // One fixed layout, distinct from "no backend" (0): results cached
+        // before the backend was installed are not served through it.
+        1
+    }
+
+    fn routes(&self, _shard: usize) -> bool {
+        true
+    }
+
+    fn execute(&self, call: &RemoteUnitCall) -> Result<RankJoinResult, EngineError> {
+        let replica = self
+            .replica
+            .upgrade()
+            .ok_or_else(|| EngineError::WorkerUnavailable {
+                shard: call.shard,
+                detail: "the replica engine was dropped".to_string(),
+            })?;
+        let scoring = replica
+            .scoring_registry()
+            .resolve(&call.selector.name, &call.selector.params)?;
+        let spec = QuerySpec {
+            relations: call.relations.clone(),
+            query: call.query.clone(),
+            k: call.k,
+            scoring,
+            selector: Some(call.selector.clone()),
+            access_kind: call.access_kind,
+            algorithm: Some(call.algorithm),
+            convergence: call.convergence,
+            trace: None,
+        };
+        let (result, _) = replica.execute_unit(
+            &spec,
+            call.drive,
+            call.shard,
+            call.algorithm,
+            call.dominance_period,
+            Some(&call.epochs),
+        )?;
+        Ok(result)
+    }
+}
+
 /// Configuration builder for [`Engine`].
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
@@ -477,9 +547,10 @@ impl EngineBuilder {
     }
 
     /// Per-shard unit-cache capacity in entries (default 4096; 0 disables
-    /// it). Only consulted for partitioned (sharded) batch executions; it
-    /// is what lets a single-shard epoch bump re-execute one unit instead
-    /// of the whole query.
+    /// it). Only consulted for partitioned executions on a cluster
+    /// coordinator (one remote unit per driving shard); it is what lets a
+    /// single-shard epoch bump re-execute one remote unit instead of the
+    /// whole query. In-process queries run one unit and never touch it.
     pub fn unit_cache_capacity(mut self, capacity: usize) -> Self {
         self.unit_cache_capacity = capacity;
         self
@@ -492,9 +563,10 @@ impl EngineBuilder {
     }
 
     /// Number of spatial shards every relation is partitioned into
-    /// (default 1 = unsharded). Sharding is engine-internal: queries and
-    /// results are identical for every shard count; only ingest isolation,
-    /// parallelism and the stats breakdown change.
+    /// (default 1 = unsharded). Shards are the unit of storage, publish
+    /// cost (an append clones only the shards it touches) and cluster
+    /// placement. In-process queries read them through merged views, so
+    /// results and cost counters are identical for every shard count.
     ///
     /// # Panics
     /// Panics when `shards` is 0.
@@ -568,13 +640,25 @@ impl EngineBuilder {
     }
 }
 
-/// One partitioned execution unit: shard `shard` of the driving relation
-/// joined against whole-relation merged views of the others, with its own
-/// per-shard plan.
+/// One execution unit: a planned [`Problem`] over the query's relations.
 struct ExecutionUnit {
-    shard: usize,
+    /// The driving-relation shard the unit enumerates, joined against
+    /// whole-relation merged views of the others — only on a cluster
+    /// coordinator, where each unit is a remote call. `None` is the
+    /// in-process unit, which reads every relation whole.
+    shard: Option<usize>,
     plan: Plan,
     problem: Problem<Arc<dyn ScoringSpec>>,
+}
+
+impl ExecutionUnit {
+    /// The shard number the unit reports on surfaces that carry one
+    /// ([`UnitRecord`] lanes, EXPLAIN unit plans and profiles, the `unit`
+    /// span): its driving shard, or 0 for the whole-relation unit — so the
+    /// lanes still sum to the engine's total `sumDepths`.
+    fn lane(&self) -> usize {
+        self.shard.unwrap_or(0)
+    }
 }
 
 /// Summarises per-unit plans into the plan reported for the whole query.
@@ -584,7 +668,7 @@ fn merged_plan(units: &[ExecutionUnit]) -> Plan {
     }
     let per_unit: Vec<String> = units
         .iter()
-        .map(|u| format!("s{}:{}", u.shard, u.plan.algorithm.id()))
+        .map(|u| format!("s{}:{}", u.lane(), u.plan.algorithm.id()))
         .collect();
     Plan {
         algorithm: units[0].plan.algorithm,
@@ -598,14 +682,15 @@ fn merged_plan(units: &[ExecutionUnit]) -> Plan {
 }
 
 /// The owned, `Send` bundle one query's unit executions share: where to
-/// look up memoised units, where to ship remote ones, and the key
-/// ingredients both need. Built from the same snapshot the units were
-/// prepared from, so its epochs always describe exactly the data a unit
-/// reads.
+/// ship remote units, where to memoise them, and the key ingredients both
+/// need. Built from the same snapshot the units were prepared from, so its
+/// epochs always describe exactly the data a unit reads. The unit cache
+/// and the backend only ever see per-shard units; the in-process
+/// whole-relation unit just runs (the whole-query cache covers it).
 struct UnitExecContext {
     unit_cache: Arc<UnitCache>,
-    /// Unit caching is only worthwhile for partitioned executions; a
-    /// single-unit query is covered by the whole-query cache.
+    /// Unit caching is only worthwhile for partitioned executions, and
+    /// EXPLAIN ANALYZE turns it off to measure real work.
     use_unit_cache: bool,
     backend: Option<Arc<dyn RemoteUnitBackend>>,
     relations: Vec<RelationId>,
@@ -632,6 +717,7 @@ struct UnitExecContext {
 /// the memoised combinations, and the merge reads the parts by reference
 /// ([`prj_core::merge_shared`]).
 struct UnitOutcome {
+    /// The unit's [`ExecutionUnit::lane`].
     shard: usize,
     result: Arc<RankJoinResult>,
     elapsed: Duration,
@@ -668,23 +754,26 @@ impl UnitExecContext {
         )
     }
 
-    /// Begins this query's `unit` span for `shard`, parented under the
+    /// Begins this query's `unit` span for `lane`, parented under the
     /// query's root span (`None` when the query carries no trace).
-    fn unit_span(&self, shard: usize) -> Option<SpanGuard> {
+    fn unit_span(&self, lane: usize) -> Option<SpanGuard> {
         let (trace, parent) = self.trace?;
         let mut span = self.recorder.child(trace, parent, "unit");
-        span.attr("shard", shard);
+        span.attr("shard", lane);
         Some(span)
     }
 
-    /// Executes one unit: unit-cache lookup, then remote dispatch when the
-    /// backend routes the shard, local execution otherwise.
+    /// Executes one unit. A per-shard unit consults the unit cache, then
+    /// goes to the remote backend when it routes the shard; everything
+    /// else runs here, on the calling thread.
     fn execute(&self, unit: ExecutionUnit) -> Result<UnitOutcome, EngineError> {
         let mut unit = unit;
-        let mut span = self.unit_span(unit.shard);
-        let key = self
-            .use_unit_cache
-            .then(|| self.unit_key(unit.shard, &unit.plan));
+        let lane = unit.lane();
+        let mut span = self.unit_span(lane);
+        let key = unit
+            .shard
+            .filter(|_| self.use_unit_cache)
+            .map(|shard| self.unit_key(shard, &unit.plan));
         if let Some(key) = &key {
             if let Some(hit) = self.unit_cache.get(key) {
                 if let Some(mut span) = span {
@@ -692,7 +781,7 @@ impl UnitExecContext {
                     span.finish();
                 }
                 return Ok(UnitOutcome {
-                    shard: unit.shard,
+                    shard: lane,
                     result: hit,
                     elapsed: Duration::ZERO,
                     fresh: false,
@@ -701,13 +790,16 @@ impl UnitExecContext {
             }
         }
         let started = Instant::now();
-        let remote = self.backend.as_ref().filter(|b| b.routes(unit.shard));
+        let remote = unit
+            .shard
+            .zip(self.backend.as_ref())
+            .filter(|(shard, b)| b.routes(*shard));
         let was_remote = remote.is_some();
         if let Some(span) = span.as_mut() {
             span.attr("remote", was_remote);
         }
         let result = match remote {
-            Some(backend) => {
+            Some((shard, backend)) => {
                 let selector = self.selector.clone().ok_or_else(|| {
                     EngineError::Degraded(
                         "the query's scoring has no wire selector; it cannot be \
@@ -719,7 +811,7 @@ impl UnitExecContext {
                     relations: self.relations.clone(),
                     epochs: self.epochs.clone(),
                     drive: self.drive,
-                    shard: unit.shard,
+                    shard,
                     query: (*self.query).clone(),
                     k: self.k,
                     selector,
@@ -751,7 +843,7 @@ impl UnitExecContext {
             self.unit_cache.insert(key, Arc::clone(&result));
         }
         Ok(UnitOutcome {
-            shard: unit.shard,
+            shard: lane,
             result,
             elapsed,
             fresh: true,
@@ -760,8 +852,10 @@ impl UnitExecContext {
     }
 }
 
-/// Executes every unit — in parallel when there is more than one —
-/// returning the per-unit outcomes in completion-independent unit order.
+/// Executes every unit, returning the per-unit outcomes in
+/// completion-independent unit order. An in-process query has one unit and
+/// runs it on the calling pool worker; only a cluster coordinator's
+/// per-shard units fan out.
 fn fan_out_units(
     units: Vec<ExecutionUnit>,
     ctx: &UnitExecContext,
@@ -770,10 +864,11 @@ fn fan_out_units(
         let unit = units.into_iter().next().expect("one unit");
         vec![ctx.execute(unit)]
     } else {
-        // Units are pure CPU work over disjoint shard structures — or
-        // blocking network calls to distinct workers; scoped threads keep
-        // the fan-out off the engine's worker pool so a sharded query can
-        // never deadlock a small pool against itself.
+        // Per-shard units are blocking network calls to distinct workers
+        // (plus, on a partially routed cluster, local shard units); scoped
+        // threads keep the fan-out off the engine's worker pool so a
+        // partitioned query can never deadlock a small pool against
+        // itself.
         std::thread::scope(|scope| {
             let handles: Vec<_> = units
                 .into_iter()
@@ -923,7 +1018,8 @@ pub struct RelationPlanData {
 /// One execution unit's plan, as EXPLAIN reports it.
 #[derive(Debug, Clone)]
 pub struct UnitPlanData {
-    /// Driving-relation shard this unit enumerates.
+    /// Driving-relation shard this unit enumerates; 0 for the in-process
+    /// unit, which reads every relation whole.
     pub shard: usize,
     /// The per-unit plan (algorithm, dominance period, rationale).
     pub plan: Plan,
@@ -932,10 +1028,11 @@ pub struct UnitPlanData {
 /// One executed unit's profile (EXPLAIN ANALYZE only).
 #[derive(Debug, Clone)]
 pub struct UnitProfileData {
-    /// Driving-relation shard this unit enumerated.
+    /// Driving-relation shard this unit enumerated; 0 for the in-process
+    /// unit, which reads every relation whole.
     pub shard: usize,
-    /// What the unit read: `"fresh"` (compacted base only) or
-    /// `"delta-merged"` (its driving shard still carried unfolded deltas).
+    /// What the unit read: `"fresh"` (compacted bases only) or
+    /// `"delta-merged"` (some shard it read still carried unfolded deltas).
     /// ANALYZE bypasses the unit cache, so `"hit"` never appears here —
     /// the profile always measures real work.
     pub cache: &'static str,
@@ -1284,21 +1381,27 @@ impl Engine {
         Ok(())
     }
 
-    /// Plans and builds the partitioned execution units for one query.
+    /// Plans and builds the execution units for one query.
     ///
-    /// The combination space factorises over the *driving* relation's
-    /// shards — chosen by the planner's estimated-`sumDepths` cost model
-    /// ([`Planner::choose_driving`]), not blindly "first" — so unit `j`
-    /// joins shard `j` of the driving relation with whole-relation merged
-    /// views of the others, every combination is produced by exactly one
-    /// unit, and the per-unit top-K runs recombine exactly
-    /// ([`prj_core::merge`]). Units whose driving shard is empty cannot
-    /// produce a combination and are skipped. Each unit is planned from its
-    /// own statistics — its driving shard's [`RelationStats`] plus the
-    /// other relations' combined stats — so a skewed shard can run
-    /// potential-adaptive while its siblings stay round-robin.
+    /// In process — no remote backend routing any of the driving
+    /// relation's shards — this is **one** unit over every relation's
+    /// shard-merged view ([`CatalogRelation::distance_view`] and friends),
+    /// planned once from whole-relation statistics. The merged views are
+    /// globally sorted streams (ties by tuple id), so the unit reads
+    /// exactly what an unsharded engine reads.
     ///
-    /// Returns the driving relation index alongside the units.
+    /// On a cluster coordinator the combination space is instead split
+    /// over the *driving* relation's shards — chosen by the planner's
+    /// estimated-`sumDepths` cost model ([`Planner::choose_driving`]) — so
+    /// unit `j` joins shard `j` of the driving relation with whole views of
+    /// the others, every combination is produced by exactly one unit, and
+    /// the per-unit certified top-Ks recombine exactly
+    /// ([`prj_core::merge_shared`]). Each such unit is a remote call,
+    /// planned from its driving shard's own statistics; units whose
+    /// driving shard is empty cannot produce a combination and are skipped.
+    ///
+    /// Returns the driving relation index alongside the units (EXPLAIN
+    /// reports it on both paths).
     fn prepare_units(
         &self,
         spec: &QuerySpec,
@@ -1309,9 +1412,9 @@ impl Engine {
         // `Arc` by every unit's problem and every relation view — not
         // re-cloned per unit (see `Problem::query_shared`).
         let query = Arc::new(spec.query.clone());
-        // Whole-relation statistics, computed once and reused by both the
-        // driving choice and every per-unit plan (the planner only ever
-        // swaps the driving slot for the shard's own stats).
+        // Whole-relation statistics, computed once and reused by the
+        // driving choice and every plan (a per-shard plan only swaps the
+        // driving slot for the shard's own stats).
         let mut stats: Vec<RelationStats> = snapshot.iter().map(|r| r.stats()).collect();
         let drive = if snapshot.len() > 1 {
             self.planner.choose_driving(&stats)
@@ -1319,6 +1422,14 @@ impl Engine {
             0
         };
         let shards = snapshot[drive].num_shards();
+        let partitioned = self
+            .remote_backend()
+            .is_some_and(|b| (0..shards).any(|j| b.routes(j)));
+        if !partitioned {
+            let plan = self.plan_unit(spec, snapshot, &mut stats, reducible, drive, None);
+            let unit = Self::build_unit(spec, snapshot, &query, reducible, drive, None, plan)?;
+            return Ok((drive, vec![unit]));
+        }
         let nonempty: Vec<usize> = (0..shards)
             .filter(|&j| snapshot[drive].shard(j).stats().cardinality > 0)
             .collect();
@@ -1329,70 +1440,23 @@ impl Engine {
         } else {
             nonempty
         };
-        // Non-Euclidean fallback: the per-query sort under the scoring's
-        // own δ is done ONCE per non-driving relation and shared across all
-        // units behind an Arc — each unit only gets its own O(1) cursor —
-        // instead of every unit re-cloning and re-sorting the relation.
-        let delta_sorted = if selected.len() > 1 {
-            Self::delta_sorted_views(spec, snapshot, drive, reducible)
-        } else {
-            vec![None; snapshot.len()]
-        };
         let units = selected
             .into_iter()
             .map(|j| {
-                let plan = self.plan_unit(spec, snapshot, &mut stats, reducible, drive, j);
-                Self::build_unit(
-                    spec,
-                    snapshot,
-                    &query,
-                    &delta_sorted,
-                    reducible,
-                    drive,
-                    j,
-                    plan,
-                )
+                let plan = self.plan_unit(spec, snapshot, &mut stats, reducible, drive, Some(j));
+                Self::build_unit(spec, snapshot, &query, reducible, drive, Some(j), plan)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok((drive, units))
     }
 
-    /// The shared per-query δ-sorted copies of the non-driving relations
-    /// (non-Euclidean distance access only; `None` elsewhere).
-    fn delta_sorted_views(
-        spec: &QuerySpec,
-        snapshot: &[Arc<CatalogRelation>],
-        drive: usize,
-        reducible: bool,
-    ) -> Vec<Option<Arc<Vec<prj_access::Tuple>>>> {
-        snapshot
-            .iter()
-            .enumerate()
-            .map(|(idx, relation)| {
-                let needed = idx != drive && spec.access_kind == AccessKind::Distance && !reducible;
-                needed.then(|| {
-                    let mut tuples = relation.all_tuples();
-                    // The exact order `VecRelation::distance_sorted_by`
-                    // would produce: δ ascending, ties by tuple id.
-                    tuples.sort_by(|a, b| {
-                        spec.scoring
-                            .distance(&a.vector, &spec.query)
-                            .total_cmp(&spec.scoring.distance(&b.vector, &spec.query))
-                            .then(a.id.cmp(&b.id))
-                    });
-                    Arc::new(tuples)
-                })
-            })
-            .collect()
-    }
-
-    /// The per-unit plan: pinned by the query, or chosen from the unit's
-    /// own statistics (the driving slot's shard stats, the others whole).
+    /// A unit's plan: pinned by the query, or chosen from its statistics —
+    /// the whole relations for the in-process unit; for a per-shard unit
+    /// the driving slot swapped for the shard's own stats.
     ///
     /// `stats` is the whole-relation statistics vector computed once in
-    /// [`Self::prepare_units`]; the driving slot is swapped in place for
-    /// the shard's own stats and restored, so planning a unit allocates
-    /// nothing.
+    /// [`Self::prepare_units`]; the driving slot is swapped in place and
+    /// restored, so planning a unit allocates nothing.
     fn plan_unit(
         &self,
         spec: &QuerySpec,
@@ -1400,39 +1464,36 @@ impl Engine {
         stats: &mut [RelationStats],
         reducible: bool,
         drive: usize,
-        shard: usize,
+        shard: Option<usize>,
     ) -> Plan {
-        match spec.algorithm {
-            Some(algorithm) => Plan {
+        match (spec.algorithm, shard) {
+            (Some(algorithm), _) => Plan {
                 algorithm,
                 dominance_period: None,
                 rationale: "algorithm pinned by the query".to_string(),
             },
-            None => {
-                let whole = stats[drive];
-                if snapshot[drive].num_shards() > 1 {
-                    stats[drive] = snapshot[drive].shard(shard).stats();
-                }
+            (None, Some(j)) if snapshot[drive].num_shards() > 1 => {
+                let whole = std::mem::replace(&mut stats[drive], snapshot[drive].shard(j).stats());
                 let plan = self.planner.plan(reducible, stats);
                 stats[drive] = whole;
                 plan
             }
+            (None, _) => self.planner.plan(reducible, stats),
         }
     }
 
-    /// Builds one execution unit under an already-decided plan. Relations
-    /// keep their client-given join order — only the *view* of the driving
-    /// relation is narrowed to its shard — so member tuples of results come
+    /// Builds one execution unit under an already-decided plan: every
+    /// relation through its whole-relation merged view, except that a
+    /// per-shard unit narrows the driving relation to its shard. Relations
+    /// keep their client-given join order, so member tuples of results come
     /// out in the same order at every driving choice.
-    #[allow(clippy::too_many_arguments)]
     fn build_unit(
         spec: &QuerySpec,
         snapshot: &[Arc<CatalogRelation>],
         query: &Arc<Vector>,
-        delta_sorted: &[Option<Arc<Vec<prj_access::Tuple>>>],
         reducible: bool,
         drive: usize,
-        shard: usize,
+        shard: Option<usize>,
         plan: Plan,
     ) -> Result<ExecutionUnit, EngineError> {
         let mut builder = ProblemBuilder::new(Arc::clone(query), Arc::clone(&spec.scoring))
@@ -1441,38 +1502,24 @@ impl Engine {
             .dominance_period(plan.dominance_period)
             .convergence_every(spec.convergence);
         for (idx, relation) in snapshot.iter().enumerate() {
-            let view = if idx == drive {
-                // The driving relation contributes only its shard.
-                match spec.access_kind {
+            let view = match shard.filter(|_| idx == drive) {
+                Some(j) => match spec.access_kind {
                     AccessKind::Distance if reducible => {
-                        relation.shard_distance_view(shard, Arc::clone(query))
+                        relation.shard_distance_view(j, Arc::clone(query))
                     }
                     AccessKind::Distance => {
-                        relation.shard_distance_view_by(shard, &spec.scoring, &spec.query)
+                        relation.shard_distance_view_by(j, &spec.scoring, &spec.query)
                     }
-                    AccessKind::Score => relation.shard_score_view(shard),
-                }
-            } else {
-                // Non-driving relations are read whole, through the
-                // shard-merged globally sorted views.
-                match spec.access_kind {
+                    AccessKind::Score => relation.shard_score_view(j),
+                },
+                None => match spec.access_kind {
                     AccessKind::Distance if reducible => relation.distance_view(Arc::clone(query)),
-                    // Non-Euclidean proximity: the shared R-trees' Euclidean
-                    // frontiers would disagree with the scoring's own
-                    // distance, so fall back to a per-query sort under δ —
-                    // computed once in `prepare_units` when several units
-                    // share it.
-                    AccessKind::Distance => match &delta_sorted[idx] {
-                        Some(sorted) => Box::new(prj_access::SharedOrderedRelation::new(
-                            Arc::from(relation.name()),
-                            Arc::clone(sorted),
-                            AccessKind::Distance,
-                            relation.stats().max_score,
-                        )),
-                        None => relation.distance_view_by(&spec.scoring, &spec.query),
-                    },
+                    // Non-Euclidean proximity: the shared R-trees'
+                    // Euclidean frontiers would disagree with the scoring's
+                    // own distance, so fall back to a per-query sort under δ.
+                    AccessKind::Distance => relation.distance_view_by(&spec.scoring, &spec.query),
                     AccessKind::Score => relation.score_view(),
-                }
+                },
             };
             builder = builder.relation(view);
         }
@@ -1482,6 +1529,18 @@ impl Engine {
             plan,
             problem,
         })
+    }
+
+    /// Whether a unit reads any unfolded delta: its driving shard's for a
+    /// per-shard unit, any shard's of every other relation it reads whole.
+    fn reads_delta(snapshot: &[Arc<CatalogRelation>], drive: usize, shard: Option<usize>) -> bool {
+        snapshot
+            .iter()
+            .enumerate()
+            .any(|(idx, relation)| match shard.filter(|_| idx == drive) {
+                Some(j) => relation.shard(j).delta_len() > 0,
+                None => relation.delta_len() > 0,
+            })
     }
 
     /// The shared execution context of one query's units, built from the
@@ -1495,6 +1554,8 @@ impl Engine {
     ) -> UnitExecContext {
         UnitExecContext {
             unit_cache: Arc::clone(&self.unit_cache),
+            // Only per-shard units consult it, and only partitioned
+            // executions have several.
             use_unit_cache: snapshot[drive].num_shards() > 1,
             backend: self.remote_backend(),
             relations: spec.relations.clone(),
@@ -1709,15 +1770,17 @@ impl Engine {
         let unit_plans: Vec<UnitPlanData> = units
             .iter()
             .map(|u| UnitPlanData {
-                shard: u.shard,
+                shard: u.lane(),
                 plan: u.plan.clone(),
             })
             .collect();
         let analyzed = if analyze {
-            // Driving shards still carrying unfolded deltas read through
-            // delta-merged views — the profile's cache status records it.
-            let delta_shards: Vec<bool> = (0..snapshot[drive].num_shards())
-                .map(|j| snapshot[drive].shard(j).delta_len() > 0)
+            // Units reading shards that still carry unfolded deltas read
+            // through delta-merged views — the profile's cache status
+            // records it, in unit order like the outcomes.
+            let delta_merged: Vec<bool> = units
+                .iter()
+                .map(|u| Self::reads_delta(&snapshot, drive, u.shard))
                 .collect();
             let unit_trace = trace.zip(root.as_ref().map(|r| r.id()));
             let mut ctx = self.unit_context(&spec, &snapshot, drive, unit_trace);
@@ -1726,11 +1789,11 @@ impl Engine {
             let mut parts: Vec<Arc<RankJoinResult>> = Vec::with_capacity(outcomes.len());
             let mut profiles = Vec::with_capacity(outcomes.len());
             let mut unit_records = Vec::with_capacity(outcomes.len());
-            for outcome in outcomes {
+            for (outcome, delta_merged) in outcomes.into_iter().zip(delta_merged) {
                 let outcome = outcome?;
                 profiles.push(UnitProfileData {
                     shard: outcome.shard,
-                    cache: if delta_shards.get(outcome.shard).copied().unwrap_or(false) {
+                    cache: if delta_merged {
                         "delta-merged"
                     } else {
                         "fresh"
@@ -1837,18 +1900,13 @@ impl Engine {
         let k = spec.k;
         let relations: Vec<usize> = spec.relations.iter().map(|r| r.index()).collect();
 
-        // Distributed streaming: when any unit routes to a remote worker,
-        // the units are executed to completion (in parallel, with replica
-        // failover and the unit cache) and the exact merged top-K is
-        // replayed incrementally. The emitted rows are bit-identical to the
-        // live merged stream — both are the bound-aware merge of the same
-        // certified per-unit sequences — the delivery merely stops being
-        // access-incremental across the network.
-        let backend = self.remote_backend();
-        let any_remote = backend
-            .as_ref()
-            .is_some_and(|b| units.iter().any(|u| b.routes(u.shard)));
-        if any_remote {
+        // Distributed streaming: per-shard units only exist when the
+        // backend routes driving shards to remote workers. They are
+        // executed to completion (in parallel, with replica failover and
+        // the unit cache) and the exact merged top-K is replayed
+        // incrementally — the delivery stops being access-incremental
+        // across the network, the emitted rows do not change.
+        if units.iter().any(|u| u.shard.is_some()) {
             let unit_trace = trace.zip(root.as_ref().map(|r| r.id()));
             let ctx = self.unit_context(&spec, &snapshot, drive, unit_trace);
             let (result, unit_records) = run_units(units, k, &ctx)?;
@@ -1885,18 +1943,16 @@ impl Engine {
             });
         }
 
-        // Start every unit's incremental run up front, so planning and
-        // bound-setup failures surface as typed errors before a thread
-        // spawns.
-        let mut runs: Vec<(usize, StreamingRun<Arc<dyn ScoringSpec>>)> = Vec::new();
-        for unit in units {
-            let run = unit
-                .plan
-                .algorithm
-                .start_streaming(unit.problem)
-                .map_err(EngineError::Prj)?;
-            runs.push((unit.shard, run));
-        }
+        // In process there is exactly one unit. Start its incremental run
+        // up front, so planning and bound-setup failures surface as typed
+        // errors before a thread spawns.
+        let unit = units.into_iter().next().expect("one in-process unit");
+        let lane = unit.lane();
+        let run = unit
+            .plan
+            .algorithm
+            .start_streaming(unit.problem)
+            .map_err(EngineError::Prj)?;
         let (sender, receiver) = sync_channel(STREAM_BUFFER);
         let finish = StreamFinish {
             cache: Arc::clone(&self.cache),
@@ -1913,11 +1969,7 @@ impl Engine {
             .spawn(move || {
                 let panic_sender = sender.clone();
                 let worker = std::panic::AssertUnwindSafe(move || {
-                    if runs.len() == 1 {
-                        Self::stream_single(runs, sender, finish);
-                    } else {
-                        Self::stream_merged(runs, k, sender, finish);
-                    }
+                    Self::stream_single(lane, run, sender, finish);
                     // Dropping the sender closes the stream.
                 });
                 // A panicking run must be reported, not mistaken for clean
@@ -1936,14 +1988,14 @@ impl Engine {
         })
     }
 
-    /// The unsharded streaming producer: one incremental run, drained into
-    /// the channel, cached on completion.
+    /// The live streaming producer: one incremental run, drained into the
+    /// channel, cached on completion.
     fn stream_single(
-        runs: Vec<(usize, StreamingRun<Arc<dyn ScoringSpec>>)>,
+        lane: usize,
+        mut run: StreamingRun<Arc<dyn ScoringSpec>>,
         sender: std::sync::mpsc::SyncSender<Result<ScoredCombination, EngineError>>,
         finish: StreamFinish,
     ) {
-        let (shard, mut run) = runs.into_iter().next().expect("one run");
         while let Some(combo) = run.next_certified() {
             if sender.send(Ok(combo)).is_err() {
                 // Consumer dropped the stream: abandon the run without
@@ -1953,76 +2005,11 @@ impl Engine {
         }
         let result = run.into_result();
         let units = vec![UnitRecord {
-            shard,
+            shard: lane,
             sum_depths: result.stats.sum_depths(),
             latency: result.metrics.total_time,
         }];
         finish.complete(result, units);
-    }
-
-    /// The sharded streaming producer: per-unit incremental runs merged
-    /// lazily through [`CertifiedMerge`] — each emitted result is globally
-    /// certified while every unit has only done the work its own next
-    /// result required. On completion the emitted top-K (exact by the
-    /// partition argument; see [`prj_core::merge`]) is cached together with
-    /// the aggregated access stats and a valid merged bound.
-    fn stream_merged(
-        runs: Vec<(usize, StreamingRun<Arc<dyn ScoringSpec>>)>,
-        k: usize,
-        sender: std::sync::mpsc::SyncSender<Result<ScoredCombination, EngineError>>,
-        finish: StreamFinish,
-    ) {
-        let shards: Vec<usize> = runs.iter().map(|(s, _)| *s).collect();
-        let mut sources: Vec<StreamingRun<Arc<dyn ScoringSpec>>> =
-            runs.into_iter().map(|(_, r)| r).collect();
-        let mut emitted: Vec<ScoredCombination> = Vec::new();
-        let head_scores: Vec<Option<f64>> = {
-            let mut merge = CertifiedMerge::new(sources.len(), k, |j| sources[j].next_certified());
-            while let Some(combo) = merge.next_merged() {
-                emitted.push(combo.clone());
-                if sender.send(Ok(combo)).is_err() {
-                    // Consumer dropped the stream: abandon the runs without
-                    // caching the partial result.
-                    return;
-                }
-            }
-            merge
-                .heads()
-                .iter()
-                .map(|h| h.as_ref().map(|c| c.score))
-                .collect()
-        };
-        // Anything unreturned is either a pulled-but-unemitted head or
-        // still unseen inside some unit, so the tightest valid bound is the
-        // max over head scores and residual unit bounds.
-        let mut final_bound = f64::NEG_INFINITY;
-        let mut merged_stats = prj_access::AccessStats::new(sources[0].stats().num_relations());
-        let mut metrics = RunMetrics::default();
-        let mut unit_records = Vec::with_capacity(sources.len());
-        for (j, source) in sources.iter().enumerate() {
-            final_bound = final_bound.max(source.current_bound());
-            if let Some(Some(score)) = head_scores.get(j) {
-                final_bound = final_bound.max(*score);
-            }
-            merged_stats.absorb(source.stats());
-            let m = source.metrics();
-            metrics.total_time += m.total_time;
-            metrics.bound_time += m.bound_time;
-            metrics.bound_updates += m.bound_updates;
-            metrics.combinations_formed += m.combinations_formed;
-            unit_records.push(UnitRecord {
-                shard: shards[j],
-                sum_depths: source.stats().sum_depths(),
-                latency: m.total_time,
-            });
-        }
-        metrics.final_bound = final_bound;
-        let result = RankJoinResult {
-            combinations: emitted,
-            stats: merged_stats,
-            metrics,
-        };
-        finish.complete(result, unit_records);
     }
 
     /// Executes exactly one partitioned unit — shard `shard` of the
@@ -2079,22 +2066,13 @@ impl Engine {
         Self::validate_dimensions(spec, &snapshot)?;
         let reducible = spec.scoring.euclidean_weights().is_some();
         let query = Arc::new(spec.query.clone());
-        let delta_sorted = vec![None; snapshot.len()];
         let plan = Plan {
             algorithm,
             dominance_period,
             rationale: "pinned by the cluster coordinator".to_string(),
         };
-        let mut unit = Self::build_unit(
-            spec,
-            &snapshot,
-            &query,
-            &delta_sorted,
-            reducible,
-            drive,
-            shard,
-            plan,
-        )?;
+        let mut unit =
+            Self::build_unit(spec, &snapshot, &query, reducible, drive, Some(shard), plan)?;
         let started = Instant::now();
         let result = unit
             .plan
@@ -2332,11 +2310,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_plan_reports_the_partitioning() {
-        let engine = EngineBuilder::default().threads(1).shards(4).build();
-        // Spread tuples widely so several driving shards are populated.
-        let tuples: Vec<Tuple> = (0..24)
+    /// 24 tuples spread over a grid, so several shards are populated.
+    fn spread_tuples() -> Vec<Tuple> {
+        (0..24)
             .map(|i| {
                 Tuple::new(
                     TupleId::new(0, i),
@@ -2344,44 +2320,57 @@ mod tests {
                     0.2 + (i % 7) as f64 / 10.0,
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn sharded_plan_reports_the_partitioning() {
+        // In process, shards are storage only: the S=4 plan is the S=1
+        // plan. Only a remote backend splits the query into per-shard
+        // units, and only then does the plan say so.
+        let spec = |id| QuerySpec::top_k(vec![id], Vector::from([0.0, 0.0]), 3);
+        let single = EngineBuilder::default().threads(1).build();
+        let single_id = single.register("r", spread_tuples());
+        let expected = single.query(spec(single_id)).expect("S=1 query");
+
+        let engine = Arc::new(EngineBuilder::default().threads(1).shards(4).build());
         let populated = {
             let policy = engine.catalog().policy();
-            tuples
+            spread_tuples()
                 .iter()
                 .map(|t| policy.shard_of(&t.vector))
                 .collect::<std::collections::HashSet<_>>()
                 .len()
         };
-        let id = engine.register("r", tuples);
-        let result = engine
-            .query(QuerySpec::top_k(vec![id], Vector::from([0.0, 0.0]), 3))
-            .expect("query");
-        if populated > 1 {
-            assert!(
-                result.plan().rationale.contains("partitioned over"),
-                "rationale: {}",
-                result.plan().rationale
-            );
-        }
+        assert!(populated > 1, "test needs several populated shards");
+        let id = engine.register("r", spread_tuples());
+        let local = engine.query(spec(id)).expect("local S=4 query");
+        assert_eq!(local.plan(), expected.plan());
+        assert_eq!(local.fresh_units, 1);
+        assert!(!local.plan().rationale.contains("partitioned over"));
+
+        engine.set_remote_backend(InProcessBackend::new(&engine));
+        let remote = engine.query(spec(id)).expect("partitioned query");
+        assert!(
+            remote
+                .plan()
+                .rationale
+                .contains(&format!("partitioned over {populated} driving shards")),
+            "rationale: {}",
+            remote.plan().rationale
+        );
+        assert_eq!(remote.combinations(), expected.combinations());
     }
 
     #[test]
     fn units_share_one_query_allocation() {
         // White-box: preparing a partitioned execution must clone the query
         // vector once per query, not once per unit — every unit's problem
-        // hangs on to the same `Arc<Vector>`.
-        let engine = EngineBuilder::default().threads(1).shards(4).build();
-        let tuples: Vec<Tuple> = (0..24)
-            .map(|i| {
-                Tuple::new(
-                    TupleId::new(0, i),
-                    Vector::from([(i % 6) as f64 * 2.0 - 5.0, (i / 6) as f64 * 2.0 - 3.0]),
-                    0.2 + (i % 7) as f64 / 10.0,
-                )
-            })
-            .collect();
-        let id = engine.register("r", tuples);
+        // hangs on to the same `Arc<Vector>`. Only a cluster coordinator
+        // prepares several units, so route them through a backend.
+        let engine = Arc::new(EngineBuilder::default().threads(1).shards(4).build());
+        engine.set_remote_backend(InProcessBackend::new(&engine));
+        let id = engine.register("r", spread_tuples());
         let spec = QuerySpec::top_k(vec![id], Vector::from([0.0, 0.0]), 3);
         let snapshot = engine.catalog.snapshot(&spec.relations).expect("snapshot");
         let (_, units) = engine.prepare_units(&spec, &snapshot).expect("prepare");

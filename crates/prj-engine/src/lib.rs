@@ -26,15 +26,16 @@
 //!   construction.
 //! * [`planner`] — per execution unit, chooses among the paper's four
 //!   instantiations (CBRR/CBPA/TBRR/TBPA) and decides whether to enable
-//!   the LP dominance test, using the unit's (per-shard) relation
-//!   statistics.
+//!   the LP dominance test, using whole-relation statistics (a cluster's
+//!   per-shard units use their driving shard's own).
 //! * [`engine`] — the execution façade: a fixed worker pool
 //!   ([`executor`]), batched and streaming queries
 //!   ([`Engine::stream`] exposes the paper's incremental pulling model
-//!   with backpressure), partitioned execution fanned over the driving
-//!   relation's shards and recombined by `prj_core`'s bound-aware merges
-//!   (shard count is unobservable through results), and epoch-consistent
-//!   cache keying.
+//!   with backpressure), one operator per in-process query over the
+//!   shards' merged views (shard count is unobservable through results
+//!   and cost counters), per-shard remote units recombined by
+//!   `prj_core::merge_shared` on a cluster coordinator, and
+//!   epoch-consistent cache keying.
 //! * [`cache`] — an LRU result cache keyed by (relations *with their
 //!   per-shard epoch vectors*, query point bits, `k`, scoring fingerprint,
 //!   algorithm): a mutation changes the key, so a stale memoised result
@@ -110,9 +111,10 @@ pub use catalog::{
 };
 pub use compactor::Compactor;
 pub use engine::{
-    AnalyzeData, Engine, EngineBuilder, EngineError, EngineResult, ExplainData, MutationEvent,
-    MutationKind, MutationObserver, QuerySpec, QueryTicket, RelationPlanData, RemoteUnitBackend,
-    RemoteUnitCall, ResultStream, UnitPlanData, UnitProfileData, ANALYZE_CONVERGENCE_EVERY,
+    AnalyzeData, Engine, EngineBuilder, EngineError, EngineResult, ExplainData, InProcessBackend,
+    MutationEvent, MutationKind, MutationObserver, QuerySpec, QueryTicket, RelationPlanData,
+    RemoteUnitBackend, RemoteUnitCall, ResultStream, UnitPlanData, UnitProfileData,
+    ANALYZE_CONVERGENCE_EVERY,
 };
 pub use executor::Executor;
 pub use obs::{EngineObs, QueryTrace};

@@ -63,7 +63,10 @@ impl Planner {
 
     /// Picks the *driving* relation of a partitioned execution — the one
     /// whose shards the combination space is split by — by estimated
-    /// `sumDepths` instead of blindly taking the first.
+    /// `sumDepths` instead of blindly taking the first. Only a cluster
+    /// coordinator partitions (one remote unit per driving shard); an
+    /// in-process query runs one unit over every relation's merged view,
+    /// where the choice is merely reported by EXPLAIN.
     ///
     /// The model: per execution unit, the driving relation contributes only
     /// its shard slice, while every *non-driving* relation is read through

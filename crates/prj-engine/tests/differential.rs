@@ -343,11 +343,10 @@ fn boundary_score_ties_resolve_identically_everywhere() {
     }
 }
 
-/// Unit-cache hits are handed out as shared `Arc`s and recombined by
-/// reference (`prj_core::merge_shared`), never deep-copied: after a
-/// single-shard append, a re-query blends memoised sibling units with the
-/// freshly recomputed one — and the blend must still be bit-identical to
-/// the naive oracle over the *new* data, at every shard count.
+/// After a single-shard append, a re-query must be bit-identical to the
+/// naive oracle over the *new* data, at every shard count. The blend of
+/// unit-cache hits with fresh units is checked on the path that has a unit
+/// cache, in `unit_cache.rs`.
 #[test]
 fn mixed_cached_and_fresh_units_merge_to_the_oracle() {
     for shards in [2, 4, 7] {
@@ -359,10 +358,7 @@ fn mixed_cached_and_fresh_units_merge_to_the_oracle() {
         let (engine, ids) = sharded_engine(shards, &relations);
         let spec = || QuerySpec::top_k(ids.clone(), query.clone(), k);
 
-        // Cold run: every populated shard executes freshly and warms the
-        // unit cache.
         let cold = engine.query(spec()).expect("cold query");
-        let populated = cold.fresh_units;
         assert_eq!(
             fingerprint(cold.combinations()),
             fingerprint(&naive_baseline(
@@ -374,20 +370,12 @@ fn mixed_cached_and_fresh_units_merge_to_the_oracle() {
             "S={shards}: cold run diverged"
         );
 
-        // Append one tuple: exactly one driving shard's unit dies; the
-        // re-query must re-run only that lane and replay the rest shared
-        // out of the unit cache.
+        // Append one tuple to one shard.
         let extra = Tuple::new(TupleId::new(0, 1000), Vector::from([0.25, -0.2]), 0.95);
         engine.append(ids[0], vec![extra.clone()]).expect("append");
         relations[0].push(extra);
         let warm = engine.query(spec()).expect("warm query");
         assert!(!warm.from_cache, "append must invalidate the result cache");
-        if populated > 1 {
-            assert!(
-                warm.fresh_units < populated,
-                "S={shards}: expected unit-cache hits, but all {populated} units re-ran"
-            );
-        }
         assert_eq!(
             fingerprint(warm.combinations()),
             fingerprint(&naive_baseline(

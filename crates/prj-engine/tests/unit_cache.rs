@@ -1,14 +1,33 @@
-//! Satellite coverage for the per-shard unit cache: a single-shard epoch
-//! bump must re-execute only the touched unit — the whole-query entry dies
-//! (its epoch-vector key changed), but the sibling shards' memoised units
-//! are reused and only the mutated slice recomputes.
+//! The per-shard unit cache of the remote (cluster) path: a single-shard
+//! epoch bump must re-execute only the touched unit — the whole-query entry
+//! dies (its epoch-vector key changed), but the sibling shards' memoised
+//! units are reused and only the mutated slice recomputes.
+//!
+//! In-process queries run one unit over merged views and never touch the
+//! unit cache, so every engine here routes its per-shard units through an
+//! [`InProcessBackend`]: the coordinator's partitioned path, answered by
+//! `Engine::execute_unit` with no TCP.
 
 use prj_access::{Tuple, TupleId};
 use prj_core::{naive_rank_join, EuclideanLogScore, ProblemBuilder, ScoredCombination};
-use prj_engine::{EngineBuilder, QuerySpec};
+use prj_engine::{Engine, EngineBuilder, InProcessBackend, QuerySpec};
 use prj_geometry::Vector;
+use std::sync::Arc;
 
 const SHARDS: usize = 4;
+
+/// An engine over `shards` shards whose per-shard units go through the
+/// remote backend path (the one that still has a unit cache).
+fn partitioned_engine(threads: usize, shards: usize) -> Arc<Engine> {
+    let engine = Arc::new(
+        EngineBuilder::default()
+            .threads(threads)
+            .shards(shards)
+            .build(),
+    );
+    engine.set_remote_backend(InProcessBackend::new(&engine));
+    engine
+}
 
 /// A wide spread of tuples so several driving shards are populated.
 fn spread(rel: usize, n: usize) -> Vec<Tuple> {
@@ -42,7 +61,7 @@ fn naive(relations: &[Vec<Tuple>], query: &Vector, k: usize) -> Vec<(Vec<TupleId
 
 #[test]
 fn single_shard_append_reexecutes_only_the_touched_unit() {
-    let engine = EngineBuilder::default().threads(2).shards(SHARDS).build();
+    let engine = partitioned_engine(2, SHARDS);
     // r0 is much larger than r1, so the cost model keeps r0 driving before
     // and after the append.
     let r0 = spread(0, 48);
@@ -138,7 +157,7 @@ fn single_shard_append_reexecutes_only_the_touched_unit() {
 
 #[test]
 fn non_driving_mutation_invalidates_every_unit() {
-    let engine = EngineBuilder::default().threads(2).shards(SHARDS).build();
+    let engine = partitioned_engine(2, SHARDS);
     let r0 = spread(0, 48);
     let r1 = spread(1, 4);
     let id0 = engine.register("r0", r0);
@@ -164,7 +183,7 @@ fn non_driving_mutation_invalidates_every_unit() {
 
 #[test]
 fn dropping_a_relation_purges_its_units() {
-    let engine = EngineBuilder::default().threads(1).shards(SHARDS).build();
+    let engine = partitioned_engine(1, SHARDS);
     let id0 = engine.register("r0", spread(0, 32));
     engine
         .query(QuerySpec::top_k(vec![id0], Vector::from([0.0, 0.0]), 3))
@@ -172,6 +191,46 @@ fn dropping_a_relation_purges_its_units() {
     assert!(engine.unit_cache_metrics().entries > 0);
     engine.drop_relation(id0).expect("drop");
     assert_eq!(engine.unit_cache_metrics().entries, 0);
+}
+
+/// Unit-cache hits are handed out as shared `Arc`s and recombined by
+/// reference (`prj_core::merge_shared`): after a single-shard append, a
+/// partitioned re-query blends memoised sibling units with the freshly
+/// recomputed one, runs fewer units than the cold query did, and still
+/// equals the naive oracle over the *new* data, at every shard count.
+#[test]
+fn cached_and_fresh_remote_units_blend_to_the_oracle() {
+    for shards in [2, 4, 7] {
+        let engine = partitioned_engine(2, shards);
+        let mut r0 = spread(0, 28);
+        let id0 = engine.register("r0", r0.clone());
+        let query = Vector::from([0.2, -0.3]);
+        let k = 5;
+        let spec = || QuerySpec::top_k(vec![id0], query.clone(), k);
+
+        let cold = engine.query(spec()).expect("cold query");
+        let populated = cold.fresh_units;
+        assert!(populated > 1, "S={shards}: needs several populated shards");
+        assert_eq!(
+            fingerprint(cold.combinations()),
+            naive(std::slice::from_ref(&r0), &query, k)
+        );
+
+        let extra = Tuple::new(TupleId::new(0, r0.len()), Vector::from([0.25, -0.2]), 0.95);
+        engine.append(id0, vec![extra.clone()]).expect("append");
+        r0.push(extra);
+        let warm = engine.query(spec()).expect("warm query");
+        assert!(!warm.from_cache, "append must invalidate the result cache");
+        assert!(
+            warm.fresh_units < populated,
+            "S={shards}: expected unit-cache hits, but all {populated} units re-ran"
+        );
+        assert_eq!(
+            fingerprint(warm.combinations()),
+            naive(std::slice::from_ref(&r0), &query, k),
+            "S={shards}: cached+fresh blend diverged from the oracle"
+        );
+    }
 }
 
 /// A drop's outcome must report *every* shard as touched: unit-cache

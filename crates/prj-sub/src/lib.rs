@@ -15,11 +15,13 @@
 //!
 //! The [`SubscriptionManager`] pins each subscription's plan at subscribe
 //! time (the planner's choice is frozen into the stored [`QuerySpec`]), so
-//! every re-execution replays the *same* per-shard execution units. Units
-//! over untouched shards therefore hit the engine's unit cache — a
+//! every re-execution replays the *same* plan. In process that is one unit
+//! over the shards' merged views — a re-run costs what an unsharded re-run
+//! costs. On a cluster coordinator the plan fans out into per-shard remote
+//! units, and units over untouched shards hit the engine's unit cache: a
 //! single-shard append to the driving relation of a 4-shard catalog
-//! re-executes exactly one unit (observable through the
-//! `prj_subscription_reexecuted_units_total` counter). There is no
+//! re-executes exactly one unit. Both are observable through the
+//! `prj_subscription_reexecuted_units_total` counter. There is no
 //! polling anywhere: the engine's [`MutationObserver`] hook wakes the
 //! manager's notifier thread only when a mutation actually commits.
 //!
@@ -565,7 +567,7 @@ impl<H: RequestHandler> RequestHandler for Subscribing<H> {
 mod tests {
     use super::*;
     use prj_api::{apply_events, TupleData};
-    use prj_engine::EngineBuilder;
+    use prj_engine::{Engine, EngineBuilder, InProcessBackend};
     use std::sync::Arc;
 
     fn rows(n: usize, shift: f64) -> Vec<TupleData> {
@@ -579,7 +581,12 @@ mod tests {
     }
 
     fn manager_over(shards: usize) -> (Arc<SubscriptionManager>, Session) {
-        let engine = Arc::new(EngineBuilder::default().threads(2).shards(shards).build());
+        manager_over_engine(Arc::new(
+            EngineBuilder::default().threads(2).shards(shards).build(),
+        ))
+    }
+
+    fn manager_over_engine(engine: Arc<Engine>) -> (Arc<SubscriptionManager>, Session) {
         let session = Session::new(Arc::clone(&engine));
         let manager = Arc::new(SubscriptionManager::new(Session::new(engine), 0));
         for (name, shift) in [("L", 0.0), ("R", 0.5)] {
@@ -677,11 +684,14 @@ mod tests {
 
     #[test]
     fn single_shard_append_reexecutes_exactly_one_unit() {
-        // The headline incrementality property: 4 shards, a subscription
-        // over the sharded relation, one appended tuple touching one
-        // shard — exactly one execution unit runs fresh; the other three
-        // are unit-cache hits under the pinned plan.
-        let (manager, session) = manager_over(4);
+        // The cluster's incrementality property: 4 shards whose units are
+        // remote calls (an in-process backend routes them), a
+        // subscription over the sharded relation, one appended tuple
+        // touching one shard — exactly one execution unit runs fresh; the
+        // other three are unit-cache hits under the pinned plan.
+        let engine = Arc::new(EngineBuilder::default().threads(2).shards(4).build());
+        engine.set_remote_backend(InProcessBackend::new(&engine));
+        let (manager, session) = manager_over_engine(engine);
         let (_, baseline, feed) = subscribe(
             &manager,
             QueryRequest::new(vec!["L".into()], [0.0, 0.0]).k(6),
