@@ -1,10 +1,12 @@
 //! The mutable delta side-structure of a relation shard.
 //!
 //! A copy-on-write shard extension still costs O(n/S) per append: the
-//! shard's R-tree is copied (a memcpy of its flat lanes) and the batch
-//! inserted in O(batch·log n), and the shard's score lane is rebuilt by one
-//! linear merge with the sorted batch — no sort, but one pass over the
-//! whole shard. A [`DeltaBuffer`] turns the append path into O(delta):
+//! shard's R-tree is copied (a memcpy of its flat lanes, with room for the
+//! batch) and the batch inserted in O(batch·log n). Its chunked score lane
+//! costs less: only the chunks the batch lands in are re-merged
+//! ([`crate::merge_score_chunks`]) and every other chunk is shared, but
+//! the statistics still re-read every score of the shard. A
+//! [`DeltaBuffer`] turns the append path into O(delta):
 //! freshly appended tuples land in a small score-sorted side structure next
 //! to the immutable base, and reads see base + delta through the ordinary
 //! merged sorted-access machinery ([`crate::MergedAccess`]) so bounds stay
@@ -69,9 +71,10 @@ impl DeltaBuffer {
     /// A new buffer holding this buffer's tuples plus `extra`.
     ///
     /// O(delta + extra·log extra): `extra` is sorted, then merged with the
-    /// already-sorted lane ([`merge_score_sorted`], the same routine that
-    /// extends the engine catalog's base lane). The receiver is untouched
-    /// (readers holding it see exactly what they snapshotted).
+    /// already-sorted lane ([`merge_score_sorted`], the routine the engine
+    /// catalog's base lane runs on each chunk a batch lands in). The
+    /// receiver is untouched (readers holding it see exactly what they
+    /// snapshotted).
     pub fn appended(&self, extra: Vec<Tuple>) -> Self {
         if extra.is_empty() {
             return self.clone_buffer();
@@ -107,7 +110,10 @@ impl DeltaBuffer {
         );
         let ids = tuples.iter().map(|t| t.id).collect();
         let scores: Vec<f64> = tuples.iter().map(|t| t.score).collect();
-        let stats = RelationStats::from_scores(tuples.first().map_or(0, |t| t.dim()), &scores);
+        let stats = RelationStats::from_scores(
+            tuples.first().map_or(0, |t| t.dim()),
+            scores.iter().copied(),
+        );
         DeltaBuffer {
             tuples: Arc::new(tuples),
             ids,

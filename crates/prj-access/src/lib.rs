@@ -50,7 +50,8 @@ pub use merge::{HeadMerge, MergeOrder, MergedAccess};
 pub use service::{LatencyModel, ServiceMetrics, SimulatedService};
 pub use shared::{SharedOrderedRelation, SharedRTreeRelation, SharedScoreRelation};
 pub use source::{
-    merge_score_sorted, score_order, RTreeRelation, RelationSet, SortedAccess, VecRelation,
+    merge_score_chunks, merge_score_sorted, score_order, RTreeRelation, RelationSet, SortedAccess,
+    VecRelation,
 };
 pub use stats::{AccessStats, RelationStats};
 pub use tuple::{Tuple, TupleId};

@@ -7,7 +7,7 @@
 //! relation into two parts:
 //!
 //! * the query-independent, immutable payload — the R-tree over the tuples or
-//!   the score-sorted tuple array — shared behind an [`Arc`] and built
+//!   the score-sorted tuple chunks — shared behind an [`Arc`] and built
 //!   **once** (by the `prj-engine` catalog);
 //! * the per-query cursor state — a [`prj_index::NearestCursor`] frontier or
 //!   a plain index — owned by each [`SortedAccess`] instance.
@@ -94,32 +94,49 @@ impl SortedAccess for SharedRTreeRelation {
     }
 }
 
-/// A score-sorted view of a shared, pre-sorted tuple array.
+/// A score-sorted view of a shared, pre-sorted tuple lane.
 ///
-/// The array must be sorted by non-increasing score (ties broken by tuple id,
-/// as [`crate::VecRelation::score_sorted`] does); the view only advances an
-/// index over it. Score order does not depend on the query point, so one
-/// shared array serves every query.
+/// The lane is a list of chunks read back to back; together they must be
+/// sorted by non-increasing score (ties broken by tuple id, as
+/// [`crate::VecRelation::score_sorted`] does). The view only advances a
+/// (chunk, slot) position over them. Score order does not depend on the
+/// query point, so one shared lane serves every query.
 #[derive(Debug, Clone)]
 pub struct SharedScoreRelation {
     name: Arc<str>,
-    sorted: Arc<Vec<Tuple>>,
-    cursor: usize,
+    chunks: Arc<[Arc<Vec<Tuple>>]>,
+    chunk: usize,
+    slot: usize,
+    len: usize,
     max_score: f64,
 }
 
 impl SharedScoreRelation {
-    /// Creates a view over `sorted`, which must be in non-increasing score
-    /// order.
+    /// Creates a view over the one-chunk lane `sorted`, which must be in
+    /// non-increasing score order.
     pub fn new(name: Arc<str>, sorted: Arc<Vec<Tuple>>, max_score: f64) -> Self {
+        Self::chunked(name, Arc::from([sorted]), max_score)
+    }
+
+    /// Creates a view over `chunks` (a [`crate::merge_score_chunks`]
+    /// lane), which read back to back must be in non-increasing score
+    /// order. O(chunks) to create.
+    pub fn chunked(name: Arc<str>, chunks: Arc<[Arc<Vec<Tuple>>]>, max_score: f64) -> Self {
+        let tuples = chunks.iter().flat_map(|c| c.iter());
         debug_assert!(
-            sorted.windows(2).all(|w| w[0].score >= w[1].score),
+            tuples
+                .clone()
+                .zip(tuples.skip(1))
+                .all(|(a, b)| a.score >= b.score),
             "SharedScoreRelation input must be score-sorted"
         );
+        let len = chunks.iter().map(|c| c.len()).sum();
         SharedScoreRelation {
             name,
-            sorted,
-            cursor: 0,
+            chunks,
+            chunk: 0,
+            slot: 0,
+            len,
             max_score,
         }
     }
@@ -127,11 +144,15 @@ impl SharedScoreRelation {
 
 impl SortedAccess for SharedScoreRelation {
     fn next_tuple(&mut self) -> Option<Tuple> {
-        let t = self.sorted.get(self.cursor).cloned();
-        if t.is_some() {
-            self.cursor += 1;
+        while let Some(chunk) = self.chunks.get(self.chunk) {
+            if let Some(t) = chunk.get(self.slot) {
+                self.slot += 1;
+                return Some(t.clone());
+            }
+            self.chunk += 1;
+            self.slot = 0;
         }
-        t
+        None
     }
 
     fn kind(&self) -> AccessKind {
@@ -139,7 +160,7 @@ impl SortedAccess for SharedScoreRelation {
     }
 
     fn total_len(&self) -> Option<usize> {
-        Some(self.sorted.len())
+        Some(self.len)
     }
 
     fn max_score(&self) -> f64 {
@@ -147,7 +168,8 @@ impl SortedAccess for SharedScoreRelation {
     }
 
     fn reset(&mut self) {
-        self.cursor = 0;
+        self.chunk = 0;
+        self.slot = 0;
     }
 
     fn name(&self) -> &str {
@@ -317,6 +339,39 @@ mod tests {
         assert_eq!(shared.next_tuple().unwrap().score, max_score);
         assert_eq!(shared.kind(), AccessKind::Score);
         assert_eq!(shared.total_len(), Some(25));
+    }
+
+    #[test]
+    fn shared_score_relation_reads_chunks_back_to_back() {
+        let owned = VecRelation::score_sorted("owned", mk_tuples(0, 25));
+        let lane = owned.sorted_tuples();
+        let chunks: Vec<Arc<Vec<Tuple>>> = [0..0, 0..7, 7..7, 7..8, 8..25, 25..25]
+            .map(|r| Arc::new(lane[r].to_vec()))
+            .into();
+        let mut shared = SharedScoreRelation::chunked("s".into(), chunks.into(), lane[0].score);
+        assert_eq!(shared.total_len(), Some(25));
+        assert_eq!(shared.kind(), AccessKind::Score);
+        for _ in 0..2 {
+            let read: Vec<Tuple> = std::iter::from_fn(|| shared.next_tuple()).collect();
+            assert_eq!(read.as_slice(), lane);
+            assert!(shared.next_tuple().is_none(), "stays exhausted");
+            shared.reset();
+        }
+        // A reset in the middle of a chunk rewinds to the first chunk.
+        for _ in 0..12 {
+            shared.next_tuple();
+        }
+        shared.reset();
+        assert_eq!(shared.next_tuple().as_ref(), lane.first());
+
+        let empties: Vec<Arc<Vec<Tuple>>> = (0..3).map(|_| Arc::new(Vec::new())).collect();
+        for chunks in [Vec::new(), empties] {
+            let mut empty = SharedScoreRelation::chunked("e".into(), chunks.into(), 1.0);
+            assert_eq!(empty.total_len(), Some(0));
+            assert!(empty.next_tuple().is_none());
+            empty.reset();
+            assert!(empty.next_tuple().is_none());
+        }
     }
 
     #[test]

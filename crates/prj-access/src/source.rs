@@ -5,6 +5,7 @@ use crate::tuple::{Tuple, TupleId};
 use prj_geometry::Vector;
 use prj_index::{NearestCursor, RTree};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// The score-based sorted-access order with a total tie-break: score
 /// descending, ties by tuple id ascending. Every score-sorted lane —
@@ -31,6 +32,62 @@ pub fn merge_score_sorted(sorted: &[Tuple], mut extra: Vec<Tuple>) -> Vec<Tuple>
     }
     merged.extend_from_slice(rest);
     merged
+}
+
+/// The run length [`merge_score_chunks`] cuts an over-long chunk into.
+const SCORE_CHUNK: usize = 1024;
+
+/// A score lane stored as `chunks` — read back to back, they are in
+/// [`score_order`] — extended by `extra` (any order), in the same chunked
+/// form. Each batch tuple lands in the chunk it sorts into (it stays ahead
+/// of the next non-empty chunk's first tuple), and only the chunks the
+/// batch lands in are rebuilt, each by [`merge_score_sorted`]; a rebuilt
+/// chunk longer than two runs is cut into runs of 1024. Every other chunk
+/// is shared by [`Arc`], so extending an n-tuple lane by m tuples copies
+/// O(m · 1024) tuples, not O(n). With no chunks, the batch alone (moved,
+/// not cloned) becomes the lane.
+pub fn merge_score_chunks(chunks: &[Arc<Vec<Tuple>>], extra: Vec<Tuple>) -> Vec<Arc<Vec<Tuple>>> {
+    merge_score_chunks_in_runs(chunks, extra, SCORE_CHUNK)
+}
+
+fn merge_score_chunks_in_runs(
+    chunks: &[Arc<Vec<Tuple>>],
+    mut extra: Vec<Tuple>,
+    run: usize,
+) -> Vec<Arc<Vec<Tuple>>> {
+    extra.sort_by(score_order);
+    let mut extra = extra.into_iter().peekable();
+    let mut merged = Vec::with_capacity(chunks.len() + 2);
+    for (i, chunk) in chunks.iter().enumerate() {
+        let next = chunks[i + 1..].iter().find_map(|c| c.first());
+        let landing: Vec<Tuple> = std::iter::from_fn(|| {
+            extra.next_if(|e| next.is_none_or(|n| score_order(e, n).is_lt()))
+        })
+        .collect();
+        if landing.is_empty() {
+            merged.push(Arc::clone(chunk));
+        } else {
+            push_runs(&mut merged, merge_score_sorted(chunk, landing), run);
+        }
+    }
+    let rest: Vec<Tuple> = extra.collect();
+    if !rest.is_empty() {
+        push_runs(&mut merged, rest, run);
+    }
+    merged
+}
+
+/// Pushes the sorted `lane` onto `chunks` as one chunk, or — when it is
+/// longer than `2 · run` — as consecutive runs of `run` tuples (moved).
+fn push_runs(chunks: &mut Vec<Arc<Vec<Tuple>>>, lane: Vec<Tuple>, run: usize) {
+    if lane.len() <= 2 * run {
+        chunks.push(Arc::new(lane));
+        return;
+    }
+    let mut lane = lane.into_iter();
+    while lane.len() > 0 {
+        chunks.push(Arc::new(lane.by_ref().take(run).collect()));
+    }
 }
 
 /// Pull-based sorted access to one relation (Definition 2.1).
@@ -336,6 +393,7 @@ impl std::fmt::Debug for RelationSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mk_tuples(rel: usize, pts: &[(f64, f64, f64)]) -> Vec<Tuple> {
         pts.iter()
@@ -429,6 +487,99 @@ mod tests {
         let r1 = VecRelation::distance_sorted("a", &q, mk_tuples(0, &[(1.0, 0.0, 0.5)]));
         let r2 = VecRelation::score_sorted("b", mk_tuples(1, &[(2.0, 0.0, 0.7)]));
         let _ = RelationSet::new(vec![Box::new(r1), Box::new(r2)]);
+    }
+
+    /// `sorted` cut into consecutive chunks of the given lengths, cycled
+    /// (which must hold a non-zero length). A zero length gives an empty
+    /// chunk, leading, in the middle or trailing.
+    fn cut(sorted: &[Tuple], lens: &[usize]) -> Vec<Arc<Vec<Tuple>>> {
+        let mut lens = lens.iter().copied().cycle().peekable();
+        let mut chunks = Vec::new();
+        let mut rest = sorted;
+        while !rest.is_empty() || lens.peek() == Some(&0) {
+            let len = lens.next().unwrap_or(0);
+            let (chunk, tail) = rest.split_at(len.min(rest.len()));
+            chunks.push(Arc::new(chunk.to_vec()));
+            rest = tail;
+        }
+        chunks
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The chunk merge at C = 4 — scores from six levels, so ties are
+        /// common — equals a from-scratch sort of the union, reads back
+        /// through one [`crate::SharedScoreRelation`], keeps every chunk
+        /// within 2·C, and shares exactly the chunks no batch tuple lands
+        /// in (a batch tuple lands in the chunk of its predecessor among
+        /// the base tuples, or the first chunk). Base chunks hold 0 to 2·C
+        /// tuples.
+        #[test]
+        fn chunk_merge_equals_a_rebuild_and_shares_untouched_chunks(
+            base in prop::collection::vec(0usize..6, 0..60),
+            lens in prop::collection::vec(0usize..9, 0..8),
+            batch in prop::collection::vec(0usize..6, 0..12),
+        ) {
+            let score = |level: usize| level as f64 / 5.0;
+            let tuple = |i: usize, level: usize| {
+                Tuple::new(TupleId::new(0, i), Vector::from([i as f64, 0.0]), score(level))
+            };
+            let base: Vec<Tuple> = base.into_iter().enumerate().map(|(i, l)| tuple(i, l)).collect();
+            let first = base.len();
+            let batch: Vec<Tuple> = batch
+                .into_iter()
+                .enumerate()
+                .map(|(i, l)| tuple(first + i, l))
+                .collect();
+            let sorted_base = VecRelation::score_sorted("base", base.clone());
+            let chunks = cut(sorted_base.sorted_tuples(), &[lens, vec![1]].concat());
+            let chunk_of: Vec<usize> = chunks
+                .iter()
+                .enumerate()
+                .flat_map(|(i, c)| std::iter::repeat_n(i, c.len()))
+                .collect();
+            let landed: Vec<usize> = batch
+                .iter()
+                .map(|b| {
+                    let ahead = sorted_base
+                        .sorted_tuples()
+                        .partition_point(|t| score_order(t, b).is_lt());
+                    ahead.checked_sub(1).map_or(0, |p| chunk_of[p])
+                })
+                .collect();
+
+            let merged = merge_score_chunks_in_runs(&chunks, batch.clone(), 4);
+
+            let union = VecRelation::score_sorted("union", [base, batch].concat());
+            let lane: Vec<Tuple> = merged.iter().flat_map(|c| c.iter().cloned()).collect();
+            prop_assert_eq!(lane.as_slice(), union.sorted_tuples());
+            let mut reader =
+                crate::SharedScoreRelation::chunked("r".into(), merged.clone().into(), 1.0);
+            let read: Vec<Tuple> = std::iter::from_fn(|| reader.next_tuple()).collect();
+            prop_assert_eq!(read.as_slice(), union.sorted_tuples());
+            prop_assert!(merged.iter().all(|c| c.len() <= 8), "a chunk is over 2·C");
+            for (i, chunk) in chunks.iter().enumerate() {
+                let shared = merged.iter().any(|m| Arc::ptr_eq(m, chunk));
+                prop_assert_eq!(shared, !landed.contains(&i), "chunk {}", i);
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_merge_cuts_a_long_lane_into_moved_runs() {
+        let tuples: Vec<Tuple> = (0..11)
+            .map(|i| Tuple::new(TupleId::new(0, i), Vector::from([0.0]), (i % 3) as f64))
+            .collect();
+        let merged = merge_score_chunks_in_runs(&[], tuples.clone(), 4);
+        let lens: Vec<usize> = merged.iter().map(|c| c.len()).collect();
+        assert_eq!(lens, vec![4, 4, 3]);
+        let lane: Vec<Tuple> = merged.iter().flat_map(|c| c.iter().cloned()).collect();
+        assert_eq!(lane, VecRelation::score_sorted("r", tuples).sorted_tuples());
+        // An empty batch shares every chunk as it is.
+        let again = merge_score_chunks_in_runs(&merged, Vec::new(), 4);
+        assert!(merged.iter().zip(&again).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(again.len(), merged.len());
     }
 
     #[test]

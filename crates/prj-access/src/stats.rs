@@ -100,18 +100,35 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
-    /// Computes the statistics of `tuples` in one pass over the scores
+    /// Computes the statistics of `tuples`
     /// ([`RelationStats::from_scores`] over their scores, in slice order).
     pub fn from_tuples(tuples: &[Tuple]) -> Self {
-        let scores: Vec<f64> = tuples.iter().map(|t| t.score).collect();
-        Self::from_scores(tuples.first().map_or(0, |t| t.dim()), &scores)
+        Self::from_scores(
+            tuples.first().map_or(0, |t| t.dim()),
+            tuples.iter().map(|t| t.score),
+        )
     }
 
     /// Computes the statistics of a relation of `dimensions`-dimensional
-    /// tuples with the given scores. The moments are summed in slice order,
-    /// so the same scores in the same order give the same bits.
-    pub fn from_scores(dimensions: usize, scores: &[f64]) -> Self {
-        let cardinality = scores.len();
+    /// tuples with the given scores, in two passes over the (cloned)
+    /// iterator — no scratch buffer. The moments are summed in iteration
+    /// order, so the same scores in the same order give the same bits.
+    pub fn from_scores<I>(dimensions: usize, scores: I) -> Self
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: Clone,
+    {
+        let scores = scores.into_iter();
+        let mut cardinality = 0;
+        let mut min_score = f64::INFINITY;
+        let mut max_score = f64::NEG_INFINITY;
+        let mut sum = 0.0;
+        for score in scores.clone() {
+            cardinality += 1;
+            min_score = min_score.min(score);
+            max_score = max_score.max(score);
+            sum += score;
+        }
         if cardinality == 0 {
             return RelationStats {
                 cardinality,
@@ -124,18 +141,10 @@ impl RelationStats {
             };
         }
         let n = cardinality as f64;
-        let mut min_score = f64::INFINITY;
-        let mut max_score = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        for &score in scores {
-            min_score = min_score.min(score);
-            max_score = max_score.max(score);
-            sum += score;
-        }
         let mean_score = sum / n;
         let mut m2 = 0.0;
         let mut m3 = 0.0;
-        for &score in scores {
+        for score in scores {
             let d = score - mean_score;
             m2 += d * d;
             m3 += d * d * d;
@@ -405,7 +414,7 @@ mod tests {
             let tuples = tuples_with_scores(&scores);
             let dim = if scores.is_empty() { 0 } else { 2 };
             assert_eq!(
-                bits(RelationStats::from_scores(dim, &scores)),
+                bits(RelationStats::from_scores(dim, scores.iter().copied())),
                 bits(RelationStats::from_tuples(&tuples)),
                 "scores {scores:?}"
             );

@@ -189,9 +189,9 @@ impl TightBound {
             }
             AccessKind::Distance => {
                 // Theorem 3.4 reduction: optimal unseen locations lie on the
-                // ray from the query through ν. Its unit direction replaces ν
-                // in place, with `Ray::through`'s arithmetic; the canonical
-                // axis stands in exactly where that ray has no direction.
+                // ray from the query through ν. Its unit direction
+                // (ν − q)/‖ν − q‖ replaces ν in place; the canonical axis
+                // stands in exactly where that ray has no direction.
                 let mut directed = false;
                 if m > 0 {
                     *ray -= query;

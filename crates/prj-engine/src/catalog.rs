@@ -13,7 +13,7 @@
 //! Each relation is partitioned into `S` spatial shards by the catalog's
 //! [`ShardingPolicy`] (hash-by-grid-cell; `S = 1` disables partitioning).
 //! Every shard is a self-contained [`RelationShard`]: its own R-tree,
-//! score-sorted tuple array (its one copy of its slice of the tuples),
+//! chunked score-sorted tuple lane (its one copy of its slice of the tuples),
 //! [`RelationStats`] and **epoch** counter. Shards are the unit of storage,
 //! publish cost and cluster placement. Merged views
 //! ([`CatalogRelation::distance_view`], …) recombine the shards into one
@@ -30,12 +30,14 @@
 //! [`Catalog::drop_relation`] removes a relation. Mutations are
 //! copy-on-write and **shard-local**: an append routes each new tuple to its
 //! shard and extends only the touched shards, bumping only their epochs.
-//! Extending a shard of n tuples by a batch of m costs a memcpy of its
-//! R-tree's flat lanes plus m incremental inserts (O(m·log n)), and one
-//! linear merge of the sorted batch into the shard's score lane — no sort
-//! of the shard. In-flight queries keep reading their old `Arc`s
-//! untouched. The engine keys its result cache by each relation's **epoch
-//! vector** ([`CatalogRelation::epochs`]), which is what makes a memoised
+//! Extending a shard of n tuples by a batch of m costs one memcpy of its
+//! R-tree's flat lanes (cloned with room for the batch) plus m incremental
+//! inserts (O(m·log n)), a re-merge of only the ~1024-tuple score-lane
+//! chunks the batch lands in (every other chunk is shared with the previous
+//! snapshot), and a re-read of every score for the statistics. In-flight
+//! queries keep reading their old `Arc`s untouched. The engine keys its
+//! result cache by each relation's **epoch vector**
+//! ([`CatalogRelation::epochs`]), which is what makes a memoised
 //! pre-mutation result structurally unservable afterwards — ingest on one
 //! shard invalidates exactly the results that could have read that shard's
 //! relation, and nothing needs carefully ordered invalidation calls.
@@ -69,8 +71,8 @@
 
 use crate::sharding::ShardingPolicy;
 use prj_access::{
-    merge_score_sorted, score_order, DeltaBuffer, MergeOrder, MergedAccess, RelationStats,
-    SharedRTreeRelation, SharedScoreRelation, SortedAccess, Tuple, TupleId, VecRelation,
+    merge_score_chunks, DeltaBuffer, MergeOrder, MergedAccess, RelationStats, SharedRTreeRelation,
+    SharedScoreRelation, SortedAccess, Tuple, TupleId, VecRelation,
 };
 use prj_core::ScoringFunction;
 use prj_geometry::Vector;
@@ -152,17 +154,20 @@ pub struct MutationOutcome {
 /// One immutable shard of a relation: a disjoint slice of the tuples plus
 /// the access structures built from them, stamped with the epoch it was
 /// published at. The slice splits into an indexed **base** (R-tree and
-/// score-sorted array) and a small **delta** of freshly appended tuples not
-/// yet folded into the base (always empty when the catalog's delta limit
-/// is 0). The score-sorted array is the shard's only copy of the base
-/// tuples; the R-tree's payload pool keeps their `(id, score)` pairs in
+/// score lane) and a small **delta** of freshly appended tuples not yet
+/// folded into the base (always empty when the catalog's delta limit is
+/// 0). The score lane — `Arc`'d chunks of about 1024 tuples, read back to
+/// back in [`prj_access::score_order`] — is the shard's only copy of the
+/// base tuples, and successive snapshots share every chunk an append did
+/// not land in; the R-tree's payload pool keeps the `(id, score)` pairs in
 /// ingestion order.
 #[derive(Debug)]
 pub struct RelationShard {
     /// R-tree over the base tuples (distance-based access path).
     rtree: Arc<RTree<(TupleId, f64)>>,
-    /// The base tuples in [`score_order`] (score-based path).
-    score_sorted: Arc<Vec<Tuple>>,
+    /// The base tuples as score-lane chunks (score-based path; see
+    /// [`merge_score_chunks`]).
+    score_chunks: Arc<[Arc<Vec<Tuple>>]>,
     /// Appended-but-not-yet-compacted tuples (the O(delta) ingest lane).
     delta: Arc<DeltaBuffer>,
     /// Statistics over the base tuples only.
@@ -177,8 +182,9 @@ pub struct RelationShard {
 
 impl RelationShard {
     /// A shard over `tuples` (in ingestion order): the R-tree is bulk-loaded
-    /// and the owned tuples are sorted in place into the score lane.
-    fn build(mut tuples: Vec<Tuple>, epoch: u64) -> Self {
+    /// and the owned tuples are sorted and moved into the score lane's
+    /// chunks.
+    fn build(tuples: Vec<Tuple>, epoch: u64) -> Self {
         // An empty shard gets a placeholder dimensionality; its first
         // extension builds for real.
         let dim = tuples.first().map_or(0, |t| t.dim()).max(1);
@@ -187,21 +193,27 @@ impl RelationShard {
             .map(|t| (t.vector.clone(), (t.id, t.score)))
             .collect();
         let rtree = RTree::bulk_load(dim, items);
-        tuples.sort_by(score_order);
-        Self::with_base(rtree, tuples, epoch)
+        Self::with_base(rtree, merge_score_chunks(&[], tuples), epoch)
     }
 
     /// A shard with an empty delta over the given base. The statistics are
-    /// read off the R-tree's payload pool, which holds the base scores in
-    /// ingestion order — the order [`RelationStats::from_tuples`] sums them
-    /// in over the ingestion-order tuples, so the bits are the same.
-    fn with_base(rtree: RTree<(TupleId, f64)>, score_sorted: Vec<Tuple>, epoch: u64) -> Self {
-        let scores: Vec<f64> = rtree.payloads().iter().map(|&(_, score)| score).collect();
-        let dim = score_sorted.first().map_or(0, |t| t.dim());
-        let stats = RelationStats::from_scores(dim, &scores);
+    /// read straight off the R-tree's payload pool, which holds the base
+    /// scores in ingestion order — the order [`RelationStats::from_tuples`]
+    /// sums them in over the ingestion-order tuples, so the bits are the
+    /// same.
+    fn with_base(
+        rtree: RTree<(TupleId, f64)>,
+        score_chunks: Vec<Arc<Vec<Tuple>>>,
+        epoch: u64,
+    ) -> Self {
+        let dim = score_chunks
+            .iter()
+            .find_map(|c| c.first())
+            .map_or(0, |t| t.dim());
+        let stats = RelationStats::from_scores(dim, rtree.payloads().iter().map(|&(_, s)| s));
         RelationShard {
             rtree: Arc::new(rtree),
-            score_sorted: Arc::new(score_sorted),
+            score_chunks: score_chunks.into(),
             delta: Arc::new(DeltaBuffer::empty()),
             base_stats: stats,
             stats,
@@ -212,21 +224,24 @@ impl RelationShard {
 
     /// This shard's base extended by `extra`, at `epoch`, with an empty
     /// delta — the one routine behind both the rebuild append and the
-    /// compaction fold. The R-tree is cloned (a memcpy of its flat lanes)
-    /// and `extra` inserted in the given (arrival) order through the
-    /// incremental insert, O(|extra|·log n); the score lane is one linear
-    /// merge with the batch sorted alone ([`merge_score_sorted`]) — no sort
-    /// of the shard. In-flight readers of `self` are unaffected.
+    /// compaction fold. The R-tree is cloned with room for the batch (one
+    /// memcpy of its flat lanes, which the inserts then do not re-grow) and
+    /// `extra` inserted in the given (arrival) order through the
+    /// incremental insert, O(|extra|·log n). The score lane re-merges only
+    /// the chunks the batch lands in ([`merge_score_chunks`]) and shares
+    /// the rest, so its cost is O(|extra| · chunk), not O(n); the
+    /// statistics re-read every score in the payload pool. In-flight
+    /// readers of `self` are unaffected.
     fn extended(&self, extra: Vec<Tuple>, epoch: u64) -> RelationShard {
         if self.rtree.is_empty() {
             // The empty shard's R-tree was built with a placeholder
             // dimensionality; build from scratch.
             return RelationShard::build(extra, epoch);
         }
-        let mut rtree = self.rtree.as_ref().clone();
+        let mut rtree = self.rtree.clone_with_room(extra.len());
         rtree.extend(extra.iter().map(|t| (t.vector.clone(), (t.id, t.score))));
-        let score_sorted = merge_score_sorted(&self.score_sorted, extra);
-        Self::with_base(rtree, score_sorted, epoch)
+        let score_chunks = merge_score_chunks(&self.score_chunks, extra);
+        Self::with_base(rtree, score_chunks, epoch)
     }
 
     /// A new shard snapshot with `extra` appended at a bumped epoch: only
@@ -248,7 +263,7 @@ impl RelationShard {
         let stats = RelationStats::combine(&[self.base_stats, delta.stats()]);
         RelationShard {
             rtree: Arc::clone(&self.rtree),
-            score_sorted: Arc::clone(&self.score_sorted),
+            score_chunks: Arc::clone(&self.score_chunks),
             delta: Arc::new(delta),
             base_stats: self.base_stats,
             stats,
@@ -285,7 +300,7 @@ impl RelationShard {
         };
         RelationShard {
             rtree: Arc::clone(&base.rtree),
-            score_sorted: Arc::clone(&base.score_sorted),
+            score_chunks: Arc::clone(&base.score_chunks),
             delta: Arc::new(residual),
             base_stats: base.base_stats,
             stats,
@@ -430,14 +445,16 @@ impl CatalogRelation {
     }
 
     /// Every tuple of the relation, in no guaranteed order (shard by shard,
-    /// the base's score lane then the delta). O(n); used by the
+    /// the base's score-lane chunks then the delta). O(n); used by the
     /// non-Euclidean fallback path, which re-sorts with an id tie-break,
     /// and by tests — hot paths go through the shared per-shard structures
     /// instead.
     pub fn all_tuples(&self) -> Vec<Tuple> {
         let mut all = Vec::with_capacity(self.cardinality());
         for shard in &self.shards {
-            all.extend(shard.score_sorted.iter().cloned());
+            for chunk in shard.score_chunks.iter() {
+                all.extend(chunk.iter().cloned());
+            }
             all.extend(shard.delta.tuples().iter().cloned());
         }
         all
@@ -493,9 +510,9 @@ impl CatalogRelation {
     /// lane is already score-sorted, so merging it in costs nothing extra).
     pub fn shard_score_view(&self, j: usize) -> Box<dyn SortedAccess> {
         let shard = &self.shards[j];
-        let base = Box::new(SharedScoreRelation::new(
+        let base = Box::new(SharedScoreRelation::chunked(
             Arc::clone(&self.name),
-            Arc::clone(&shard.score_sorted),
+            Arc::clone(&shard.score_chunks),
             shard.base_stats.max_score,
         ));
         if shard.delta.is_empty() {
@@ -521,7 +538,10 @@ impl CatalogRelation {
     ) -> Box<dyn SortedAccess> {
         let shard = &self.shards[j];
         let q = query.clone();
-        let mut tuples = shard.score_sorted.as_ref().clone();
+        let mut tuples = Vec::with_capacity(shard.stats.cardinality);
+        for chunk in shard.score_chunks.iter() {
+            tuples.extend(chunk.iter().cloned());
+        }
         tuples.extend(shard.delta.tuples().iter().cloned());
         let rel = VecRelation::distance_sorted_by(self.name.to_string(), tuples, move |t| {
             scoring.distance(&t.vector, &q)
@@ -990,6 +1010,45 @@ mod tests {
             .collect()
     }
 
+    /// A shard's score lane: its chunks read back to back.
+    fn score_lane(shard: &RelationShard) -> Vec<Tuple> {
+        shard
+            .score_chunks
+            .iter()
+            .flat_map(|c| c.iter().cloned())
+            .collect()
+    }
+
+    #[test]
+    fn a_one_tuple_append_shares_every_untouched_score_chunk() {
+        let catalog = Catalog::new();
+        let id = catalog.register("r", mk_tuples(0, 10_000));
+        let before = catalog.relation(id).unwrap();
+        catalog
+            .append_rows(id, vec![(Vector::from([0.25, -0.5]), 0.55)])
+            .unwrap();
+        let after = catalog.relation(id).unwrap();
+        let (old, new) = (&before.shard(0).score_chunks, &after.shard(0).score_chunks);
+        assert!(old.len() > 2, "10k tuples should span several chunks");
+        let copied = new
+            .iter()
+            .filter(|c| !old.iter().any(|o| Arc::ptr_eq(o, c)))
+            .count();
+        assert!(
+            (1..=2).contains(&copied),
+            "{copied} of {} chunks copied",
+            new.len()
+        );
+        let mut lane = score_lane(before.shard(0));
+        lane.push(Tuple::new(
+            TupleId::new(id.0, 10_000),
+            Vector::from([0.25, -0.5]),
+            0.55,
+        ));
+        let rebuilt = VecRelation::score_sorted(String::new(), lane);
+        assert_eq!(score_lane(after.shard(0)), rebuilt.sorted_tuples());
+    }
+
     #[test]
     fn register_and_snapshot() {
         let catalog = Catalog::new();
@@ -1031,12 +1090,12 @@ mod tests {
         assert_eq!(rel.num_shards(), 4);
         assert_eq!(rel.cardinality(), 60);
         assert_eq!(rel.epochs(), vec![0, 0, 0, 0]);
-        let per_shard: usize = (0..4).map(|j| rel.shard(j).score_sorted.len()).sum();
+        let per_shard: usize = (0..4).map(|j| score_lane(rel.shard(j)).len()).sum();
         assert_eq!(per_shard, 60);
         // Every tuple sits on the shard the policy assigns it to.
         let policy = catalog.policy();
         for j in 0..4 {
-            for t in rel.shard(j).score_sorted.iter() {
+            for t in score_lane(rel.shard(j)) {
                 assert_eq!(policy.shard_of(&t.vector), j);
             }
         }
@@ -1278,10 +1337,7 @@ mod tests {
         // same score lane, same ingestion order (the payload pool), same
         // tree size.
         for j in 0..2 {
-            assert_eq!(
-                after.shard(j).score_sorted.as_slice(),
-                reference.shard(j).score_sorted.as_slice()
-            );
+            assert_eq!(score_lane(after.shard(j)), score_lane(reference.shard(j)));
             assert_eq!(
                 after.shard(j).rtree().payloads(),
                 reference.shard(j).rtree().payloads()
@@ -1461,7 +1517,7 @@ mod tests {
         for (j, base) in model.iter().enumerate() {
             let shard = rel.shard(j);
             let rebuilt = VecRelation::score_sorted(String::new(), base.clone());
-            assert_eq!(shard.score_sorted.as_slice(), rebuilt.sorted_tuples());
+            assert_eq!(score_lane(shard), rebuilt.sorted_tuples());
             assert_eq!(
                 stats_bits(&shard.base_stats),
                 stats_bits(&RelationStats::from_tuples(base))

@@ -14,11 +14,12 @@
 //! * [`catalog`] — *mutable, sharded* relations behind per-shard epoch
 //!   counters: registration partitions each relation under the catalog's
 //!   [`sharding::ShardingPolicy`] (hash-by-grid-cell; 1 shard = unsharded)
-//!   and builds every shard's R-tree, score-sorted array and
+//!   and builds every shard's R-tree, chunked score lane and
 //!   [`prj_access::RelationStats`] once, shared behind
 //!   [`std::sync::Arc`]s; appends rebuild only the touched shards
-//!   copy-on-write (an O(n/S) publish) and bump their epochs; drops retire
-//!   the id forever.
+//!   copy-on-write (an O(n/S) publish that copies only the score-lane
+//!   chunks it lands in) and bump their epochs; drops retire the id
+//!   forever.
 //! * [`registry`] — the open set of scoring functions: families are
 //!   registered at runtime as factories producing
 //!   [`prj_core::ScoringSpec`] trait objects, whose cache fingerprint is

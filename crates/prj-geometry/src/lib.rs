@@ -15,9 +15,6 @@
 //!   of the sum of *squared* Euclidean distances, used by the paper's Eq. 2)
 //!   and the geometric median (Weiszfeld iteration) for the general
 //!   `argmin Σ δ(x_i, ω)` definition.
-//! * [`projection`] — projection of points onto the ray from the query through
-//!   a centroid (paper Eq. 13), the key step that reduces the tight bound to a
-//!   one-dimensional problem.
 //! * [`Aabb`] — axis-aligned bounding boxes with minimum/maximum distance to a
 //!   point, the building block of the R-tree substrate in `prj-index`.
 //!
@@ -29,7 +26,6 @@
 pub mod aabb;
 pub mod centroid;
 pub mod metric;
-pub mod projection;
 pub mod vector;
 
 pub use aabb::Aabb;
@@ -37,7 +33,6 @@ pub use centroid::{geometric_median, mean_centroid, weighted_mean_centroid};
 pub use metric::{
     Chebyshev, CosineDistance, Euclidean, Manhattan, Metric, MetricKind, SquaredEuclidean,
 };
-pub use projection::{project_onto_ray, ray_point, Ray};
 pub use vector::Vector;
 
 /// Numerical tolerance used by equality-ish comparisons across the workspace.

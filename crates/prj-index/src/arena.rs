@@ -119,6 +119,14 @@ impl fmt::Debug for NodeId {
     }
 }
 
+/// `lane` copied into an allocation with room for `room` more elements, so
+/// growing the copy by that much does not reallocate (and re-copy) it.
+pub(crate) fn with_room<E: Clone>(lane: &[E], room: usize) -> Vec<E> {
+    let mut copy = Vec::with_capacity(lane.len() + room);
+    copy.extend_from_slice(lane);
+    copy
+}
+
 /// Slot allocator for one node kind: a free list plus per-slot generations
 /// and liveness flags. The actual node payload lives in the tree's flat
 /// slabs, indexed by slot.
@@ -137,6 +145,16 @@ impl SlotArena {
             generations: Vec::new(),
             live: Vec::new(),
             free: Vec::new(),
+        }
+    }
+
+    /// A copy of this arena with room for `slots` more fresh slots.
+    pub(crate) fn clone_with_room(&self, slots: usize) -> Self {
+        SlotArena {
+            is_leaf: self.is_leaf,
+            generations: with_room(&self.generations, slots),
+            live: with_room(&self.live, slots),
+            free: self.free.clone(),
         }
     }
 

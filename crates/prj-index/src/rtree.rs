@@ -19,7 +19,7 @@
 //!   exactly what the paper's *distance-based access* needs (the related-work
 //!   section credits the same incremental-distance-join line of work).
 
-use crate::arena::SlotArena;
+use crate::arena::{with_room, SlotArena};
 pub use crate::arena::{ArenaError, NodeId};
 use prj_geometry::Vector;
 use std::cmp::Ordering;
@@ -421,6 +421,35 @@ impl<T> RTree<T> {
     /// (bulk-load order, then one per [`RTree::insert`]).
     pub fn payloads(&self) -> &[T] {
         &self.data
+    }
+
+    /// A copy of this tree with room for `extra` more [`RTree::insert`]s,
+    /// so inserting them does not reallocate — and so re-copy — the lanes
+    /// just copied. Each insert adds one payload and allocates at most one
+    /// leaf; internal nodes get the same room, which covers every insert
+    /// but a rare cascade of splits.
+    pub fn clone_with_room(&self, extra: usize) -> Self
+    where
+        T: Clone,
+    {
+        let (dim, stride) = (self.dim, self.stride);
+        RTree {
+            config: self.config,
+            dim,
+            stride,
+            root: self.root,
+            len: self.len,
+            leaves: self.leaves.clone_with_room(extra),
+            leaf_len: with_room(&self.leaf_len, extra),
+            leaf_bounds: with_room(&self.leaf_bounds, extra * 2 * dim),
+            leaf_points: with_room(&self.leaf_points, extra * dim * stride),
+            leaf_payload: with_room(&self.leaf_payload, extra * stride),
+            internals: self.internals.clone_with_room(extra),
+            int_len: with_room(&self.int_len, extra),
+            int_bounds: with_room(&self.int_bounds, extra * 2 * dim),
+            int_children: with_room(&self.int_children, extra * stride),
+            data: with_room(&self.data, extra),
+        }
     }
 
     /// Inserts a point with its payload (Guttman insertion, quadratic split).
@@ -841,6 +870,34 @@ mod tests {
         }
         assert_eq!(tree.len(), 49);
         assert_eq!(tree.nearest_iter(&v(&[0.0, 0.0])).count(), 49);
+    }
+
+    #[test]
+    fn clone_with_room_takes_its_inserts_in_place_and_matches_a_clone() {
+        let base = RTree::bulk_load(2, grid_points(20));
+        let extra: Vec<(Vector, usize)> = (0..6)
+            .map(|i| (v(&[i as f64 * 3.7, 19.0 - i as f64 * 2.9]), 1000 + i))
+            .collect();
+        let mut plain = base.clone();
+        let mut roomy = base.clone_with_room(extra.len());
+        let lanes = |t: &RTree<usize>| {
+            (
+                t.data.as_ptr(),
+                t.leaf_points.as_ptr(),
+                t.leaf_payload.as_ptr(),
+                t.leaf_bounds.as_ptr(),
+            )
+        };
+        let before = lanes(&roomy);
+        plain.extend(extra.clone());
+        roomy.extend(extra);
+        assert_eq!(lanes(&roomy), before, "an insert re-grew a copied lane");
+        assert_eq!(roomy.payloads(), plain.payloads());
+        let q = v(&[4.5, 11.0]);
+        let order =
+            |t: &RTree<usize>| -> Vec<usize> { t.nearest_iter(&q).map(|nn| *nn.data).collect() };
+        assert_eq!(order(&roomy), order(&plain));
+        assert_eq!(roomy.len(), 406);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The crate is a facade over the workspace crates; see the individual crates
 //! for the full API:
 //!
-//! * [`geometry`] — vectors, metrics, centroids, projections, bounding boxes.
+//! * [`geometry`] — vectors, metrics, centroids, bounding boxes.
 //! * [`solver`] — the closed-form Eq. 14 solve the tight bound uses, LP
 //!   feasibility (simplex), and the active-set convex QP kept as the
 //!   closed form's test reference.
