@@ -74,12 +74,13 @@ impl AccessStats {
 }
 
 /// Summary statistics of one relation's data, computed once at registration
-/// time and consumed by the `prj-engine` planner to choose an algorithm.
+/// time and consumed by the `prj-engine` planner to choose the driving
+/// relation of a partitioned query.
 ///
 /// The quantities mirror the operating parameters of the paper's evaluation
 /// (Table 2): cardinality stands in for density `ρ`, `dimensions` for `d`,
 /// and the score-distribution moments capture the skew that makes
-/// potential-adaptive pulling pay off.
+/// potential-adaptive pulling read a relation shallowly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelationStats {
     /// Number of tuples.
@@ -167,18 +168,11 @@ impl RelationStats {
         }
     }
 
-    /// `true` when the score distribution is markedly asymmetric — the regime
-    /// where potential-adaptive pulling out-reads round-robin in the paper's
-    /// skew experiments (Figure 3(g)/(h)).
-    pub fn is_score_skewed(&self) -> bool {
-        self.score_skewness.abs() > 0.5
-    }
-
     /// Combines per-shard statistics into whole-relation statistics without
     /// revisiting the tuples: min/max/cardinality compose directly, and the
     /// mean/stddev/skewness are recovered from each part's first three raw
     /// moments. Exact up to floating-point rounding, which is all the
-    /// planner's threshold comparisons need.
+    /// planner's driving-relation estimate needs.
     pub fn combine(parts: &[RelationStats]) -> RelationStats {
         let cardinality: usize = parts.iter().map(|p| p.cardinality).sum();
         let dimensions = parts
@@ -289,7 +283,6 @@ mod tests {
             stats.score_skewness.abs() < 1e-9,
             "symmetric data has no skew"
         );
-        assert!(!stats.is_score_skewed());
     }
 
     #[test]
@@ -303,7 +296,6 @@ mod tests {
             "skewness was {}",
             stats.score_skewness
         );
-        assert!(stats.is_score_skewed());
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! prj/2 register name=hotels tuples=0.0,-0.5:0.5;0.0,1.0:1.0
 //! prj/2 ok registered id=0 name=hotels epoch=0 n=2
 //! prj/2 topk rels=hotels q=0.0,0.0 k=1
-//! prj/2 ok results cached=false algo=TBRR rows=-0.9431471805599453@0:0
+//! prj/2 ok results cached=false algo=CBPA rows=-0.9431471805599453@0:0
 //! ```
 
 use prj_api::{

@@ -110,7 +110,7 @@ pub struct UnitKey {
     k: usize,
     access_kind: AccessKind,
     /// The *planned* algorithm and dominance period the unit runs under
-    /// (per-unit plans differ across shards, so they are part of the key).
+    /// (a pinned algorithm changes them, so they are part of the key).
     algorithm: Algorithm,
     dominance_period: Option<usize>,
     scoring_fingerprint: u64,

@@ -38,7 +38,7 @@ use crate::catalog::{Catalog, CatalogError, CatalogRelation, MutationOutcome, Re
 use crate::compactor::Compactor;
 use crate::executor::Executor;
 use crate::obs::{EngineObs, QueryTrace};
-use crate::planner::{Plan, Planner, PlannerConfig};
+use crate::planner::{Plan, Planner};
 use crate::registry::ScoringRegistry;
 use crate::sharding::ShardingPolicy;
 use crate::stats::{EngineStats, EngineStatsSnapshot, QueryRecord, UnitRecord};
@@ -511,7 +511,6 @@ pub struct EngineBuilder {
     threads: usize,
     cache_capacity: usize,
     unit_cache_capacity: usize,
-    planner: PlannerConfig,
     sharding: ShardingPolicy,
     trace_capacity: usize,
     slow_query_threshold: Option<Duration>,
@@ -524,7 +523,6 @@ impl Default for EngineBuilder {
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             cache_capacity: 1024,
             unit_cache_capacity: 4096,
-            planner: PlannerConfig::default(),
             sharding: ShardingPolicy::default(),
             trace_capacity: 4096,
             slow_query_threshold: None,
@@ -553,12 +551,6 @@ impl EngineBuilder {
     /// whole query. In-process queries run one unit and never touch it.
     pub fn unit_cache_capacity(mut self, capacity: usize) -> Self {
         self.unit_cache_capacity = capacity;
-        self
-    }
-
-    /// Planner thresholds.
-    pub fn planner_config(mut self, config: PlannerConfig) -> Self {
-        self.planner = config;
         self
     }
 
@@ -630,7 +622,7 @@ impl EngineBuilder {
             cache: Arc::new(ResultCache::new(self.cache_capacity)),
             unit_cache: Arc::new(UnitCache::new(self.unit_cache_capacity)),
             stats: Arc::new(EngineStats::new()),
-            planner: Planner::with_config(self.planner),
+            planner: Planner::default(),
             registry: Arc::new(ScoringRegistry::with_builtins()),
             remote: RwLock::new(None),
             observers: RwLock::new(Vec::new()),
@@ -661,23 +653,20 @@ impl ExecutionUnit {
     }
 }
 
-/// Summarises per-unit plans into the plan reported for the whole query.
+/// The plan reported for the whole query. Every unit carries the query's
+/// one plan; a partitioned query says so in the rationale.
 fn merged_plan(units: &[ExecutionUnit]) -> Plan {
+    let plan = units[0].plan.clone();
     if units.len() == 1 {
-        return units[0].plan.clone();
+        return plan;
     }
-    let per_unit: Vec<String> = units
-        .iter()
-        .map(|u| format!("s{}:{}", u.lane(), u.plan.algorithm.id()))
-        .collect();
     Plan {
-        algorithm: units[0].plan.algorithm,
-        dominance_period: units[0].plan.dominance_period,
         rationale: format!(
-            "partitioned over {} driving shards ({})",
+            "partitioned over {} driving shards; {}",
             units.len(),
-            per_unit.join(", ")
+            plan.rationale
         ),
+        ..plan
     }
 }
 
@@ -1383,12 +1372,14 @@ impl Engine {
 
     /// Plans and builds the execution units for one query.
     ///
+    /// The query is planned once ([`Self::plan_query`]) and every unit
+    /// carries that plan.
+    ///
     /// In process — no remote backend routing any of the driving
     /// relation's shards — this is **one** unit over every relation's
-    /// shard-merged view ([`CatalogRelation::distance_view`] and friends),
-    /// planned once from whole-relation statistics. The merged views are
-    /// globally sorted streams (ties by tuple id), so the unit reads
-    /// exactly what an unsharded engine reads.
+    /// shard-merged view ([`CatalogRelation::distance_view`] and friends).
+    /// The merged views are globally sorted streams (ties by tuple id), so
+    /// the unit reads exactly what an unsharded engine reads.
     ///
     /// On a cluster coordinator the combination space is instead split
     /// over the *driving* relation's shards — chosen by the planner's
@@ -1396,9 +1387,9 @@ impl Engine {
     /// unit `j` joins shard `j` of the driving relation with whole views of
     /// the others, every combination is produced by exactly one unit, and
     /// the per-unit certified top-Ks recombine exactly
-    /// ([`prj_core::merge_shared`]). Each such unit is a remote call,
-    /// planned from its driving shard's own statistics; units whose
-    /// driving shard is empty cannot produce a combination and are skipped.
+    /// ([`prj_core::merge_shared`]). Each such unit is a remote call;
+    /// units whose driving shard is empty cannot produce a combination and
+    /// are skipped.
     ///
     /// Returns the driving relation index alongside the units (EXPLAIN
     /// reports it on both paths).
@@ -1412,21 +1403,14 @@ impl Engine {
         // `Arc` by every unit's problem and every relation view — not
         // re-cloned per unit (see `Problem::query_shared`).
         let query = Arc::new(spec.query.clone());
-        // Whole-relation statistics, computed once and reused by the
-        // driving choice and every plan (a per-shard plan only swaps the
-        // driving slot for the shard's own stats).
-        let mut stats: Vec<RelationStats> = snapshot.iter().map(|r| r.stats()).collect();
-        let drive = if snapshot.len() > 1 {
-            self.planner.choose_driving(&stats)
-        } else {
-            0
-        };
+        let stats: Vec<RelationStats> = snapshot.iter().map(|r| r.stats()).collect();
+        let drive = self.planner.choose_driving(&stats);
+        let plan = self.plan_query(spec, reducible, &stats);
         let shards = snapshot[drive].num_shards();
         let partitioned = self
             .remote_backend()
             .is_some_and(|b| (0..shards).any(|j| b.routes(j)));
         if !partitioned {
-            let plan = self.plan_unit(spec, snapshot, &mut stats, reducible, drive, None);
             let unit = Self::build_unit(spec, snapshot, &query, reducible, drive, None, plan)?;
             return Ok((drive, vec![unit]));
         }
@@ -1443,42 +1427,30 @@ impl Engine {
         let units = selected
             .into_iter()
             .map(|j| {
-                let plan = self.plan_unit(spec, snapshot, &mut stats, reducible, drive, Some(j));
-                Self::build_unit(spec, snapshot, &query, reducible, drive, Some(j), plan)
+                Self::build_unit(
+                    spec,
+                    snapshot,
+                    &query,
+                    reducible,
+                    drive,
+                    Some(j),
+                    plan.clone(),
+                )
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok((drive, units))
     }
 
-    /// A unit's plan: pinned by the query, or chosen from its statistics —
-    /// the whole relations for the in-process unit; for a per-shard unit
-    /// the driving slot swapped for the shard's own stats.
-    ///
-    /// `stats` is the whole-relation statistics vector computed once in
-    /// [`Self::prepare_units`]; the driving slot is swapped in place and
-    /// restored, so planning a unit allocates nothing.
-    fn plan_unit(
-        &self,
-        spec: &QuerySpec,
-        snapshot: &[Arc<CatalogRelation>],
-        stats: &mut [RelationStats],
-        reducible: bool,
-        drive: usize,
-        shard: Option<usize>,
-    ) -> Plan {
-        match (spec.algorithm, shard) {
-            (Some(algorithm), _) => Plan {
+    /// The query's one plan: its pinned algorithm, or the planner's pick
+    /// for this many relations under this scoring.
+    fn plan_query(&self, spec: &QuerySpec, reducible: bool, stats: &[RelationStats]) -> Plan {
+        match spec.algorithm {
+            Some(algorithm) => Plan {
                 algorithm,
                 dominance_period: None,
                 rationale: "algorithm pinned by the query".to_string(),
             },
-            (None, Some(j)) if snapshot[drive].num_shards() > 1 => {
-                let whole = std::mem::replace(&mut stats[drive], snapshot[drive].shard(j).stats());
-                let plan = self.planner.plan(reducible, stats);
-                stats[drive] = whole;
-                plan
-            }
-            (None, _) => self.planner.plan(reducible, stats),
+            None => self.planner.plan(reducible, stats),
         }
     }
 
@@ -1719,8 +1691,8 @@ impl Engine {
     /// did execute) `spec`, without going through the result cache.
     ///
     /// Plan mode (`analyze == false`) runs exactly the planner — driving
-    /// choice, per-unit plans, the relation statistics they consumed — and
-    /// executes nothing.
+    /// choice, the query's plan carried by every unit, the relation
+    /// statistics the driving choice consumed — and executes nothing.
     ///
     /// ANALYZE executes the plan for real, but measures *real work*: both
     /// the result cache and the per-shard unit cache are bypassed (no hits

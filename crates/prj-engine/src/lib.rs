@@ -25,10 +25,12 @@
 //!   [`prj_core::ScoringSpec`] trait objects, whose cache fingerprint is
 //!   part of the trait — so anything servable is cache-safe by
 //!   construction.
-//! * [`planner`] — per execution unit, chooses among the paper's four
-//!   instantiations (CBRR/CBPA/TBRR/TBPA) and decides whether to enable
-//!   the LP dominance test, using whole-relation statistics (a cluster's
-//!   per-shard units use their driving shard's own).
+//! * [`planner`] — once per query, picks one of the paper's four
+//!   instantiations from the number of joined relations and whether the
+//!   scoring admits the Euclidean reduction: CBPA at n ≤ 2 or without the
+//!   reduction, TBPA at n ≥ 3, never the LP dominance test. Every
+//!   execution unit of the query runs that plan; a pinned algorithm
+//!   overrides it.
 //! * [`engine`] — the execution façade: a fixed worker pool
 //!   ([`executor`]), batched and streaming queries
 //!   ([`Engine::stream`] exposes the paper's incremental pulling model
@@ -119,7 +121,7 @@ pub use engine::{
 };
 pub use executor::Executor;
 pub use obs::{EngineObs, QueryTrace};
-pub use planner::{Plan, Planner, PlannerConfig};
+pub use planner::{Plan, Planner};
 pub use registry::{ScoringFactory, ScoringRegistry};
 pub use server::{RequestHandler, Server};
 pub use session::{to_row, Dispatch, Session, SessionBuilder, SessionStream};

@@ -1,41 +1,30 @@
-//! The query planner: pick an algorithm from relation statistics.
+//! The query planner: pick an algorithm from the shape of the query.
 //!
-//! The paper evaluates four operator instantiations (CBRR/CBPA/TBRR/TBPA)
-//! and characterises when each wins: the tight bound dominates the corner
-//! bound whenever the scoring function admits the Euclidean reduction
-//! (Theorems 3.2/3.3), potential-adaptive pulling never reads deeper than
-//! round-robin (Theorem 3.5) and pays off most under skew (Figure 3(g)/(h)),
-//! and the LP dominance test only amortises on deep runs (Figure 3(m)/(n)).
-//! The [`Planner`] encodes those findings as deterministic rules over the
-//! [`RelationStats`] the catalog computed at registration time, so every
-//! query gets a defensible algorithm choice without the user having to know
-//! the paper.
+//! The paper evaluates four operator instantiations (CBRR/CBPA/TBRR/TBPA).
+//! Measured in memory, where a sorted access costs about as much as a bound
+//! update, the choice comes down to two inputs — the number of joined
+//! relations and whether the scoring function admits the Euclidean
+//! reduction:
+//!
+//! * **Pulling is always potential-adaptive.** Theorem 3.5: it never reads
+//!   deeper than round-robin.
+//! * **n ≤ 2, or scoring without the Euclidean reduction: the corner
+//!   bound (CBPA).** At two relations the corner bound's O(1) update costs
+//!   less than the deeper read it causes; without the reduction the tight
+//!   bound is unavailable.
+//! * **n ≥ 3 with the Euclidean reduction: the tight bound (TBPA).** The
+//!   corner bound loosens as n grows (Figure 3(h)/(k)), and the extra depth
+//!   outgrows the tight bound's update cost.
+//! * **No LP dominance test.** Figure 3(m)/(n): it only amortises on deep
+//!   runs, and served top-K runs are shallow.
+//!
+//! The plan is a pure function of those two inputs, so one query gets one
+//! plan for all of its execution units. [`Planner::choose_driving`] still
+//! reads the catalog's [`RelationStats`]: a cluster coordinator partitions
+//! by the relation it picks, and EXPLAIN reports it.
 
 use prj_access::RelationStats;
 use prj_core::Algorithm;
-
-/// Tunable thresholds of the planning heuristics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlannerConfig {
-    /// Cardinality imbalance (max/min) beyond which relations count as
-    /// asymmetric, favouring potential-adaptive pulling.
-    pub imbalance_threshold: f64,
-    /// Per-relation depth (cardinality × k heuristic) beyond which the LP
-    /// dominance test is enabled for tight-bound runs.
-    pub dominance_cardinality: usize,
-    /// Dominance-test period used when the test is enabled.
-    pub dominance_period: usize,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            imbalance_threshold: 4.0,
-            dominance_cardinality: 4000,
-            dominance_period: 50,
-        }
-    }
-}
 
 /// The planner's decision for one query.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,18 +38,12 @@ pub struct Plan {
     pub rationale: String,
 }
 
-/// Chooses among the four ProxRJ instantiations using relation statistics.
-#[derive(Debug, Clone, Default)]
-pub struct Planner {
-    config: PlannerConfig,
-}
+/// Chooses among the four ProxRJ instantiations. Stateless: the rule has
+/// no thresholds to configure.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Planner {}
 
 impl Planner {
-    /// Creates a planner with custom thresholds.
-    pub fn with_config(config: PlannerConfig) -> Self {
-        Planner { config }
-    }
-
     /// Picks the *driving* relation of a partitioned execution — the one
     /// whose shards the combination space is split by — by estimated
     /// `sumDepths` instead of blindly taking the first. Only a cluster
@@ -109,82 +92,34 @@ impl Planner {
     ///
     /// * `scoring_reducible` — whether the scoring function exposes
     ///   Euclidean-reduction weights (tight bound available).
-    /// * `stats` — per-relation statistics, in join order.
+    /// * `stats` — per-relation statistics, in join order. Only their
+    ///   number is read: neither cardinality nor skew changes the pick.
     pub fn plan(&self, scoring_reducible: bool, stats: &[RelationStats]) -> Plan {
-        // Pulling strategy: potential-adaptive never loses (Theorem 3.5), but
-        // its potentials only differ from round-robin's choices when the
-        // relations are asymmetric — unbalanced cardinalities or skewed
-        // score distributions. Keeping round-robin on symmetric inputs makes
-        // runs byte-reproducible with the paper's TBRR/CBRR columns.
-        let max_card = stats.iter().map(|s| s.cardinality).max().unwrap_or(0);
-        let min_card = stats.iter().map(|s| s.cardinality).min().unwrap_or(0);
-        let imbalanced =
-            min_card == 0 || (max_card as f64 / min_card as f64) > self.config.imbalance_threshold;
-        let skewed = stats.iter().any(|s| s.is_score_skewed());
-        let adaptive = imbalanced || skewed;
-
-        if !scoring_reducible {
-            // No Euclidean reduction: the tight bound is unavailable, fall
-            // back to the HRJN-family corner bound.
-            let algorithm = if adaptive {
-                Algorithm::Cbpa
-            } else {
-                Algorithm::Cbrr
-            };
-            return Plan {
-                algorithm,
-                dominance_period: None,
-                rationale: format!(
-                    "scoring not Euclidean-reducible -> corner bound; {} pulling ({})",
-                    if adaptive {
-                        "potential-adaptive"
-                    } else {
-                        "round-robin"
-                    },
-                    pulling_reason(imbalanced, skewed),
-                ),
-            };
-        }
-
-        let algorithm = if adaptive {
-            Algorithm::Tbpa
+        let relations = stats.len();
+        let (algorithm, bound) = if !scoring_reducible {
+            (
+                Algorithm::Cbpa,
+                "corner bound: scoring not Euclidean-reducible".to_string(),
+            )
+        } else if relations <= 2 {
+            (
+                Algorithm::Cbpa,
+                format!("corner bound at n = {relations}: its cheap update beats the tight bound's shallower read"),
+            )
         } else {
-            Algorithm::Tbrr
-        };
-        // The LP dominance test costs one simplex solve per retained partial
-        // combination; Figure 3(m)/(n) shows it only pays off when runs go
-        // deep, which large relations make likely.
-        let dominance_period = if max_card >= self.config.dominance_cardinality {
-            Some(self.config.dominance_period)
-        } else {
-            None
+            (
+                Algorithm::Tbpa,
+                format!("tight bound at n = {relations}: the corner bound loosens as n grows (Fig. 3(h)/(k))"),
+            )
         };
         Plan {
             algorithm,
-            dominance_period,
+            dominance_period: None,
             rationale: format!(
-                "tight bound (instance-optimal); {} pulling ({}); dominance test {}",
-                if adaptive {
-                    "potential-adaptive"
-                } else {
-                    "round-robin"
-                },
-                pulling_reason(imbalanced, skewed),
-                match dominance_period {
-                    Some(p) => format!("every {p} accesses (large relations)"),
-                    None => "disabled (shallow runs expected)".to_string(),
-                },
+                "{bound}; potential-adaptive pulling (never deeper than round-robin, Theorem 3.5); \
+                 no dominance test (pays only on deep runs, Fig. 3(m)/(n))"
             ),
         }
-    }
-}
-
-fn pulling_reason(imbalanced: bool, skewed: bool) -> &'static str {
-    match (imbalanced, skewed) {
-        (true, true) => "cardinality imbalance + score skew",
-        (true, false) => "cardinality imbalance",
-        (false, true) => "score skew",
-        (false, false) => "symmetric relations",
     }
 }
 
@@ -205,33 +140,50 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_reducible_gets_tbrr() {
-        let plan = Planner::default().plan(true, &[stats(100, 0.0), stats(110, 0.1)]);
-        assert_eq!(plan.algorithm, Algorithm::Tbrr);
-        assert_eq!(plan.dominance_period, None);
-        assert!(plan.rationale.contains("round-robin"));
+    fn reducible_scoring_at_one_or_two_relations_gets_cbpa() {
+        for n in [1, 2] {
+            let plan = Planner::default().plan(true, &vec![stats(100, 0.0); n]);
+            assert_eq!(plan.algorithm, Algorithm::Cbpa, "n = {n}");
+            assert!(
+                plan.rationale.contains("corner bound"),
+                "{}",
+                plan.rationale
+            );
+        }
     }
 
     #[test]
-    fn skew_triggers_potential_adaptive() {
-        let plan = Planner::default().plan(true, &[stats(100, 1.2), stats(100, 0.0)]);
-        assert_eq!(plan.algorithm, Algorithm::Tbpa);
-        assert!(plan.rationale.contains("score skew"));
+    fn reducible_scoring_at_three_or_more_relations_gets_tbpa() {
+        for n in [3, 4] {
+            let plan = Planner::default().plan(true, &vec![stats(100, 0.0); n]);
+            assert_eq!(plan.algorithm, Algorithm::Tbpa, "n = {n}");
+            assert!(plan.rationale.contains("tight bound"), "{}", plan.rationale);
+        }
     }
 
     #[test]
-    fn imbalance_triggers_potential_adaptive() {
-        let plan = Planner::default().plan(true, &[stats(1000, 0.0), stats(50, 0.0)]);
-        assert_eq!(plan.algorithm, Algorithm::Tbpa);
-        assert!(plan.rationale.contains("imbalance"));
+    fn non_reducible_scoring_gets_cbpa_at_every_n() {
+        for n in 1..=4 {
+            let plan = Planner::default().plan(false, &vec![stats(100, 0.0); n]);
+            assert_eq!(plan.algorithm, Algorithm::Cbpa, "n = {n}");
+            assert!(plan.rationale.contains("not Euclidean-reducible"));
+        }
     }
 
     #[test]
-    fn non_reducible_scoring_falls_back_to_corner_bound() {
-        let symmetric = Planner::default().plan(false, &[stats(100, 0.0), stats(100, 0.0)]);
-        assert_eq!(symmetric.algorithm, Algorithm::Cbrr);
-        let skewed = Planner::default().plan(false, &[stats(100, 2.0), stats(100, 0.0)]);
-        assert_eq!(skewed.algorithm, Algorithm::Cbpa);
+    fn no_dominance_test_at_any_cardinality_or_skew() {
+        for reducible in [true, false] {
+            for relations in [
+                vec![stats(100_000, 0.0), stats(100_000, 0.0)],
+                vec![stats(100_000, 0.0); 3],
+                vec![stats(100_000, 3.0), stats(50, 0.0)],
+                vec![stats(100, 3.0), stats(100, -3.0), stats(100_000, 2.5)],
+            ] {
+                let plan = Planner::default().plan(reducible, &relations);
+                assert_eq!(plan.dominance_period, None, "{relations:?}");
+                assert!(plan.rationale.contains("no dominance test"));
+            }
+        }
     }
 
     #[test]
@@ -265,13 +217,5 @@ mod tests {
             planner.choose_driving(&[stats(50, 0.0), stats(1000, 0.0), stats(60, 0.0)]),
             1
         );
-    }
-
-    #[test]
-    fn large_relations_enable_dominance_test() {
-        let plan = Planner::default().plan(true, &[stats(10_000, 0.0), stats(9_000, 0.0)]);
-        assert_eq!(plan.algorithm, Algorithm::Tbrr);
-        assert_eq!(plan.dominance_period, Some(50));
-        assert!(plan.rationale.contains("every 50 accesses"));
     }
 }

@@ -2,10 +2,13 @@
 //! indistinguishable from direct `Algorithm::run` calls, and the cache must
 //! short-circuit re-execution.
 
+use prj_api::{wire, QueryRequest, Response};
 use prj_core::{Algorithm, EuclideanLogScore, ProblemBuilder, RelationBackend};
 use prj_data::{generate_synthetic, SyntheticConfig};
-use prj_engine::{Engine, EngineBuilder, QuerySpec, RelationId};
+use prj_engine::{Dispatch, Engine, EngineBuilder, QuerySpec, RelationId, Session};
 use prj_geometry::Vector;
+use prj_sub::SubscriptionManager;
+use std::sync::Arc;
 
 fn synthetic_engine(threads: usize) -> (Engine, Vec<RelationId>, Vec<Vec<prj_core::Tuple>>) {
     let relations = generate_synthetic(&SyntheticConfig {
@@ -175,4 +178,90 @@ fn mixed_workload_is_consistent() {
         "each distinct spec executes exactly once"
     );
     assert_eq!(stats.cache_hits, 48);
+}
+
+/// An engine over `n` synthetic relations of about `tuples` tuples each,
+/// partitioned into `shards` shards.
+fn planned_engine(n: usize, tuples: usize, shards: usize) -> (Engine, Vec<RelationId>) {
+    let relations = generate_synthetic(&SyntheticConfig {
+        n_relations: n,
+        density: tuples as f64,
+        ..Default::default()
+    });
+    let engine = EngineBuilder::default()
+        .threads(1)
+        .cache_capacity(0)
+        .shards(shards)
+        .build();
+    let ids = relations
+        .into_iter()
+        .enumerate()
+        .map(|(i, tuples)| engine.register(format!("R{}", i + 1), tuples))
+        .collect();
+    (engine, ids)
+}
+
+/// The planner's rule, observed through the engine: CBPA at n = 2, TBPA at
+/// n = 3, no LP dominance test at any cardinality, one plan for every
+/// unit at every shard count, and a pinned algorithm kept as given.
+#[test]
+fn planner_picks_corner_bound_at_two_relations_and_tight_bound_at_three() {
+    let query = Vector::from([0.05, -0.05]);
+
+    let (engine, ids) = planned_engine(2, 400, 1);
+    let plan = engine
+        .query(QuerySpec::top_k(ids, query.clone(), 8))
+        .expect("2-relation query")
+        .plan()
+        .clone();
+    assert_eq!(plan.algorithm, Algorithm::Cbpa, "{}", plan.rationale);
+    assert_eq!(plan.dominance_period, None);
+
+    for shards in [1, 4] {
+        let (engine, ids) = planned_engine(3, 5000, shards);
+        let spec = QuerySpec::top_k(ids, query.clone(), 8);
+        // Plan-mode EXPLAIN runs exactly the query path's planning and
+        // unit building, and executes nothing.
+        let explain = engine.explain(spec, false).expect("explain");
+        assert!(
+            explain.relations.iter().all(|r| r.cardinality >= 4500),
+            "5000-tuple relations: {:?}",
+            explain.relations
+        );
+        assert_eq!(explain.plan.algorithm, Algorithm::Tbpa, "S={shards}");
+        assert_eq!(explain.plan.dominance_period, None, "S={shards}");
+        assert!(!explain.units.is_empty());
+        for unit in &explain.units {
+            assert_eq!(
+                unit.plan, explain.plan,
+                "S={shards}: every unit runs the query's plan"
+            );
+        }
+    }
+
+    for (n, pinned) in [(2, Algorithm::Tbrr), (3, Algorithm::Cbrr)] {
+        let (engine, ids) = planned_engine(n, 100, 1);
+        let served = engine
+            .query(QuerySpec::top_k(ids, query.clone(), 8).with_algorithm(pinned))
+            .expect("pinned query");
+        assert_eq!(served.plan().algorithm, pinned, "n = {n}");
+        assert_eq!(served.plan().dominance_period, None);
+        assert!(served.plan().rationale.contains("pinned"));
+    }
+}
+
+#[test]
+fn a_two_relation_subscription_acks_cbpa() {
+    let (engine, _) = planned_engine(2, 400, 1);
+    let manager = SubscriptionManager::new(Session::new(Arc::new(engine)), 0);
+    let request = QueryRequest::new(vec!["R1".into(), "R2".into()], [0.0, 0.0]).k(4);
+    let Ok(Dispatch::Subscribed { ack, .. }) = manager.subscribe(request) else {
+        panic!("subscribe failed");
+    };
+    let Response::Subscribed { ref algorithm, .. } = ack else {
+        panic!("unexpected ack: {ack:?}");
+    };
+    assert_eq!(algorithm, "CBPA");
+    let line = wire::encode_response(&ack);
+    assert!(line.contains(" algo=CBPA "), "{line}");
 }
