@@ -12,16 +12,6 @@
 //!   (Appendix C).
 //! * [`report`] — plain-text / Markdown rendering of the result tables, used
 //!   both by the `experiments` binary and by `EXPERIMENTS.md`.
-//! * [`macrobench`] — the pinned, reproducible serving benchmark behind the
-//!   committed `BENCH_*.json` trajectory files: per-shape × per-shard-count
-//!   latency/throughput/`sumDepths` lanes plus a tracing-overhead pair (the
-//!   `macrobench` bin).
-//! * [`bench_diff`] — the regression gate over two committed trajectories:
-//!   per-lane p50/p99/qps drift, failing on a >1.2x p99 regression in any
-//!   lane (the `bench-diff` bin, run by CI).
-//! * [`throughput`] — a serving-system experiment beyond the paper's figures:
-//!   queries/second through the `prj-engine` subsystem as the worker-thread
-//!   count grows, plus cache-hit vs cold-query cost (the `throughput` bin).
 //!
 //! The Criterion benches under `benches/` measure wall-clock time of the same
 //! workloads at reduced sizes; the `experiments` binary is the tool that
@@ -30,20 +20,19 @@
 //! ```text
 //! cargo run --release -p prj-bench --bin experiments -- --figure all --quick
 //! ```
+//!
+//! This crate measures the paper's operator, not the serving system. The
+//! served system's timing is the standalone `prjbench` package (workloads
+//! and bounds in `BENCHMARK.json`); the operator's deterministic counters on
+//! the served path are pinned exactly by `prj-engine`'s `tests/counters.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_diff;
 pub mod experiments;
 pub mod harness;
-pub mod macrobench;
 pub mod report;
-pub mod throughput;
 
-pub use bench_diff::{diff_lanes, parse_lanes, BenchDiff, LaneSnapshot};
 pub use experiments::{ExperimentTable, Figure};
 pub use harness::{AggregatedOutcome, CaseConfig, RunAggregate};
-pub use macrobench::{run_macrobench, MacroBenchConfig, MacroBenchReport, NotifyLaneResult};
 pub use report::render_table;
-pub use throughput::{run_throughput, ThroughputConfig, ThroughputOutcome};

@@ -183,13 +183,6 @@ impl QuerySpec {
         }
     }
 
-    /// Enables bound-convergence capture: the operator samples its
-    /// (kth-score, bound) race every `every` sorted accesses.
-    pub fn with_convergence(mut self, every: usize) -> Self {
-        self.convergence = every;
-        self
-    }
-
     /// Joins an already-open trace: the query's root span becomes a child
     /// of `trace.parent` (a coordinator's dispatch span, say) instead of a
     /// trace root.
@@ -986,7 +979,7 @@ fn relation_depths(relations: &[usize], result: &RankJoinResult) -> Vec<(usize, 
 /// query didn't pin one of its own: fine enough to show the bound closing
 /// on the kth score, coarse enough to stay far under the trajectory cap on
 /// realistic depths.
-pub const ANALYZE_CONVERGENCE_EVERY: usize = 16;
+const ANALYZE_CONVERGENCE_EVERY: usize = 16;
 
 /// One relation's planner inputs, as EXPLAIN reports them: the statistics
 /// the driving choice consumed and the discounted depth estimate derived
@@ -1224,11 +1217,6 @@ impl Engine {
     /// backend's topology generation.
     pub fn set_remote_backend(&self, backend: Arc<dyn RemoteUnitBackend>) {
         *self.remote.write().expect("remote backend lock") = Some(backend);
-    }
-
-    /// Removes the remote backend; execution falls back to local.
-    pub fn clear_remote_backend(&self) {
-        *self.remote.write().expect("remote backend lock") = None;
     }
 
     fn remote_backend(&self) -> Option<Arc<dyn RemoteUnitBackend>> {
@@ -1681,12 +1669,6 @@ impl Engine {
         self.submit(spec).wait()
     }
 
-    /// Submits a batch and waits for every result, preserving order.
-    pub fn query_batch(&self, specs: Vec<QuerySpec>) -> Vec<Result<EngineResult, EngineError>> {
-        let tickets: Vec<QueryTicket> = specs.into_iter().map(|s| self.submit(s)).collect();
-        tickets.into_iter().map(|t| t.wait()).collect()
-    }
-
     /// EXPLAIN / EXPLAIN ANALYZE: reports how the engine would execute (or
     /// did execute) `spec`, without going through the result cache.
     ///
@@ -1700,7 +1682,7 @@ impl Engine {
     /// accesses that execution actually performed and the per-unit depths
     /// sum exactly to the `sumDepths` the engine's statistics advance by.
     /// Bound-convergence capture is forced on (at
-    /// [`ANALYZE_CONVERGENCE_EVERY`] unless the spec pinned a stride), and
+    /// `ANALYZE_CONVERGENCE_EVERY` unless the spec pinned a stride), and
     /// the run is accounted like any executed query: metrics, engine
     /// stats, spans, and the trace drain all see it.
     ///

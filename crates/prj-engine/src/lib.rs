@@ -117,7 +117,6 @@ pub use engine::{
     AnalyzeData, Engine, EngineBuilder, EngineError, EngineResult, ExplainData, InProcessBackend,
     MutationEvent, MutationKind, MutationObserver, QuerySpec, QueryTicket, RelationPlanData,
     RemoteUnitBackend, RemoteUnitCall, ResultStream, UnitPlanData, UnitProfileData,
-    ANALYZE_CONVERGENCE_EVERY,
 };
 pub use executor::Executor;
 pub use obs::{EngineObs, QueryTrace};

@@ -1,11 +1,12 @@
-//! Spatial and sorted access substrate for proximity rank join.
+//! Spatial access substrate for proximity rank join.
 //!
 //! The paper assumes that every input relation can be consumed through
 //! *sorted access*: either by increasing distance from the query point
 //! (distance-based access, e.g. a location-aware search service) or by
 //! decreasing score (score-based access, e.g. a ratings service). The paper's
 //! prototype delegates this to remote Web services; this reproduction builds
-//! the substrate itself:
+//! the substrate itself. Score-based access needs only a score-sorted array
+//! (`prj-access`'s score lane); distance-based access needs the index here:
 //!
 //! * [`rtree::RTree`] — an in-memory R-tree over `d`-dimensional points with
 //!   Sort-Tile-Recursive-style bulk loading, quadratic-split insertion, range
@@ -22,8 +23,6 @@
 //!   borrows the tree per call, so many concurrent queries can walk one
 //!   immutable tree shared behind an `Arc` (the access path used by the
 //!   `prj-engine` catalog).
-//! * [`sorted::ScoreIndex`] — a score-sorted access path (a sorted array with
-//!   incremental consumption), the analogue for score-based access.
 //!
 //! The R-tree is generic over the payload type `T` carried by each point.
 
@@ -33,9 +32,7 @@
 pub mod arena;
 pub mod cursor;
 pub mod rtree;
-pub mod sorted;
 
 pub use arena::{ArenaError, NodeId};
 pub use cursor::NearestCursor;
 pub use rtree::{NearestIter, NearestNeighbor, RTree, RTreeConfig};
-pub use sorted::{ScoreIndex, ScoredItem};

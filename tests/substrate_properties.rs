@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use proximity_rank_join::core::{EuclideanLogScore, ScoringFunction};
-use proximity_rank_join::index::{RTree, ScoreIndex};
+use proximity_rank_join::index::RTree;
 use proximity_rank_join::prelude::Vector;
 use proximity_rank_join::solver::{halfspaces_feasible, ray_optimum, BoundedQp, Matrix};
 
@@ -209,22 +209,5 @@ proptest! {
         for (g, e) in got.iter().zip(expected.iter()) {
             prop_assert!((g - e).abs() < 1e-9);
         }
-    }
-
-    /// The score index always yields a non-increasing score sequence and
-    /// `at_least` returns exactly the items above the threshold.
-    #[test]
-    fn score_index_ordering(
-        scores in prop::collection::vec(0.0..1.0f64, 1..60),
-        threshold in 0.0..1.0f64,
-    ) {
-        let idx = ScoreIndex::build(scores.iter().copied().enumerate().map(|(i, s)| (s, i)).collect());
-        let ordered: Vec<f64> = idx.iter().map(|item| item.score).collect();
-        for w in ordered.windows(2) {
-            prop_assert!(w[0] >= w[1]);
-        }
-        let above = idx.at_least(threshold);
-        prop_assert_eq!(above.len(), scores.iter().filter(|&&s| s >= threshold).count());
-        prop_assert!(above.iter().all(|item| item.score >= threshold));
     }
 }
