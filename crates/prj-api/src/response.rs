@@ -180,7 +180,8 @@ pub struct UnitOutcome {
     pub depths: Vec<u64>,
     /// Number of `updateBound` evaluations.
     pub bound_updates: u64,
-    /// Number of combinations formed.
+    /// Number of combinations scored: cross-product members the solo
+    /// bound could not rule out of the top K.
     pub combinations_formed: u64,
     /// Active execution time in microseconds.
     pub micros: u64,

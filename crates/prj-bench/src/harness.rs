@@ -67,7 +67,8 @@ pub struct AggregatedOutcome {
     pub bound_cpu_s: f64,
     /// Mean dominance-test time (seconds).
     pub dominance_cpu_s: f64,
-    /// Mean number of combinations formed.
+    /// Mean number of combinations scored (those the solo bound could not
+    /// rule out of the top K).
     pub combinations: f64,
     /// Number of repetitions that hit the access cap.
     pub capped_runs: usize,

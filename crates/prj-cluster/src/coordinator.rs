@@ -2,7 +2,7 @@
 //! fanned out to worker processes.
 //!
 //! A [`Coordinator`] owns the authoritative catalog (a normal sharded
-//! [`Engine`]) and installs a [`ClusterBackend`] into it, so the engine's
+//! [`Engine`]) and installs a `ClusterBackend` into it, so the engine's
 //! executor ships per-driving-shard units over the [`WorkerPool`]'s
 //! persistent `prj/2` connections instead of running them locally. Partial
 //! results recombine through the engine's existing bound-aware merge

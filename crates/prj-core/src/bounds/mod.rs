@@ -41,6 +41,14 @@ pub trait BoundingScheme<S: ScoringFunction>: Send {
     /// potential results shrank). Returns the new bound.
     fn update(&mut self, state: &JoinState, scoring: &S, accessed: Option<usize>) -> f64;
 
+    /// Hands the scheme the run's floor before an [`update`](Self::update):
+    /// the K-th retained score `kth` of a full output buffer and the
+    /// termination tolerance `tolerance`. The operator stops once
+    /// `kth >= t + tolerance`, and `kth` never decreases, so a scheme may
+    /// stop maintaining any part of its bound that provably can never again
+    /// reach that test. The default ignores the floor.
+    fn set_floor(&mut self, _kth: f64, _tolerance: f64) {}
+
     /// The current bound (value returned by the last [`update`](Self::update)).
     fn bound(&self) -> f64;
 

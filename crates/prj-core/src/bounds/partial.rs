@@ -8,7 +8,8 @@
 //! (Algorithm 2, line 7: only combinations using the newly retrieved tuple
 //! are added).
 
-/// One partial combination `τ ∈ PC(M)`: cached bound and dominance flag.
+/// One partial combination `τ ∈ PC(M)`: cached bound, dominance and
+/// retirement flags.
 /// Its access ranks live in the owning [`SubsetState`]'s flat `ranks` lane
 /// (struct-of-arrays), addressed by the partial's index.
 #[derive(Debug, Clone)]
@@ -19,6 +20,11 @@ pub struct PartialCombination {
     /// combination as dominated; dominated combinations are never
     /// re-evaluated (dominance is permanent).
     pub dominated: bool,
+    /// `true` once the run's floor has shown that the completion bound can
+    /// never again reach the termination test; retired combinations are
+    /// never re-evaluated either. Kept apart from `dominated`, which counts
+    /// the dominance test's work alone.
+    pub retired: bool,
 }
 
 impl PartialCombination {
@@ -27,6 +33,7 @@ impl PartialCombination {
         PartialCombination {
             bound: f64::NAN,
             dominated: false,
+            retired: false,
         }
     }
 

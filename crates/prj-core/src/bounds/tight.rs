@@ -26,7 +26,10 @@
 //! only recomputed when they can have changed (Algorithm 2): when the partial
 //! combination uses the newly retrieved tuple, or when the access frontier of
 //! one of its *unseen* relations moved. Dominated partial combinations
-//! (Sec. 3.2.2) are skipped permanently.
+//! (Sec. 3.2.2) are skipped permanently, and so are those the run's floor
+//! retires: once the output buffer is full, a partial whose completion
+//! bound can never again reach the termination test is never re-evaluated
+//! (see [`TightBound`]'s `set_floor`).
 
 use super::partial::{proper_subsets, SubsetState};
 use super::BoundingScheme;
@@ -41,6 +44,24 @@ use std::time::{Duration, Instant};
 /// Upper bound on the number of relations: subsets are `u32` bitmasks (see
 /// [`proper_subsets`]), so a combination has fewer than 32 members.
 const MAX_RELATIONS: usize = 32;
+
+/// Relative margin a completion bound must clear below the floor before its
+/// partial combination is retired (see [`TightBound`]'s `set_floor`).
+const RETIRE_MARGIN: f64 = 1e-9;
+
+/// `true` when `floor = (kth, tolerance)` shows that completion bound `b`
+/// can never again reach the termination test `kth >= t + tolerance`: the
+/// test itself, with `b` lifted by [`RETIRE_MARGIN`] relative to its size.
+fn below_floor(floor: Option<(f64, f64)>, b: f64) -> bool {
+    floor.is_some_and(|(kth, tolerance)| {
+        let lifted = if b.is_finite() {
+            b + RETIRE_MARGIN * b.abs().max(1.0)
+        } else {
+            b
+        };
+        kth >= lifted + tolerance
+    })
+}
 
 /// Configuration of the tight bounding scheme.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,6 +85,10 @@ pub struct TightBound {
     dominance_tests: usize,
     dominated: usize,
     dominance_time: Duration,
+    /// The run's floor, `(kth, tolerance)`, once its output buffer is full;
+    /// and the number of partial combinations retired under it.
+    floor: Option<(f64, f64)>,
+    retired: usize,
     /// Scratch lanes reused across `update` calls: the per-relation depths,
     /// and the queue of partial indices gathered by the streaming pass over
     /// a subset's flat ranks lane before (re)evaluation.
@@ -95,6 +120,8 @@ impl TightBound {
             dominance_tests: 0,
             dominated: 0,
             dominance_time: Duration::ZERO,
+            floor: None,
+            retired: 0,
             depths: Vec::with_capacity(n),
             eval_queue: Vec::new(),
             ray: Vector::zeros(0),
@@ -115,6 +142,11 @@ impl TightBound {
     /// Number of LP dominance tests performed so far.
     pub fn dominance_tests(&self) -> usize {
         self.dominance_tests
+    }
+
+    /// Number of partial combinations retired under the run's floor.
+    pub fn retired_partials(&self) -> usize {
+        self.retired
     }
 
     /// Cached subset bound `t_M` for the subset with the given bitmask.
@@ -348,7 +380,7 @@ impl<S: ScoringFunction> BoundingScheme<S> for TightBound {
             let accessed_pos = accessed.map(|i| (i, subset.member_position(i)));
             self.eval_queue.clear();
             for (partial_index, partial) in subset.partials.iter().enumerate() {
-                if partial.dominated {
+                if partial.dominated || partial.retired {
                     continue;
                 }
                 let uses_new = match accessed_pos {
@@ -396,14 +428,22 @@ impl<S: ScoringFunction> BoundingScheme<S> for TightBound {
                     }
                 }
             }
-            // t_M = max over (non-dominated) partial combinations.
+            // t_M = max over the non-dominated partial combinations, retiring
+            // those the floor shows can never matter again. A retired partial
+            // keeps counting with its last value, which lies below the floor.
+            let floor = self.floor;
             let subset = &mut self.subsets[subset_index];
-            let mut best = subset
-                .partials
-                .iter()
-                .filter(|p| !p.dominated && !p.bound.is_nan())
-                .map(|p| p.bound)
-                .fold(f64::NEG_INFINITY, f64::max);
+            let mut best = f64::NEG_INFINITY;
+            for p in &mut subset.partials {
+                if p.dominated || p.bound.is_nan() {
+                    continue;
+                }
+                if !p.retired && below_floor(floor, p.bound) {
+                    p.retired = true;
+                    self.retired += 1;
+                }
+                best = best.max(p.bound);
+            }
             if best == f64::NEG_INFINITY {
                 // Either nothing has been evaluated yet (no combinations can be
                 // formed for this subset) or — defensively — everything was
@@ -436,6 +476,36 @@ impl<S: ScoringFunction> BoundingScheme<S> for TightBound {
         }
         self.bound = bound;
         bound
+    }
+
+    /// Records the floor under which `update` retires partial combinations.
+    ///
+    /// A partial with completion bound `b` is retired once
+    /// `kth >= lift(b) + tolerance`, `lift(b) = b + 1e-9·max(1, |b|)`: the
+    /// operator's own termination test, with `b` lifted by a margin. A
+    /// margin only costs pruning. Why retiring never changes the run:
+    ///
+    /// * Completion bounds do not increase as depths grow (the unseen
+    ///   frontiers only tighten), and `kth` never decreases, so the value
+    ///   the partial would take in any later update stays below the test.
+    ///   The relative part of the margin absorbs the closed form's rounding,
+    ///   which need not be monotone bit for bit.
+    /// * A retired partial keeps counting in `t_M` with its last value,
+    ///   which lies below the test, so a subset whose partials all retire
+    ///   never falls back to the stale values of dominated ones. While the
+    ///   run goes on, `kth < t + tolerance`, so `t` is attained by a partial
+    ///   that is not retired and keeps its bits, as does every potential
+    ///   that could pass the test. Where the unpruned run stops, this one
+    ///   stops at the same test; only the bound it then reports may differ,
+    ///   and that bound still certifies the stop.
+    /// * A potential that retirement changes stays more than the margin,
+    ///   at least 1e-9, below `t`. Potential-adaptive pulling ties within
+    ///   1e-12, and a chain of ties over fewer than 32 relations drifts its
+    ///   pick at most 31·1e-12 below `t`. So such a potential is never
+    ///   picked and never decides which relation is: the pull sequence, the
+    ///   depths and the rows are those of the unpruned run.
+    fn set_floor(&mut self, kth: f64, tolerance: f64) {
+        self.floor = Some((kth, tolerance));
     }
 
     fn bound(&self) -> f64 {

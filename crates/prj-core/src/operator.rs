@@ -17,6 +17,26 @@
 //!   sorted accesses as needed to certify the *next* result, mirroring the
 //!   paper's incremental pulling model. This is the entry point the
 //!   `prj-engine` serving layer uses.
+//!
+//! Both inner loops are pruned by the running K-th score, exactly:
+//!
+//! * **Solo bound.** Under a scoring whose [`euclidean_weights`] is `Some`,
+//!   each member's term `g(σ, δ(x, q), δ(x, μ))` does not increase with
+//!   `δ(x, μ)` (Eq. 1–2), so a tuple's *solo* score `g(σ, δ(x, q), 0)` bounds
+//!   its term in every combination. Once the output buffer is full, a
+//!   combination whose solo sum is strictly below the K-th score is never
+//!   scored, and a new tuple whose solo score cannot lift any combination
+//!   to the K-th score is joined with nothing (see `form_combinations`).
+//! * **Floor.** Before each bound update the operator hands the bounding
+//!   scheme the K-th score ([`BoundingScheme::set_floor`]); the tight bound
+//!   retires the partial combinations that can never again reach the
+//!   termination test.
+//!
+//! Neither changes what the operator reads or returns: depths, bound
+//! updates, the pull sequence and the rows are those of the unpruned run;
+//! only `combinations_formed` counts fewer scored combinations.
+//!
+//! [`euclidean_weights`]: crate::scoring::ScoringFunction::euclidean_weights
 
 use crate::bounds::BoundingScheme;
 use crate::combination::{ScoredCombination, TopKBuffer};
@@ -51,6 +71,12 @@ pub struct TrajectoryPoint {
 /// points; this is a backstop).
 const MAX_TRAJECTORY_POINTS: usize = 4096;
 
+/// Coordinates within `±10^120` keep every centroid distance of a
+/// combination (fewer than 32 members) finite in any dimension below
+/// `10^65`, which the solo bound's IEEE argument needs; a tuple with a
+/// coordinate beyond it gets a NaN solo score and is never pruned.
+const SOLO_COORDINATE_LIMIT: f64 = 1e120;
+
 /// Instrumentation collected during one ProxRJ execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunMetrics {
@@ -66,7 +92,8 @@ pub struct RunMetrics {
     pub dominance_time: Duration,
     /// Number of `updateBound` invocations.
     pub bound_updates: usize,
-    /// Number of combinations formed (cross-product members scored).
+    /// Number of combinations formed (cross-product members scored). A
+    /// combination the solo bound rules out is never scored and not counted.
     pub combinations_formed: usize,
     /// Number of partial combinations flagged as dominated.
     pub dominated_partials: usize,
@@ -140,6 +167,12 @@ struct RunCore {
     /// enumerating their seen prefixes.
     combo_others: Vec<usize>,
     combo_counters: Vec<usize>,
+    /// Per-relation solo-score lanes, aligned with the join state's
+    /// buffers by access rank, and each relation's best solo score so far
+    /// (NaN once any of its solo scores is NaN). Both stay empty when the
+    /// scoring does not opt in to solo-bound pruning.
+    solo: Vec<Vec<f64>>,
+    best_solo: Vec<f64>,
     /// Time spent actively stepping the operator (excludes any time an
     /// incremental run sits idle between `next_certified` calls).
     work_time: std::time::Duration,
@@ -160,6 +193,13 @@ impl RunCore {
         let max_scores = problem.relations().max_scores();
 
         let state = JoinState::new(Arc::clone(&query), kind, &max_scores);
+        // Solo-bound pruning needs the Eq. 2 form `euclidean_weights`
+        // promises, with a non-negative centroid weight.
+        let prune = problem
+            .scoring()
+            .euclidean_weights()
+            .is_some_and(|w| w.w_mu >= 0.0);
+        let lanes = if prune { n } else { 0 };
         let mut metrics = RunMetrics::default();
         let bound_started = Instant::now();
         let t = bound.update(&state, problem.scoring(), None);
@@ -181,6 +221,8 @@ impl RunCore {
             potentials: Vec::with_capacity(n),
             combo_others: Vec::with_capacity(n),
             combo_counters: Vec::with_capacity(n),
+            solo: vec![Vec::new(); lanes],
+            best_solo: vec![f64::NEG_INFINITY; lanes],
             work_time: setup_started.elapsed(),
         }
     }
@@ -247,6 +289,7 @@ impl RunCore {
         match problem.relations_mut().relation_mut(i).next_tuple() {
             None => {
                 self.state.mark_exhausted(i);
+                self.hand_floor(bound);
                 let bound_started = Instant::now();
                 self.t = bound.update(&self.state, problem.scoring(), None);
                 self.metrics.bound_time += bound_started.elapsed();
@@ -254,15 +297,27 @@ impl RunCore {
             }
             Some(tuple) => {
                 self.stats.record_access(i);
+                // The tuple's distance from the query under the aggregation
+                // function's own metric δ, which its solo score reuses.
+                let dist = problem.scoring().distance(&tuple.vector, &self.query);
+                let solo = self.solo_score(problem.scoring(), &tuple, dist);
                 // Join with the seen prefixes of the other relations (line 6–7),
                 // *before* adding the new tuple to its own buffer.
-                let formed = self.form_combinations(problem.scoring(), i, &tuple);
+                let formed = self.form_combinations(problem.scoring(), i, &tuple, solo);
                 self.metrics.combinations_formed += formed;
-                // Line 8: add the tuple to P_i, recording its distance from the
-                // query under the aggregation function's own metric δ.
-                let dist = problem.scoring().distance(&tuple.vector, &self.query);
+                // Line 8: add the tuple to P_i.
                 self.state.push_tuple_with_distance(i, tuple, dist);
+                if let Some(lane) = self.solo.get_mut(i) {
+                    lane.push(solo);
+                    let best = &mut self.best_solo[i];
+                    *best = if solo.is_nan() || best.is_nan() {
+                        f64::NAN
+                    } else {
+                        best.max(solo)
+                    };
+                }
                 // Line 9: update the bound.
+                self.hand_floor(bound);
                 let bound_started = Instant::now();
                 self.t = bound.update(&self.state, problem.scoring(), Some(i));
                 self.metrics.bound_time += bound_started.elapsed();
@@ -358,9 +413,53 @@ impl RunCore {
         self.emitted.len() / self.n
     }
 
-    /// Forms every combination `P_1 × … × {new} × … × P_n`, scores it and
-    /// pushes it into the output buffer (Algorithm 1 lines 6–7). Returns the
-    /// number of combinations formed.
+    /// A tuple's solo score `g(σ, δ(x, q), 0)`: its term in any combination
+    /// with the centroid distance dropped, which bounds that term (see
+    /// [`Self::form_combinations`]). NaN, which never prunes, when the scoring
+    /// does not opt in, or when a coordinate is not within
+    /// `±SOLO_COORDINATE_LIMIT`: beyond it a combination's centroid distance
+    /// could overflow and turn its term NaN while the solo score is not.
+    fn solo_score<S: ScoringFunction>(&self, scoring: &S, tuple: &Tuple, dist: f64) -> f64 {
+        if self.solo.is_empty()
+            || !tuple
+                .vector
+                .iter()
+                .all(|c| c.abs() <= SOLO_COORDINATE_LIMIT)
+        {
+            return f64::NAN;
+        }
+        scoring.proximity_weighted_score(tuple.score, dist, 0.0)
+    }
+
+    /// Hands the bounding scheme the K-th score as its floor, once the
+    /// output buffer is full (see [`BoundingScheme::set_floor`]).
+    fn hand_floor<S: ScoringFunction>(&self, bound: &mut dyn BoundingScheme<S>) {
+        if self.output.is_full() {
+            bound.set_floor(self.output.kth_score(), self.config.termination_tolerance);
+        }
+    }
+
+    /// Forms the combinations `P_1 × … × {new} × … × P_n` that can enter the
+    /// top-K buffer, scores them and pushes them into it (Algorithm 1 lines
+    /// 6–7). Returns the number of combinations scored.
+    ///
+    /// Once the buffer is full, its K-th score `kth` prunes, exactly. The
+    /// scoring's `euclidean_weights` promise makes every term of
+    /// `score_members` at most the member's solo score, `g(σ, d, e) ≤
+    /// g(σ, d, 0)` with the same `d` bits, and NaN there only where the solo
+    /// score is `+∞` or NaN. For Eq. 2 the two are `X − w_μ·e²` and `X − 0`:
+    /// IEEE subtraction of a non-negative term never rounds above the
+    /// minuend, and `e` is finite within `SOLO_COORDINATE_LIMIT`. IEEE
+    /// addition is monotone in each operand, so the solo scores summed from
+    /// zero in member order, the additions `score_members` makes, bound the
+    /// score bit for bit; substituting each other relation's best solo
+    /// score bounds every combination with the new tuple at once. NaN never
+    /// prunes: a NaN bound or `kth` fails every `<`, and an addition that
+    /// turns a score NaN (`+∞ + −∞`, or a NaN term) meets a `+∞` or NaN on
+    /// the solo side, which leaves the bound `+∞` or NaN. So a combination
+    /// whose bound is strictly below `kth` scores strictly below it too, and
+    /// the buffer would reject it (`!(score < kth)` below); ties and NaN
+    /// are still scored.
     ///
     /// The hot path scores each combination straight from the buffer-resident
     /// tuples; member tuples are cloned only when the score can actually
@@ -371,11 +470,25 @@ impl RunCore {
         scoring: &S,
         new_relation: usize,
         new_tuple: &Tuple,
+        new_solo: f64,
     ) -> usize {
         let n = self.n;
         // Every other relation must have at least one seen tuple.
         if (0..n).any(|j| j != new_relation && self.state.depth(j) == 0) {
             return 0;
+        }
+        let prune = !self.solo.is_empty();
+        if prune && self.output.is_full() {
+            let best = (0..n).fold(0.0, |acc, j| {
+                acc + if j == new_relation {
+                    new_solo
+                } else {
+                    self.best_solo[j]
+                }
+            });
+            if best < self.output.kth_score() {
+                return 0;
+            }
         }
         self.combo_others.clear();
         self.combo_others
@@ -385,48 +498,63 @@ impl RunCore {
         let mut members: Vec<(&Vector, f64)> = Vec::with_capacity(n);
         let mut formed = 0;
         loop {
-            // Assemble the member views in relation order and score them.
-            members.clear();
-            let mut oi = 0;
-            for j in 0..n {
-                if j == new_relation {
-                    members.push((&new_tuple.vector, new_tuple.score));
-                } else {
-                    let t = self
-                        .state
-                        .buffer(j)
-                        .get(self.combo_counters[oi])
-                        .expect("seen rank");
-                    members.push((&t.vector, t.score));
-                    oi += 1;
-                }
-            }
-            let score = scoring.score_members(&members, &self.query);
-            formed += 1;
-            // Materialise the owned combination only when it can be
-            // retained. NaN-safe: `!(score < kth)` keeps NaN scores on the
-            // materialise path (`total_cmp` orders them deterministically),
-            // and an IEEE-strict `score < kth` guarantees the buffer would
-            // reject, so nothing insertable is ever skipped.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !self.output.is_full() || !(score < self.output.kth_score()) {
-                let mut tuples: Vec<Tuple> = Vec::with_capacity(n);
+            // The K-th score is read afresh: insertions only raise it.
+            let pruned = prune && self.output.is_full() && {
+                let mut oi = 0;
+                let bound = (0..n).fold(0.0, |acc, j| {
+                    acc + if j == new_relation {
+                        new_solo
+                    } else {
+                        oi += 1;
+                        self.solo[j][self.combo_counters[oi - 1]]
+                    }
+                });
+                bound < self.output.kth_score()
+            };
+            if !pruned {
+                // Assemble the member views in relation order and score them.
+                members.clear();
                 let mut oi = 0;
                 for j in 0..n {
                     if j == new_relation {
-                        tuples.push(new_tuple.clone());
+                        members.push((&new_tuple.vector, new_tuple.score));
                     } else {
-                        tuples.push(
-                            self.state
-                                .buffer(j)
-                                .get(self.combo_counters[oi])
-                                .expect("seen rank")
-                                .clone(),
-                        );
+                        let t = self
+                            .state
+                            .buffer(j)
+                            .get(self.combo_counters[oi])
+                            .expect("seen rank");
+                        members.push((&t.vector, t.score));
                         oi += 1;
                     }
                 }
-                self.output.insert(ScoredCombination::new(tuples, score));
+                let score = scoring.score_members(&members, &self.query);
+                formed += 1;
+                // Materialise the owned combination only when it can be
+                // retained. NaN-safe: `!(score < kth)` keeps NaN scores on the
+                // materialise path (`total_cmp` orders them deterministically),
+                // and an IEEE-strict `score < kth` guarantees the buffer would
+                // reject, so nothing insertable is ever skipped.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                if !self.output.is_full() || !(score < self.output.kth_score()) {
+                    let mut tuples: Vec<Tuple> = Vec::with_capacity(n);
+                    let mut oi = 0;
+                    for j in 0..n {
+                        if j == new_relation {
+                            tuples.push(new_tuple.clone());
+                        } else {
+                            tuples.push(
+                                self.state
+                                    .buffer(j)
+                                    .get(self.combo_counters[oi])
+                                    .expect("seen rank")
+                                    .clone(),
+                            );
+                            oi += 1;
+                        }
+                    }
+                    self.output.insert(ScoredCombination::new(tuples, score));
+                }
             }
             // Mixed-radix increment over the other relations' seen depths.
             let mut carry = true;

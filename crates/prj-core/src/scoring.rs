@@ -114,6 +114,15 @@ pub trait ScoringFunction: Send + Sync {
     /// weights, enabling the tight-bound reduction of Sec. 3.2.1 (collinearity
     /// theorem + 1-D QP). Returns `None` otherwise, in which case only the
     /// corner bound and the exhaustive baseline are available.
+    ///
+    /// `Some` also promises, bit for bit, the form the operator's solo-bound
+    /// pruning relies on: [`score_members`](Self::score_members) is
+    /// `Σᵢ g(σᵢ, ‖xᵢ − q‖, ‖xᵢ − μ‖)`, summed in member order, with
+    /// `g =` [`proximity_weighted_score`](Self::proximity_weighted_score)
+    /// and `‖xᵢ − q‖` the same bits as [`distance`](Self::distance)`(xᵢ, q)`;
+    /// and, for every finite `e ≥ 0`, `g(σ, d, e) ≤ g(σ, d, 0)`, where a NaN
+    /// on the left is allowed only with `+∞` or NaN on the right. A scoring
+    /// that cannot keep that promise returns `None` and is not pruned.
     fn euclidean_weights(&self) -> Option<Weights> {
         None
     }

@@ -23,7 +23,7 @@
 //!
 //! Scoring is an *open set*: a [`QuerySpec`] carries an
 //! `Arc<dyn ScoringSpec>` and the engine exposes a
-//! [`ScoringRegistry`](crate::registry::ScoringRegistry) that resolves
+//! [`ScoringRegistry`] that resolves
 //! wire-level `(name, params)` selectors — including families registered at
 //! runtime by embedding code. Mutations ([`Engine::append_rows`],
 //! [`Engine::drop_relation`]) bump the target relation's epoch, which the

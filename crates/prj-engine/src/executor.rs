@@ -1,10 +1,11 @@
 //! The concurrent executor: a fixed pool of worker threads.
 //!
 //! Queries are pure CPU work over shared immutable structures, so a classic
-//! fixed-size thread pool over an [`mpsc`] job queue is all the engine needs
-//! — no async runtime, no work stealing. Jobs are boxed closures; results
-//! travel back to the caller through per-query channels owned by the
-//! [`crate::engine::QueryTicket`] / [`crate::engine::ResultStream`] handles.
+//! fixed-size thread pool over an [`mpsc`](std::sync::mpsc) job queue is all
+//! the engine needs — no async runtime, no work stealing. Jobs are boxed
+//! closures; results travel back to the caller through per-query channels
+//! owned by the [`crate::engine::QueryTicket`] /
+//! [`crate::engine::ResultStream`] handles.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};

@@ -328,4 +328,82 @@ mod tests {
         assert_eq!(s.euclidean_weights().unwrap().w_s, 2.0);
         assert_eq!(registry.names().len(), 3);
     }
+
+    /// `EuclideanLogScore` behind a wrapper that forgot to forward
+    /// `euclidean_weights`, the solo bound's opt-in.
+    #[derive(Debug)]
+    struct Forgetful(EuclideanLogScore);
+
+    impl ScoringFunction for Forgetful {
+        fn proximity_weighted_score(&self, sigma: f64, dq: f64, dmu: f64) -> f64 {
+            self.0.proximity_weighted_score(sigma, dq, dmu)
+        }
+
+        fn score_members(
+            &self,
+            members: &[prj_core::scoring::Member<'_>],
+            query: &prj_geometry::Vector,
+        ) -> f64 {
+            self.0.score_members(members, query)
+        }
+    }
+
+    /// Runs CBPA at k = 8 over two fixed 200-tuple relations and returns the
+    /// rows (ids and score bits) and the number of combinations scored.
+    fn scored<S: ScoringFunction>(scoring: S) -> (Vec<(Vec<prj_core::TupleId>, u64)>, usize) {
+        let relation = |rel: usize| -> Vec<prj_core::Tuple> {
+            (0..200)
+                .map(|i| {
+                    let x = ((i * 37 + rel * 13) % 101) as f64 / 20.0 - 2.5;
+                    let y = ((i * 53 + rel * 29) % 97) as f64 / 20.0 - 2.5;
+                    let score = ((i * 17 + rel * 7) % 23) as f64 / 23.0 + 0.05;
+                    prj_core::Tuple::new(
+                        prj_core::TupleId::new(rel, i),
+                        prj_geometry::Vector::from([x, y]),
+                        score,
+                    )
+                })
+                .collect()
+        };
+        let mut problem =
+            prj_core::ProblemBuilder::new(prj_geometry::Vector::from([0.3, -0.2]), scoring)
+                .k(8)
+                .relation_from_tuples(relation(0))
+                .relation_from_tuples(relation(1))
+                .build()
+                .unwrap();
+        let result = prj_core::Algorithm::Cbpa.run(&mut problem).unwrap();
+        let rows = result
+            .combinations
+            .iter()
+            .map(|c| (c.ids(), c.score.to_bits()))
+            .collect();
+        (rows, result.metrics.combinations_formed)
+    }
+
+    /// The served path reaches the operator through `Arc` and the
+    /// registry's `GenerationTagged` wrapper. Both must forward the solo
+    /// bound's opt-in (`euclidean_weights`), or the served operator silently
+    /// scores every combination again.
+    #[test]
+    fn served_scorings_prune_like_the_bare_scoring() {
+        let (rows, bare) = scored(EuclideanLogScore::default());
+        let registry = ScoringRegistry::with_builtins();
+        let resolved = registry.resolve("euclidean-log", &[]).unwrap();
+        assert_eq!(scored(resolved), (rows.clone(), bare), "registry-resolved");
+        let shared: Arc<dyn ScoringSpec> = Arc::new(EuclideanLogScore::default());
+        assert_eq!(
+            scored(shared),
+            (rows.clone(), bare),
+            "bare Arc<dyn ScoringSpec>"
+        );
+        // A wrapper that drops the opt-in returns the same rows but scores
+        // more, so a lost forward fails the comparisons above.
+        let (forgetful_rows, forgetful) = scored(Forgetful(EuclideanLogScore::default()));
+        assert_eq!(forgetful_rows, rows);
+        assert!(
+            forgetful > bare,
+            "{forgetful} vs {bare} combinations scored"
+        );
+    }
 }
