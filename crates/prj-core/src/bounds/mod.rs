@@ -27,6 +27,26 @@ use crate::scoring::ScoringFunction;
 use crate::state::JoinState;
 use std::time::Duration;
 
+/// Relative margin a bound must clear below a K-th score before anything
+/// is retired or skipped on its account (see [`lift`]).
+const LIFT_MARGIN: f64 = 1e-9;
+
+/// Bound `b` lifted by a margin relative to its size,
+/// `b + 1e-9·max(1, |b|)`; an infinite or NaN `b` is returned unchanged.
+/// A bound compared against a K-th score to *discard* work is lifted
+/// first, so rounding that is not monotone bit for bit (the tight bound's
+/// closed form, a library `ln`) can never discard what could still
+/// matter. A margin only costs pruning. Used by [`TightBound`]'s
+/// `set_floor` and by the standing-query skip (see
+/// [`solo_score`](crate::scoring::solo_score)).
+pub fn lift(b: f64) -> f64 {
+    if b.is_finite() {
+        b + LIFT_MARGIN * b.abs().max(1.0)
+    } else {
+        b
+    }
+}
+
 /// A bounding scheme: maintains an upper bound on the aggregate score of any
 /// combination that uses at least one unseen tuple.
 ///

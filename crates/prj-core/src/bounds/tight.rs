@@ -32,7 +32,7 @@
 //! (see [`TightBound`]'s `set_floor`).
 
 use super::partial::{proper_subsets, SubsetState};
-use super::BoundingScheme;
+use super::{lift, BoundingScheme};
 use crate::dominance::{dominance_coefficients, is_dominated, DominanceCoefficients};
 use crate::scoring::{Member, ScoringFunction, Weights};
 use crate::state::JoinState;
@@ -45,22 +45,11 @@ use std::time::{Duration, Instant};
 /// [`proper_subsets`]), so a combination has fewer than 32 members.
 const MAX_RELATIONS: usize = 32;
 
-/// Relative margin a completion bound must clear below the floor before its
-/// partial combination is retired (see [`TightBound`]'s `set_floor`).
-const RETIRE_MARGIN: f64 = 1e-9;
-
 /// `true` when `floor = (kth, tolerance)` shows that completion bound `b`
 /// can never again reach the termination test `kth >= t + tolerance`: the
-/// test itself, with `b` lifted by [`RETIRE_MARGIN`] relative to its size.
+/// test itself, with `b` [`lift`]ed by a margin relative to its size.
 fn below_floor(floor: Option<(f64, f64)>, b: f64) -> bool {
-    floor.is_some_and(|(kth, tolerance)| {
-        let lifted = if b.is_finite() {
-            b + RETIRE_MARGIN * b.abs().max(1.0)
-        } else {
-            b
-        };
-        kth >= lifted + tolerance
-    })
+    floor.is_some_and(|(kth, tolerance)| kth >= lift(b) + tolerance)
 }
 
 /// Configuration of the tight bounding scheme.

@@ -42,7 +42,7 @@ use crate::bounds::BoundingScheme;
 use crate::combination::{ScoredCombination, TopKBuffer};
 use crate::problem::Problem;
 use crate::pull::PullStrategy;
-use crate::scoring::ScoringFunction;
+use crate::scoring::{solo_score, solo_weights, ScoringFunction};
 use crate::state::JoinState;
 use prj_access::{AccessStats, Tuple, TupleId};
 use prj_geometry::Vector;
@@ -70,12 +70,6 @@ pub struct TrajectoryPoint {
 /// run cannot balloon the profile (the sampling stride already spaces the
 /// points; this is a backstop).
 const MAX_TRAJECTORY_POINTS: usize = 4096;
-
-/// Coordinates within `±10^120` keep every centroid distance of a
-/// combination (fewer than 32 members) finite in any dimension below
-/// `10^65`, which the solo bound's IEEE argument needs; a tuple with a
-/// coordinate beyond it gets a NaN solo score and is never pruned.
-const SOLO_COORDINATE_LIMIT: f64 = 1e120;
 
 /// Instrumentation collected during one ProxRJ execution.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -194,12 +188,12 @@ impl RunCore {
 
         let state = JoinState::new(Arc::clone(&query), kind, &max_scores);
         // Solo-bound pruning needs the Eq. 2 form `euclidean_weights`
-        // promises, with a non-negative centroid weight.
-        let prune = problem
-            .scoring()
-            .euclidean_weights()
-            .is_some_and(|w| w.w_mu >= 0.0);
-        let lanes = if prune { n } else { 0 };
+        // promises (see `solo_score`).
+        let lanes = if solo_weights(problem.scoring()).is_some() {
+            n
+        } else {
+            0
+        };
         let mut metrics = RunMetrics::default();
         let bound_started = Instant::now();
         let t = bound.update(&state, problem.scoring(), None);
@@ -300,7 +294,7 @@ impl RunCore {
                 // The tuple's distance from the query under the aggregation
                 // function's own metric δ, which its solo score reuses.
                 let dist = problem.scoring().distance(&tuple.vector, &self.query);
-                let solo = self.solo_score(problem.scoring(), &tuple, dist);
+                let solo = solo_score(problem.scoring(), tuple.score, &tuple.vector, dist);
                 // Join with the seen prefixes of the other relations (line 6–7),
                 // *before* adding the new tuple to its own buffer.
                 let formed = self.form_combinations(problem.scoring(), i, &tuple, solo);
@@ -413,24 +407,6 @@ impl RunCore {
         self.emitted.len() / self.n
     }
 
-    /// A tuple's solo score `g(σ, δ(x, q), 0)`: its term in any combination
-    /// with the centroid distance dropped, which bounds that term (see
-    /// [`Self::form_combinations`]). NaN, which never prunes, when the scoring
-    /// does not opt in, or when a coordinate is not within
-    /// `±SOLO_COORDINATE_LIMIT`: beyond it a combination's centroid distance
-    /// could overflow and turn its term NaN while the solo score is not.
-    fn solo_score<S: ScoringFunction>(&self, scoring: &S, tuple: &Tuple, dist: f64) -> f64 {
-        if self.solo.is_empty()
-            || !tuple
-                .vector
-                .iter()
-                .all(|c| c.abs() <= SOLO_COORDINATE_LIMIT)
-        {
-            return f64::NAN;
-        }
-        scoring.proximity_weighted_score(tuple.score, dist, 0.0)
-    }
-
     /// Hands the bounding scheme the K-th score as its floor, once the
     /// output buffer is full (see [`BoundingScheme::set_floor`]).
     fn hand_floor<S: ScoringFunction>(&self, bound: &mut dyn BoundingScheme<S>) {
@@ -443,23 +419,13 @@ impl RunCore {
     /// top-K buffer, scores them and pushes them into it (Algorithm 1 lines
     /// 6–7). Returns the number of combinations scored.
     ///
-    /// Once the buffer is full, its K-th score `kth` prunes, exactly. The
-    /// scoring's `euclidean_weights` promise makes every term of
-    /// `score_members` at most the member's solo score, `g(σ, d, e) ≤
-    /// g(σ, d, 0)` with the same `d` bits, and NaN there only where the solo
-    /// score is `+∞` or NaN. For Eq. 2 the two are `X − w_μ·e²` and `X − 0`:
-    /// IEEE subtraction of a non-negative term never rounds above the
-    /// minuend, and `e` is finite within `SOLO_COORDINATE_LIMIT`. IEEE
-    /// addition is monotone in each operand, so the solo scores summed from
-    /// zero in member order, the additions `score_members` makes, bound the
-    /// score bit for bit; substituting each other relation's best solo
-    /// score bounds every combination with the new tuple at once. NaN never
-    /// prunes: a NaN bound or `kth` fails every `<`, and an addition that
-    /// turns a score NaN (`+∞ + −∞`, or a NaN term) meets a `+∞` or NaN on
-    /// the solo side, which leaves the bound `+∞` or NaN. So a combination
-    /// whose bound is strictly below `kth` scores strictly below it too, and
-    /// the buffer would reject it (`!(score < kth)` below); ties and NaN
-    /// are still scored.
+    /// Once the buffer is full, its K-th score `kth` prunes, exactly: the
+    /// solo scores summed from zero in member order bound a combination's
+    /// score bit for bit (see [`solo_score`]), and substituting each other
+    /// relation's best solo score bounds every combination with the new
+    /// tuple at once. A combination whose bound is strictly below `kth`
+    /// scores strictly below it too, and the buffer would reject it
+    /// (`!(score < kth)` below); ties and NaN are still scored.
     ///
     /// The hot path scores each combination straight from the buffer-resident
     /// tuples; member tuples are cloned only when the score can actually

@@ -299,6 +299,93 @@ impl ScoringSpec for EuclideanLogScore {
     }
 }
 
+/// Coordinates within `±10^120` keep every centroid distance of a
+/// combination (fewer than 32 members) finite in any dimension below
+/// `10^65`, which [`solo_score`]'s argument needs; a location with a
+/// coordinate beyond it gets a NaN solo score.
+pub const SOLO_COORDINATE_LIMIT: f64 = 1e120;
+
+/// The weights under which solo scores bound a scoring's terms: its
+/// [`ScoringFunction::euclidean_weights`], when all three are finite and
+/// non-negative. `None` opts the scoring out of every solo-score bound.
+pub(crate) fn solo_weights<S: ScoringFunction + ?Sized>(scoring: &S) -> Option<Weights> {
+    scoring.euclidean_weights().filter(|w| {
+        [w.w_s, w.w_q, w.w_mu]
+            .iter()
+            .all(|x| x.is_finite() && *x >= 0.0)
+    })
+}
+
+/// A member's *solo score* `g(σ, δ(x, q), 0)`: its term in any combination
+/// with the centroid distance dropped, where `dist_to_query` is
+/// [`ScoringFunction::distance`]`(location, q)`. NaN when the scoring does
+/// not opt in (its `euclidean_weights` is `None`, or a weight is negative
+/// or infinite), or when a coordinate of `location` is not within
+/// `±`[`SOLO_COORDINATE_LIMIT`]. The operator prunes combinations with
+/// solo scores, and a standing query skips re-runs with them; both are
+/// exact:
+///
+/// * **One member.** The `euclidean_weights` promise makes a member's term
+///   `g(σ, d, e) ≤ g(σ, d, 0)` with the same `d` bits, and NaN there only
+///   where the solo score is `+∞` or NaN. For Eq. 2 the two are
+///   `X − w_μ·e²` and `X − 0`: IEEE subtraction of a non-negative term
+///   never rounds above the minuend, and `e` is finite when every member
+///   lies within the coordinate limit.
+/// * **A combination.** `score_members` sums the terms from zero in member
+///   order, and IEEE addition is monotone in each operand, so solo scores
+///   summed the same way bound the score bit for bit. Any member's solo
+///   score may be replaced by something at least as large (the operator
+///   uses each relation's best solo score so far). NaN never prunes: a NaN
+///   bound or K-th score fails every `<`, and an addition that turns a
+///   score NaN (`+∞ + −∞`, or a NaN term) meets `+∞` or NaN on the bound
+///   side. So a combination whose bound is strictly below the K-th score
+///   scores strictly below it and cannot enter the top K.
+/// * **A member known only by its relation's `σ_max`.**
+///   [`best_solo_score`] is `g(σ_max, 0, 0)`. With finite coordinates,
+///   finite positive scores and `w_q, w_μ > 0`, a member's Eq. 2 term
+///   `w_s·ln σ − w_q·d² − w_μ·e²` is never NaN, whatever `d` and `e` are
+///   (an infinite one makes it `−∞`). So it is at most its solo score with
+///   no limit on where the other members lie, and at most `w_s·ln σ_max`
+///   for `σ ≤ σ_max`. For a zero `w_q` or `w_μ`, `best_solo_score` is NaN:
+///   `0·∞` is NaN, so a member beyond the coordinate limit could score
+///   NaN, and a NaN score ranks first. `σ_max` must cover every tuple the
+///   combination can hold. The catalog's whole-relation `max_score` (base
+///   plus delta) does, for every tuple committed before it is read, and
+///   appends only raise it. Two new tuples from two pending appends are
+///   therefore covered when the second of the two to be processed is
+///   checked.
+/// * **Margin.** The `σ_max` term needs `ln` to be monotone, which a
+///   library `ln` need not be bit for bit. So a standing query compares the
+///   bound [`lift`](crate::bounds::lift)ed by a relative 1e-9 against its
+///   delivered K-th score (the margin `TightBound`'s floor uses), and skips
+///   only when the lifted bound is strictly below it.
+pub fn solo_score<S: ScoringFunction + ?Sized>(
+    scoring: &S,
+    sigma: f64,
+    location: &Vector,
+    dist_to_query: f64,
+) -> f64 {
+    if solo_weights(scoring).is_none() || !location.iter().all(|c| c.abs() <= SOLO_COORDINATE_LIMIT)
+    {
+        return f64::NAN;
+    }
+    scoring.proximity_weighted_score(sigma, dist_to_query, 0.0)
+}
+
+/// The solo score of the best member a relation whose scores are at most
+/// `sigma_max` can hold, wherever it lies: `g(σ_max, 0, 0)`, the corner
+/// bound's best term. It stands in for members whose locations are not
+/// known. NaN unless the scoring opts in with `w_q > 0` and `w_μ > 0`; see
+/// [`solo_score`] for why that bounds every such member's term.
+pub fn best_solo_score<S: ScoringFunction + ?Sized>(scoring: &S, sigma_max: f64) -> f64 {
+    match solo_weights(scoring) {
+        Some(w) if w.w_q > 0.0 && w.w_mu > 0.0 => {
+            scoring.proximity_weighted_score(sigma_max, 0.0, 0.0)
+        }
+        _ => f64::NAN,
+    }
+}
+
 /// A cosine-similarity-based aggregation: the proximity of a member to the
 /// query and to the centroid is measured by cosine distance instead of
 /// Euclidean distance,
@@ -492,6 +579,37 @@ mod tests {
         let c = CosineSimilarityScore::default();
         assert!(c.euclidean_weights().is_none());
         assert_eq!(c.name(), "cosine-similarity");
+    }
+
+    #[test]
+    fn solo_scores_are_nan_unless_the_scoring_opts_in_within_the_limit() {
+        let s = EuclideanLogScore::new(1.0, 2.0, 1.0);
+        let q = v(&[0.0, 0.0]);
+        let x = v(&[1.0, 0.0]);
+        let d = s.distance(&x, &q);
+        assert_eq!(solo_score(&s, 0.5, &x, d), 0.5f64.ln() - 2.0);
+        let far = v(&[1e121, 0.0]);
+        assert!(solo_score(&s, 0.5, &far, s.distance(&far, &q)).is_nan());
+        let cosine = CosineSimilarityScore::default();
+        assert!(solo_score(&cosine, 0.5, &x, d).is_nan());
+        assert!(best_solo_score(&cosine, 0.5).is_nan());
+        assert_eq!(best_solo_score(&s, 0.9), 0.9f64.ln());
+    }
+
+    /// Why the `σ_max` stand-in needs `w_q, w_μ > 0`: with `w_μ = 0` a
+    /// member far beyond the coordinate limit makes its term `0·∞`, NaN,
+    /// which no finite stand-in bounds (and a NaN score ranks first).
+    #[test]
+    fn best_solo_score_needs_positive_distance_weights() {
+        let q = v(&[0.0, 0.0]);
+        let far = v(&[1e200, 0.0]);
+        let members = [(&q, 0.5), (&far, 0.9)];
+        let zero_mu = EuclideanLogScore::new(1.0, 1.0, 0.0);
+        assert!(zero_mu.score_members(&members, &q).is_nan());
+        assert!(best_solo_score(&zero_mu, 0.9).is_nan());
+        let unit = EuclideanLogScore::default();
+        assert_eq!(unit.score_members(&members, &q), f64::NEG_INFINITY);
+        assert!(best_solo_score(&unit, 0.9).is_finite());
     }
 
     #[test]

@@ -388,6 +388,11 @@ pub struct MutationEvent {
     /// shards the mutation touched — exactly what subscription
     /// invalidation keys on.
     pub outcome: MutationOutcome,
+    /// The location and score of every appended tuple, in append order;
+    /// empty for a drop. A standing query bounds what these tuples can
+    /// score against its delivered top-K to skip re-runs they cannot
+    /// change.
+    pub rows: Arc<[(Vector, f64)]>,
     /// The trace and `mutation` span the mutation was recorded under, when
     /// the engine's recorder is live. Downstream work triggered by this
     /// mutation (a subscription's `notify` span) parents here, so a feed
@@ -402,7 +407,11 @@ pub struct MutationEvent {
 /// result- and unit-cache entries invalidated), on the mutating thread —
 /// a re-query issued from inside the callback sees the new data. Keep the
 /// callback cheap (hand off to a channel); it runs under no engine lock
-/// but it does extend every mutation's latency.
+/// but it does extend every mutation's latency. Concurrent mutations may
+/// reach an observer out of commit order, so an observer that reasons
+/// about the data (a standing query bounding the appended
+/// [`MutationEvent::rows`]) reads the catalog afresh when it acts on an
+/// event.
 pub trait MutationObserver: Send + Sync {
     /// Observes one committed mutation.
     fn mutation(&self, event: &MutationEvent);
@@ -1115,12 +1124,13 @@ impl Engine {
         id: RelationId,
         tuples: Vec<prj_access::Tuple>,
     ) -> Result<MutationOutcome, EngineError> {
+        let rows = tuples.iter().map(|t| (t.vector.clone(), t.score)).collect();
         let outcome = self.catalog.append(id, tuples)?;
         self.cache.invalidate_relation(id.index());
         self.unit_cache
             .invalidate_shards(id.index(), &outcome.touched_shards);
         self.notify_compactor();
-        Ok(self.committed(MutationKind::Append, outcome))
+        Ok(self.committed(MutationKind::Append, outcome, rows))
     }
 
     /// Appends raw `(location, score)` rows (tuple ids assigned under the
@@ -1130,12 +1140,13 @@ impl Engine {
         id: RelationId,
         rows: Vec<(Vector, f64)>,
     ) -> Result<MutationOutcome, EngineError> {
+        let appended = Arc::from(rows.as_slice());
         let outcome = self.catalog.append_rows(id, rows)?;
         self.cache.invalidate_relation(id.index());
         self.unit_cache
             .invalidate_shards(id.index(), &outcome.touched_shards);
         self.notify_compactor();
-        Ok(self.committed(MutationKind::Append, outcome))
+        Ok(self.committed(MutationKind::Append, outcome, appended))
     }
 
     /// Wakes the background compactor after a committed append (no-op when
@@ -1159,7 +1170,7 @@ impl Engine {
         let outcome = self.catalog.drop_relation(id)?;
         self.cache.invalidate_relation(id.index());
         self.unit_cache.invalidate_relation(id.index());
-        Ok(self.committed(MutationKind::Drop, outcome))
+        Ok(self.committed(MutationKind::Drop, outcome, Arc::new([])))
     }
 
     /// Registers a mutation observer; every later committed mutation is
@@ -1174,9 +1185,15 @@ impl Engine {
     }
 
     /// Post-commit tail of every mutation: records the `mutation` span
-    /// (when tracing) and fires the observers with the outcome plus the
-    /// span identity their downstream spans should parent under.
-    fn committed(&self, kind: MutationKind, outcome: MutationOutcome) -> MutationOutcome {
+    /// (when tracing) and fires the observers with the outcome, the
+    /// appended rows, and the span identity their downstream spans should
+    /// parent under.
+    fn committed(
+        &self,
+        kind: MutationKind,
+        outcome: MutationOutcome,
+        rows: Arc<[(Vector, f64)]>,
+    ) -> MutationOutcome {
         let recorder = self.obs.recorder();
         let trace = if recorder.enabled() {
             let trace = TraceId::generate();
@@ -1202,6 +1219,7 @@ impl Engine {
             let event = MutationEvent {
                 kind,
                 outcome: outcome.clone(),
+                rows,
                 trace,
             };
             for observer in &observers {

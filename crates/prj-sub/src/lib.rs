@@ -13,6 +13,21 @@
 //!
 //! ## How re-evaluation stays incremental
 //!
+//! An append only adds tuples, so it can change a full top-K only through a
+//! combination that holds one of the new tuples. Before re-running a
+//! subscription the manager bounds every such combination in O(n·d) per
+//! new tuple: the tuple's solo score `g(σ, δ(x, q), 0)` plus, for every
+//! other member, the best term its relation allows anywhere,
+//! `g(σ_max, 0, 0)` (the corner bound's). When that bound, lifted by a
+//! relative 1e-9, is strictly below the delivered K-th score for every new
+//! tuple and every position the relation takes in the join, the re-run
+//! would return the delivered top-K unchanged, and it is skipped
+//! (`prj_subscription_skipped_total`). The skip is exact; the argument is
+//! on [`prj_core::scoring::solo_score`]. It needs a scoring that opts in
+//! (Eq. 2 with `w_q, w_μ > 0`), new coordinates within
+//! [`prj_core::scoring::SOLO_COORDINATE_LIMIT`], and a full delivered
+//! top-K; anything else re-runs.
+//!
 //! The [`SubscriptionManager`] pins each subscription's plan at subscribe
 //! time (the planner's choice is frozen into the stored [`QuerySpec`]), so
 //! every re-execution replays the *same* plan. In process that is one unit
@@ -33,8 +48,13 @@
 //! * A notification is only emitted from a *certified* merge: if a
 //!   re-execution reports `hit_access_cap` (an uncertified, truncated
 //!   answer), the wakeup is suppressed rather than risking a wrong diff.
-//! * A mutation that does not change the subscribed top-K is suppressed
-//!   (counted, never delivered) — no no-op wakeups reach the client.
+//!   The subscription is then *dirty* (its delivered top-K may lag the
+//!   data) and is re-run on every later append, never skipped, until a
+//!   certified re-run clears it.
+//! * A mutation that does not change the subscribed top-K is either
+//!   skipped (the bound above rules it out, nothing re-runs) or suppressed
+//!   (re-run, unchanged) — counted, never delivered: no no-op wakeups
+//!   reach the client.
 //! * Dropping a subscribed relation closes the feed with an all-`Exit`
 //!   notification finalized `fin=drop`; a terminal re-execution failure
 //!   (e.g. the worker fleet became unavailable) closes it `fin=error`.
@@ -58,9 +78,11 @@ use prj_api::{
     diff_top_k, ApiError, ChangeEvent, ErrorKind, Notification, QueryRequest, Request, Response,
     ResultRow,
 };
+use prj_core::bounds::lift;
+use prj_core::scoring::{best_solo_score, solo_score};
 use prj_engine::{
-    to_row, Dispatch, EngineError, MutationEvent, MutationKind, MutationObserver, QuerySpec,
-    RequestHandler, Session,
+    to_row, Catalog, Dispatch, EngineError, MutationEvent, MutationKind, MutationObserver,
+    QuerySpec, RequestHandler, Session,
 };
 use prj_obs::{Counter, Gauge, Histogram, SpanGuard};
 use std::collections::HashMap;
@@ -131,6 +153,10 @@ struct SubState {
     /// Last delivered sequence number (notifications are 1-based,
     /// gapless).
     seq: u64,
+    /// Set when the baseline or a re-run came back uncertified, so
+    /// `last_rows` may lag the data: the subscription is never skipped
+    /// until a certified re-run clears the flag.
+    dirty: bool,
     /// The push feed; the transport forwards each `Response::Notify` to
     /// the client. A failed send means the connection is gone and the
     /// subscription self-unsubscribes.
@@ -147,6 +173,7 @@ struct Inner {
     notifications: Arc<Counter>,
     reexecuted: Arc<Counter>,
     suppressed: Arc<Counter>,
+    skipped: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     notify_delay: Arc<Histogram>,
 }
@@ -175,6 +202,7 @@ impl SubscriptionManager {
             notifications: registry.counter("prj_subscription_notifications_total", &[]),
             reexecuted: registry.counter("prj_subscription_reexecuted_units_total", &[]),
             suppressed: registry.counter("prj_subscription_suppressed_total", &[]),
+            skipped: registry.counter("prj_subscription_skipped_total", &[]),
             queue_depth: registry.gauge("prj_sub_queue_depth", &[]),
             notify_delay: registry.histogram("prj_sub_notify_delay_us", &[]),
             session,
@@ -242,6 +270,7 @@ impl SubscriptionManager {
             .query(spec.clone())
             .map_err(ApiError::from)?;
         let algorithm = result.plan().algorithm;
+        let dirty = result.result().metrics.hit_access_cap;
         // Pin the plan and detach the subscribe-time trace: re-executions
         // belong to the *mutation's* trace, not the registration's.
         spec.algorithm = Some(algorithm);
@@ -255,6 +284,7 @@ impl SubscriptionManager {
                 spec,
                 last_rows: rows.clone(),
                 seq: 0,
+                dirty,
                 feed: feed_tx,
             },
         );
@@ -333,6 +363,12 @@ impl SubscriptionManager {
     pub fn suppressed_total(&self) -> u64 {
         self.inner.suppressed.get()
     }
+
+    /// Wakeups answered without a re-run: the appended tuples provably
+    /// cannot enter the delivered top-K (see the crate docs).
+    pub fn skipped_total(&self) -> u64 {
+        self.inner.skipped.get()
+    }
 }
 
 impl Drop for SubscriptionManager {
@@ -367,11 +403,13 @@ fn notifier_loop(inner: &Arc<Inner>, rx: Receiver<Wake>) {
     }
 }
 
-/// Re-evaluates every subscription the mutation could affect. Runs on the
-/// single notifier thread under the subscriptions lock, so per-subscription
-/// sequence numbers are gapless and notifications are totally ordered.
+/// Re-evaluates every subscription the mutation could affect, skipping
+/// those an append provably cannot change. Runs on the single notifier
+/// thread under the subscriptions lock, so per-subscription sequence
+/// numbers are gapless and notifications are totally ordered.
 fn process_mutation(inner: &Arc<Inner>, event: &MutationEvent) {
-    let recorder = Arc::clone(inner.session.engine().recorder());
+    let engine = inner.session.engine();
+    let recorder = Arc::clone(engine.recorder());
     let mut subs = inner.subs.lock().expect("subscriptions lock");
     let affected: Vec<u64> = subs
         .iter()
@@ -390,6 +428,13 @@ fn process_mutation(inner: &Arc<Inner>, event: &MutationEvent) {
         }
         let closed = match event.kind {
             MutationKind::Drop => close_on_drop(inner, id, state, span),
+            MutationKind::Append if append_cannot_change(state, event, engine.catalog()) => {
+                inner.skipped.inc();
+                if let Some(span) = span.as_mut() {
+                    span.attr("skipped", true);
+                }
+                false
+            }
             MutationKind::Append => refresh(inner, id, state, span),
         };
         if closed {
@@ -397,6 +442,48 @@ fn process_mutation(inner: &Arc<Inner>, event: &MutationEvent) {
             inner.active.set(subs.len() as f64);
         }
     }
+}
+
+/// `true` when no combination holding one of the tuples `event` appended
+/// can reach the subscription's delivered K-th score, so a re-run would
+/// return the delivered top-K unchanged. For every new tuple and every
+/// position the relation takes in the join (self-joins included), the
+/// tuple's solo score and every other position's best solo score, over the
+/// relation's current σ_max, are summed in member order, lifted, and
+/// compared; see [`prj_core::scoring::solo_score`] for why that is exact.
+fn append_cannot_change(state: &SubState, event: &MutationEvent, catalog: &Catalog) -> bool {
+    let spec = &state.spec;
+    if state.dirty || state.last_rows.len() != spec.k {
+        return false;
+    }
+    let Some(kth) = state.last_rows.last().map(|row| row.score) else {
+        return false;
+    };
+    let scoring = &*spec.scoring;
+    let best: Option<Vec<f64>> = spec
+        .relations
+        .iter()
+        .map(|&r| {
+            let sigma_max = catalog.relation(r).ok()?.stats().max_score;
+            Some(best_solo_score(scoring, sigma_max))
+        })
+        .collect();
+    let Some(best) = best else {
+        return false;
+    };
+    let positions = spec.relations.iter().enumerate();
+    positions
+        .filter(|(_, &r)| r == event.outcome.id)
+        .all(|(j, _)| {
+            event.rows.iter().all(|(location, sigma)| {
+                let dist = scoring.distance(location, &spec.query);
+                let solo = solo_score(scoring, *sigma, location, dist);
+                let bound = best.iter().enumerate().fold(0.0, |acc, (i, &term)| {
+                    acc + if i == j { solo } else { term }
+                });
+                lift(bound) < kth
+            })
+        })
 }
 
 /// A subscribed relation was dropped: the standing query can never produce
@@ -453,7 +540,8 @@ fn refresh(inner: &Arc<Inner>, id: u64, state: &mut SubState, span: Option<SpanG
             // An uncertified merge (access cap hit) is a truncated answer:
             // diffing against it could tell the client a combination left
             // the top-K when it merely went unproven. Never notify from it.
-            if result.result().metrics.hit_access_cap {
+            state.dirty = result.result().metrics.hit_access_cap;
+            if state.dirty {
                 inner.suppressed.inc();
                 if let Some(span) = span.as_mut() {
                     span.attr("suppressed", "uncertified");
@@ -657,7 +745,7 @@ mod tests {
             name: "other".to_string(),
             tuples: rows(4, 3.0),
         });
-        let (_, _, feed) = subscribe(
+        let (_, baseline, feed) = subscribe(
             &manager,
             QueryRequest::new(vec!["L".into(), "R".into()], [0.0, 0.0]).k(3),
         );
@@ -669,17 +757,74 @@ mod tests {
         manager.quiesce();
         assert_eq!(manager.reexecuted_units_total(), 0);
         assert!(feed.try_recv().is_err(), "no notification expected");
-        // A far-away append to a subscribed relation re-executes but the
-        // unchanged top-K is suppressed.
+        // A far-away append to a subscribed relation is skipped: its bound
+        // is far below the delivered K-th score, so nothing re-runs.
         session.handle(Request::AppendTuples {
             relation: "L".into(),
             tuples: vec![TupleData::new([500.0, 500.0], 0.01)],
         });
         manager.quiesce();
+        assert_eq!(manager.skipped_total(), 1);
+        assert_eq!(manager.reexecuted_units_total(), 0);
+        assert_eq!(manager.suppressed_total(), 0);
+        assert!(feed.try_recv().is_err(), "skipped wakeup");
+        // A tuple at the query point whose bound reaches the K-th score by
+        // 0.5 (every other member stands in at the query with R's best
+        // score, 1.1) cannot be ruled out. Its real combinations sit at
+        // least about 1.4 away from the query, so the re-run finds the top
+        // K unchanged and the wakeup is suppressed.
+        let kth = baseline[2].score;
+        let score = (kth + 0.5 - 1.1f64.ln()).exp();
+        session.handle(Request::AppendTuples {
+            relation: "L".into(),
+            tuples: vec![TupleData::new([0.0, 0.0], score)],
+        });
+        manager.quiesce();
+        assert_eq!(manager.skipped_total(), 1, "the near append is not skipped");
         assert!(manager.reexecuted_units_total() > 0);
         assert_eq!(manager.suppressed_total(), 1);
         assert!(feed.try_recv().is_err(), "suppressed no-op wakeup");
         assert_eq!(manager.notifications_total(), 0);
+    }
+
+    #[test]
+    fn a_dirty_subscription_is_never_skipped() {
+        let (manager, session) = manager_over(1);
+        let (id, _, feed) = subscribe(
+            &manager,
+            QueryRequest::new(vec!["L".into(), "R".into()], [0.0, 0.0]).k(3),
+        );
+        let far = || Request::AppendTuples {
+            relation: "L".into(),
+            tuples: vec![TupleData::new([500.0, 500.0], 0.01)],
+        };
+        // The in-process engine never truncates a run, so mark the
+        // subscription as an uncertified re-run would.
+        let dirty = |manager: &SubscriptionManager| {
+            let subs = manager.inner.subs.lock().expect("subscriptions lock");
+            subs[&id].dirty
+        };
+        manager
+            .inner
+            .subs
+            .lock()
+            .expect("subscriptions lock")
+            .get_mut(&id)
+            .expect("subscription")
+            .dirty = true;
+        session.handle(far());
+        manager.quiesce();
+        assert_eq!(manager.skipped_total(), 0, "a dirty subscription re-runs");
+        assert!(manager.reexecuted_units_total() > 0);
+        assert_eq!(manager.suppressed_total(), 1);
+        assert!(!dirty(&manager), "a certified re-run clears the flag");
+        // Clean again, the same append is skipped.
+        let reexecuted = manager.reexecuted_units_total();
+        session.handle(far());
+        manager.quiesce();
+        assert_eq!(manager.skipped_total(), 1);
+        assert_eq!(manager.reexecuted_units_total(), reexecuted);
+        assert!(feed.try_recv().is_err(), "no notification expected");
     }
 
     #[test]
