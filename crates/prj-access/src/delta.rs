@@ -14,16 +14,12 @@
 //! delta into the base once it
 //! crosses a size/age threshold.
 //!
-//! Like [`crate::RelationBuffer`], the buffer keeps struct-of-arrays lanes —
-//! a tuple array plus aligned `ids`/`scores` vectors — so bound evaluation
-//! and membership tests touch dense `f64`/id lanes instead of chasing
-//! through [`Tuple`]s.
-//!
 //! The tuple lane is kept in **non-increasing score order, ties broken by
 //! tuple id ascending** — exactly the order
 //! [`crate::VecRelation::score_sorted`] produces — so a
-//! [`crate::SharedScoreRelation`] can read it directly and a merged
-//! base+delta view is deterministic regardless of when tuples arrived.
+//! [`crate::VecRelation`] can read it directly as a one-chunk score lane and
+//! a merged base+delta view is deterministic regardless of when tuples
+//! arrived.
 
 use crate::source::{merge_score_sorted, score_order};
 use crate::stats::RelationStats;
@@ -37,16 +33,12 @@ use std::sync::Arc;
 /// value — [`DeltaBuffer::appended`] returns a new buffer sharing nothing
 /// mutable with its predecessor, so concurrent readers keep consuming the
 /// buffer they snapshotted while a new one is published.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DeltaBuffer {
     /// Tuples in non-increasing score order, ties by id ascending (the
     /// [`crate::VecRelation::score_sorted`] order), shared so per-query
     /// score views are O(1) to create.
     tuples: Arc<Vec<Tuple>>,
-    /// Tuple ids, aligned with `tuples` (SoA lane for membership tests).
-    ids: Vec<TupleId>,
-    /// Scores, aligned with `tuples` (SoA lane for bound evaluation).
-    scores: Vec<f64>,
     /// Statistics over exactly the buffered tuples.
     stats: RelationStats,
 }
@@ -77,7 +69,7 @@ impl DeltaBuffer {
     /// snapshotted).
     pub fn appended(&self, extra: Vec<Tuple>) -> Self {
         if extra.is_empty() {
-            return self.clone_buffer();
+            return self.clone();
         }
         Self::from_sorted(merge_score_sorted(&self.tuples, extra))
     }
@@ -89,9 +81,9 @@ impl DeltaBuffer {
     /// residual is exactly the tuples that arrived while the fold ran.
     pub fn difference(&self, other: &DeltaBuffer) -> Self {
         if other.is_empty() {
-            return self.clone_buffer();
+            return self.clone();
         }
-        let drop: HashSet<TupleId> = other.ids.iter().copied().collect();
+        let drop: HashSet<TupleId> = other.tuples.iter().map(|t| t.id).collect();
         let kept: Vec<Tuple> = self
             .tuples
             .iter()
@@ -108,26 +100,13 @@ impl DeltaBuffer {
                 .all(|w| !score_order(&w[0], &w[1]).is_gt()),
             "DeltaBuffer lane must be score-desc, id-asc"
         );
-        let ids = tuples.iter().map(|t| t.id).collect();
-        let scores: Vec<f64> = tuples.iter().map(|t| t.score).collect();
         let stats = RelationStats::from_scores(
             tuples.first().map_or(0, |t| t.dim()),
-            scores.iter().copied(),
+            tuples.iter().map(|t| t.score),
         );
         DeltaBuffer {
             tuples: Arc::new(tuples),
-            ids,
-            scores,
             stats,
-        }
-    }
-
-    fn clone_buffer(&self) -> Self {
-        DeltaBuffer {
-            tuples: Arc::clone(&self.tuples),
-            ids: self.ids.clone(),
-            scores: self.scores.clone(),
-            stats: self.stats,
         }
     }
 
@@ -142,19 +121,9 @@ impl DeltaBuffer {
     }
 
     /// The shared score-sorted tuple lane (score-desc, id-asc — directly
-    /// readable by a [`crate::SharedScoreRelation`]).
+    /// readable by a [`crate::VecRelation`]).
     pub fn tuples(&self) -> &Arc<Vec<Tuple>> {
         &self.tuples
-    }
-
-    /// The id lane, aligned with [`DeltaBuffer::tuples`].
-    pub fn ids(&self) -> &[TupleId] {
-        &self.ids
-    }
-
-    /// The score lane, aligned with [`DeltaBuffer::tuples`].
-    pub fn scores(&self) -> &[f64] {
-        &self.scores
     }
 
     /// Statistics over exactly the buffered tuples.
@@ -165,12 +134,7 @@ impl DeltaBuffer {
     /// The largest buffered score (the head of the lane), or 0.0 when
     /// empty — an admissible σ_max contribution for merged views.
     pub fn max_score(&self) -> f64 {
-        self.scores.first().copied().unwrap_or(0.0)
-    }
-
-    /// Whether `id` is buffered.
-    pub fn contains(&self, id: TupleId) -> bool {
-        self.ids.contains(&id)
+        self.tuples.first().map_or(0.0, |t| t.score)
     }
 }
 
@@ -184,6 +148,11 @@ mod tests {
         let x = ((i * 37) % 100) as f64 / 10.0 - 5.0;
         let y = ((i * 53) % 100) as f64 / 10.0 - 5.0;
         Tuple::new(TupleId::new(rel, i), Vector::from([x, y]), score)
+    }
+
+    /// The buffered ids, in lane order.
+    fn ids(buf: &DeltaBuffer) -> Vec<TupleId> {
+        buf.tuples().iter().map(|t| t.id).collect()
     }
 
     fn is_sorted(buf: &DeltaBuffer) -> bool {
@@ -208,10 +177,6 @@ mod tests {
             .appended(vec![tuple(0, 2, 0.6), tuple(0, 3, 0.9), tuple(0, 4, 0.1)]);
         assert_eq!(buf.len(), 5);
         assert!(is_sorted(&buf));
-        for (i, t) in buf.tuples().iter().enumerate() {
-            assert_eq!(buf.ids()[i], t.id);
-            assert_eq!(buf.scores()[i], t.score);
-        }
         // Equal scores break ties by id ascending.
         assert_eq!(buf.tuples()[0].id, TupleId::new(0, 1));
         assert_eq!(buf.tuples()[1].id, TupleId::new(0, 3));
@@ -225,9 +190,8 @@ mod tests {
         let b = a.appended(vec![tuple(0, 1, 0.7)]);
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 2);
-        assert!(a.contains(TupleId::new(0, 0)));
-        assert!(!a.contains(TupleId::new(0, 1)));
-        assert!(b.contains(TupleId::new(0, 1)));
+        assert_eq!(ids(&a), [TupleId::new(0, 0)]);
+        assert_eq!(ids(&b), [TupleId::new(0, 1), TupleId::new(0, 0)]);
     }
 
     #[test]
@@ -237,9 +201,7 @@ mod tests {
         let residual = live.difference(&snapshot);
         assert_eq!(residual.len(), 2);
         assert!(is_sorted(&residual));
-        assert!(residual.contains(TupleId::new(0, 2)));
-        assert!(residual.contains(TupleId::new(0, 3)));
-        assert!(!residual.contains(TupleId::new(0, 0)));
+        assert_eq!(ids(&residual), [TupleId::new(0, 2), TupleId::new(0, 3)]);
         // Difference against an empty snapshot is the identity.
         let same = live.difference(&DeltaBuffer::empty());
         assert_eq!(same.tuples().as_slice(), live.tuples().as_slice());

@@ -17,60 +17,7 @@ use crate::kind::AccessKind;
 use crate::source::SortedAccess;
 use crate::tuple::Tuple;
 use std::cmp::Ordering;
-
-/// The bare k-way head-merge mechanism: one lazily primed lookahead slot
-/// per part, `next` always yielding the best head under the caller's
-/// comparator and refilling that part. [`MergedAccess`] instantiates it
-/// over tuples.
-#[derive(Debug)]
-pub struct HeadMerge<T> {
-    heads: Vec<Option<T>>,
-    primed: bool,
-}
-
-impl<T> HeadMerge<T> {
-    /// A merge over `parts` sources, with every head unprimed.
-    pub fn new(parts: usize) -> Self {
-        HeadMerge {
-            heads: (0..parts).map(|_| None).collect(),
-            primed: false,
-        }
-    }
-
-    /// Yields the best head under `compare` and refills that part from
-    /// `pull`; `None` once every part is drained. The first call primes
-    /// every head, so constructing the merge does no work.
-    pub fn next(
-        &mut self,
-        compare: impl Fn(&T, &T) -> Ordering,
-        mut pull: impl FnMut(usize) -> Option<T>,
-    ) -> Option<T> {
-        if !self.primed {
-            for (j, head) in self.heads.iter_mut().enumerate() {
-                *head = pull(j);
-            }
-            self.primed = true;
-        }
-        let best = self
-            .heads
-            .iter()
-            .enumerate()
-            .filter_map(|(j, h)| h.as_ref().map(|t| (j, t)))
-            .min_by(|(_, a), (_, b)| compare(a, b))
-            .map(|(j, _)| j)?;
-        let item = self.heads[best].take();
-        self.heads[best] = pull(best);
-        item
-    }
-
-    /// Forgets all heads and returns to the unprimed state.
-    pub fn reset(&mut self) {
-        for head in &mut self.heads {
-            *head = None;
-        }
-        self.primed = false;
-    }
-}
+use std::sync::Arc;
 
 /// The sort key a merged access orders its heads by.
 ///
@@ -108,16 +55,19 @@ impl std::fmt::Debug for MergeOrder {
 ///
 /// Each `next_tuple` call compares the shards' buffered heads under the
 /// [`MergeOrder`] and yields the best one, refilling that shard's head from
-/// its source. Work is proportional to the number of shards per access, and
+/// its source. The first call primes every head, so constructing the merge
+/// does no work. Work is proportional to the number of shards per access, and
 /// each underlying source is only read as deep as the merged consumer asks —
 /// plus the one-tuple lookahead — so the operator's access depths are
 /// preserved up to that lookahead.
 pub struct MergedAccess {
-    name: String,
+    name: Arc<str>,
     kind: AccessKind,
     order: MergeOrder,
     parts: Vec<Box<dyn SortedAccess>>,
-    merge: HeadMerge<Tuple>,
+    /// One lookahead tuple per part, aligned with `parts`.
+    heads: Vec<Option<Tuple>>,
+    primed: bool,
     max_score: f64,
     total_len: Option<usize>,
 }
@@ -129,7 +79,7 @@ impl MergedAccess {
     /// # Panics
     /// Panics when `parts` is empty or the access kinds disagree.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         parts: Vec<Box<dyn SortedAccess>>,
         order: MergeOrder,
     ) -> Self {
@@ -147,13 +97,13 @@ impl MergedAccess {
             .iter()
             .map(|p| p.total_len())
             .try_fold(0usize, |acc, len| len.map(|l| acc + l));
-        let merge = HeadMerge::new(parts.len());
         MergedAccess {
             name: name.into(),
             kind,
             order,
+            heads: vec![None; parts.len()],
             parts,
-            merge,
+            primed: false,
             max_score,
             total_len,
         }
@@ -162,13 +112,22 @@ impl MergedAccess {
 
 impl SortedAccess for MergedAccess {
     fn next_tuple(&mut self) -> Option<Tuple> {
-        let MergedAccess {
-            order,
-            parts,
-            merge,
-            ..
-        } = self;
-        merge.next(|a, b| order.compare(a, b), |j| parts[j].next_tuple())
+        if !self.primed {
+            for (head, part) in self.heads.iter_mut().zip(&mut self.parts) {
+                *head = part.next_tuple();
+            }
+            self.primed = true;
+        }
+        let best = self
+            .heads
+            .iter()
+            .enumerate()
+            .filter_map(|(j, h)| h.as_ref().map(|t| (j, t)))
+            .min_by(|(_, a), (_, b)| self.order.compare(a, b))
+            .map(|(j, _)| j)?;
+        let tuple = self.heads[best].take();
+        self.heads[best] = self.parts[best].next_tuple();
+        tuple
     }
 
     fn kind(&self) -> AccessKind {
@@ -187,7 +146,8 @@ impl SortedAccess for MergedAccess {
         for part in &mut self.parts {
             part.reset();
         }
-        self.merge.reset();
+        self.heads.fill(None);
+        self.primed = false;
     }
 
     fn name(&self) -> &str {

@@ -125,71 +125,90 @@ pub trait SortedAccess: Send {
     }
 }
 
-/// An in-memory relation that pre-sorts its tuples at construction time.
+/// A sorted lane: tuples read back to back from a list of chunks shared by
+/// [`Arc`], for either [`AccessKind`].
 ///
-/// This is the reference implementation used by tests and synthetic
-/// experiments: cheap to build and obviously correct.
+/// The source only advances a (chunk, slot) position, so any number of
+/// concurrent queries can read one lane — the `prj-engine` catalog's
+/// score-sorted shard chunks, or a shard delta — without copying it, each
+/// view O(chunks) to create. The constructors that take raw tuples sort them
+/// into a private one-chunk lane.
 #[derive(Debug, Clone)]
 pub struct VecRelation {
-    name: String,
+    name: Arc<str>,
     kind: AccessKind,
-    sorted: Vec<Tuple>,
-    cursor: usize,
+    chunks: Arc<[Arc<Vec<Tuple>>]>,
+    chunk: usize,
+    slot: usize,
+    len: usize,
     max_score: f64,
 }
 
 impl VecRelation {
+    /// A view over `chunks`, which read back to back must already be in the
+    /// order `kind` promises: non-decreasing `δ(·, q)` for
+    /// [`AccessKind::Distance`], [`score_order`] for [`AccessKind::Score`]
+    /// (e.g. a [`merge_score_chunks`] lane).
+    pub fn chunked(
+        name: impl Into<Arc<str>>,
+        kind: AccessKind,
+        chunks: impl Into<Arc<[Arc<Vec<Tuple>>]>>,
+        max_score: f64,
+    ) -> Self {
+        let chunks = chunks.into();
+        let tuples = chunks.iter().flat_map(|c| c.iter());
+        debug_assert!(
+            kind == AccessKind::Distance
+                || tuples
+                    .clone()
+                    .zip(tuples.skip(1))
+                    .all(|(a, b)| a.score >= b.score),
+            "a score lane must be score-sorted"
+        );
+        let len = chunks.iter().map(|c| c.len()).sum();
+        VecRelation {
+            name: name.into(),
+            kind,
+            chunks,
+            chunk: 0,
+            slot: 0,
+            len,
+            max_score,
+        }
+    }
+
     /// Builds a distance-sorted relation: tuples are returned in increasing
     /// Euclidean distance from `query`.
-    pub fn distance_sorted(name: impl Into<String>, query: &Vector, tuples: Vec<Tuple>) -> Self {
+    pub fn distance_sorted(name: impl Into<Arc<str>>, query: &Vector, tuples: Vec<Tuple>) -> Self {
         let q = query.clone();
         Self::distance_sorted_by(name, tuples, move |t| t.distance_to(&q))
     }
 
     /// Builds a distance-sorted relation using an arbitrary distance key
-    /// (e.g. a cosine distance from the query). The key must be the same
-    /// distance `δ(·, q)` used by the aggregation function, otherwise the
-    /// bounds derived from the access frontier are meaningless.
+    /// (e.g. a cosine distance from the query), ties by tuple id. The key
+    /// must be the same distance `δ(·, q)` used by the aggregation
+    /// function, otherwise the bounds derived from the access frontier are
+    /// meaningless.
     pub fn distance_sorted_by(
-        name: impl Into<String>,
-        tuples: Vec<Tuple>,
+        name: impl Into<Arc<str>>,
+        mut tuples: Vec<Tuple>,
         distance_to_query: impl Fn(&Tuple) -> f64,
     ) -> Self {
-        let mut sorted = tuples;
-        sorted.sort_by(|a, b| {
+        tuples.sort_by(|a, b| {
             distance_to_query(a)
                 .total_cmp(&distance_to_query(b))
                 .then(a.id.cmp(&b.id))
         });
-        let max_score = sorted
-            .iter()
-            .map(|t| t.score)
-            .fold(f64::NEG_INFINITY, f64::max);
-        VecRelation {
-            name: name.into(),
-            kind: AccessKind::Distance,
-            sorted,
-            cursor: 0,
-            max_score: if max_score.is_finite() {
-                max_score
-            } else {
-                1.0
-            },
-        }
+        let max_score = max_score_or_one(&tuples);
+        Self::chunked(name, AccessKind::Distance, [Arc::new(tuples)], max_score)
     }
 
-    /// Builds a score-sorted relation: tuples are returned in decreasing score.
-    pub fn score_sorted(name: impl Into<String>, tuples: Vec<Tuple>) -> Self {
-        let mut sorted = tuples;
-        sorted.sort_by(score_order);
-        let max_score = sorted.first().map(|t| t.score).unwrap_or(1.0);
-        VecRelation {
-            name: name.into(),
-            kind: AccessKind::Score,
-            sorted,
-            cursor: 0,
-            max_score,
-        }
+    /// Builds a score-sorted relation: tuples are returned in
+    /// [`score_order`].
+    pub fn score_sorted(name: impl Into<Arc<str>>, mut tuples: Vec<Tuple>) -> Self {
+        tuples.sort_by(score_order);
+        let max_score = tuples.first().map_or(1.0, |t| t.score);
+        Self::chunked(name, AccessKind::Score, [Arc::new(tuples)], max_score)
     }
 
     /// Overrides the maximum-score domain knowledge (`σ_max`).
@@ -198,19 +217,37 @@ impl VecRelation {
         self
     }
 
-    /// The tuples in access order (seen or not); useful for tests.
-    pub fn sorted_tuples(&self) -> &[Tuple] {
-        &self.sorted
+    /// The whole lane in access order (seen or not), copied; for tests.
+    pub fn sorted_tuples(&self) -> Vec<Tuple> {
+        self.chunks.iter().flat_map(|c| c.iter().cloned()).collect()
+    }
+}
+
+/// The largest score in `tuples`, or 1.0 when there is none (an empty
+/// relation's σ_max).
+fn max_score_or_one(tuples: &[Tuple]) -> f64 {
+    let max_score = tuples
+        .iter()
+        .map(|t| t.score)
+        .fold(f64::NEG_INFINITY, f64::max);
+    if max_score.is_finite() {
+        max_score
+    } else {
+        1.0
     }
 }
 
 impl SortedAccess for VecRelation {
     fn next_tuple(&mut self) -> Option<Tuple> {
-        let t = self.sorted.get(self.cursor).cloned();
-        if t.is_some() {
-            self.cursor += 1;
+        while let Some(chunk) = self.chunks.get(self.chunk) {
+            if let Some(t) = chunk.get(self.slot) {
+                self.slot += 1;
+                return Some(t.clone());
+            }
+            self.chunk += 1;
+            self.slot = 0;
         }
-        t
+        None
     }
 
     fn kind(&self) -> AccessKind {
@@ -218,7 +255,7 @@ impl SortedAccess for VecRelation {
     }
 
     fn total_len(&self) -> Option<usize> {
-        Some(self.sorted.len())
+        Some(self.len)
     }
 
     fn max_score(&self) -> f64 {
@@ -226,7 +263,8 @@ impl SortedAccess for VecRelation {
     }
 
     fn reset(&mut self) {
-        self.cursor = 0;
+        self.chunk = 0;
+        self.slot = 0;
     }
 
     fn name(&self) -> &str {
@@ -234,59 +272,61 @@ impl SortedAccess for VecRelation {
     }
 }
 
-/// A distance-sorted relation backed by the `prj-index` R-tree.
+/// A distance-sorted relation backed by a `prj-index` R-tree shared by
+/// [`Arc`].
 ///
-/// The relation owns the tree and runs a detached best-first incremental
-/// nearest-neighbour cursor ([`NearestCursor`]) over the tree's arena, so it
-/// can be stored, moved and reset freely — this mimics a stateful session
-/// with a location-aware search service. (For relations *shared* by many
-/// concurrent queries, see [`crate::shared::SharedRTreeRelation`], which runs
-/// the same cursor over an `Arc`'d tree.)
+/// Each view runs its own best-first incremental nearest-neighbour cursor
+/// ([`NearestCursor`]) over the shared tree, so it can be stored, moved and
+/// reset freely — a stateful session with a location-aware search service —
+/// and any number of concurrent queries can read one tree, each view O(1)
+/// to create.
 #[derive(Debug, Clone)]
 pub struct RTreeRelation {
-    name: String,
-    query: Vector,
-    tree: RTree<(TupleId, f64)>,
+    name: Arc<str>,
+    /// Shared with every other view of the same query: one query vector is
+    /// allocated per query, not per view.
+    query: Arc<Vector>,
+    tree: Arc<RTree<(TupleId, f64)>>,
     cursor: NearestCursor,
     max_score: f64,
 }
 
 impl RTreeRelation {
-    /// Builds the relation from tuples; the R-tree is bulk-loaded.
-    pub fn new(name: impl Into<String>, query: Vector, tuples: Vec<Tuple>) -> Self {
-        let dim = query.dim();
-        let max_score = tuples
-            .iter()
-            .map(|t| t.score)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let items: Vec<(Vector, (TupleId, f64))> = tuples
-            .into_iter()
-            .map(|t| (t.vector, (t.id, t.score)))
-            .collect();
-        let tree = RTree::bulk_load(dim, items);
+    /// A view of `tree`, positioned before the nearest tuple to `query`.
+    /// Accepts an owned [`Vector`] or an already-shared `Arc<Vector>`; pass
+    /// the latter to share one allocation across views.
+    pub fn new(
+        name: impl Into<Arc<str>>,
+        tree: Arc<RTree<(TupleId, f64)>>,
+        query: impl Into<Arc<Vector>>,
+        max_score: f64,
+    ) -> Self {
+        let query = query.into();
         let cursor = NearestCursor::new(&tree, &query);
         RTreeRelation {
             name: name.into(),
             query,
             tree,
             cursor,
-            max_score: if max_score.is_finite() {
-                max_score
-            } else {
-                1.0
-            },
+            max_score,
         }
     }
 
-    /// Overrides the maximum-score domain knowledge (`σ_max`).
-    pub fn with_max_score(mut self, max_score: f64) -> Self {
-        self.max_score = max_score;
-        self
-    }
-
-    /// Read access to the underlying R-tree.
-    pub fn tree(&self) -> &RTree<(TupleId, f64)> {
-        &self.tree
+    /// A view of a tree bulk-loaded from `tuples`, with their largest score
+    /// (1.0 when there is none) as σ_max.
+    pub fn from_tuples(
+        name: impl Into<Arc<str>>,
+        query: impl Into<Arc<Vector>>,
+        tuples: Vec<Tuple>,
+    ) -> Self {
+        let query = query.into();
+        let max_score = max_score_or_one(&tuples);
+        let items: Vec<(Vector, (TupleId, f64))> = tuples
+            .into_iter()
+            .map(|t| (t.vector, (t.id, t.score)))
+            .collect();
+        let tree = Arc::new(RTree::bulk_load(query.dim(), items));
+        Self::new(name, tree, query, max_score)
     }
 }
 
@@ -440,7 +480,7 @@ mod tests {
         }
         let tuples = mk_tuples(0, &pts);
         let mut vec_rel = VecRelation::distance_sorted("vec", &q, tuples.clone());
-        let mut rtree_rel = RTreeRelation::new("rtree", q.clone(), tuples);
+        let mut rtree_rel = RTreeRelation::from_tuples("rtree", q.clone(), tuples);
         loop {
             let a = vec_rel.next_tuple();
             let b = rtree_rel.next_tuple();
@@ -460,10 +500,11 @@ mod tests {
     fn rtree_relation_reset() {
         let q = Vector::from([0.0, 0.0]);
         let tuples = mk_tuples(0, &[(1.0, 0.0, 0.5), (2.0, 0.0, 0.6)]);
-        let mut rel = RTreeRelation::new("r", q, tuples);
+        let mut rel = RTreeRelation::from_tuples("r", q, tuples);
         assert_eq!(std::iter::from_fn(|| rel.next_tuple()).count(), 2);
         rel.reset();
         assert_eq!(std::iter::from_fn(|| rel.next_tuple()).count(), 2);
+        assert_eq!((rel.name(), rel.max_score()), ("r", 0.6));
     }
 
     #[test]
@@ -510,7 +551,7 @@ mod tests {
 
         /// The chunk merge at C = 4 — scores from six levels, so ties are
         /// common — equals a from-scratch sort of the union, reads back
-        /// through one [`crate::SharedScoreRelation`], keeps every chunk
+        /// through one chunked [`VecRelation`], keeps every chunk
         /// within 2·C, and shares exactly the chunks no batch tuple lands
         /// in (a batch tuple lands in the chunk of its predecessor among
         /// the base tuples, or the first chunk). Base chunks hold 0 to 2·C
@@ -532,8 +573,8 @@ mod tests {
                 .enumerate()
                 .map(|(i, l)| tuple(first + i, l))
                 .collect();
-            let sorted_base = VecRelation::score_sorted("base", base.clone());
-            let chunks = cut(sorted_base.sorted_tuples(), &[lens, vec![1]].concat());
+            let sorted_base = VecRelation::score_sorted("base", base.clone()).sorted_tuples();
+            let chunks = cut(&sorted_base, &[lens, vec![1]].concat());
             let chunk_of: Vec<usize> = chunks
                 .iter()
                 .enumerate()
@@ -542,9 +583,7 @@ mod tests {
             let landed: Vec<usize> = batch
                 .iter()
                 .map(|b| {
-                    let ahead = sorted_base
-                        .sorted_tuples()
-                        .partition_point(|t| score_order(t, b).is_lt());
+                    let ahead = sorted_base.partition_point(|t| score_order(t, b).is_lt());
                     ahead.checked_sub(1).map_or(0, |p| chunk_of[p])
                 })
                 .collect();
@@ -554,8 +593,7 @@ mod tests {
             let union = VecRelation::score_sorted("union", [base, batch].concat());
             let lane: Vec<Tuple> = merged.iter().flat_map(|c| c.iter().cloned()).collect();
             prop_assert_eq!(lane.as_slice(), union.sorted_tuples());
-            let mut reader =
-                crate::SharedScoreRelation::chunked("r".into(), merged.clone().into(), 1.0);
+            let mut reader = VecRelation::chunked("r", AccessKind::Score, merged.clone(), 1.0);
             let read: Vec<Tuple> = std::iter::from_fn(|| reader.next_tuple()).collect();
             prop_assert_eq!(read.as_slice(), union.sorted_tuples());
             prop_assert!(merged.iter().all(|c| c.len() <= 8), "a chunk is over 2·C");
@@ -585,9 +623,106 @@ mod tests {
     #[test]
     fn empty_relation_yields_nothing() {
         let q = Vector::from([0.0, 0.0]);
-        let mut rel = VecRelation::distance_sorted("empty", &q, vec![]);
-        assert!(rel.next_tuple().is_none());
-        assert_eq!(rel.total_len(), Some(0));
-        assert_eq!(rel.max_score(), 1.0);
+        let no_chunks: Vec<Arc<Vec<Tuple>>> = Vec::new();
+        let empty_chunks: Vec<Arc<Vec<Tuple>>> = (0..3).map(|_| Arc::default()).collect();
+        let relations: [Box<dyn SortedAccess>; 5] = [
+            Box::new(VecRelation::distance_sorted("d", &q, vec![])),
+            Box::new(VecRelation::score_sorted("s", vec![])),
+            Box::new(RTreeRelation::from_tuples("t", q.clone(), vec![])),
+            Box::new(VecRelation::chunked("c", AccessKind::Score, no_chunks, 1.0)),
+            Box::new(VecRelation::chunked(
+                "e",
+                AccessKind::Score,
+                empty_chunks,
+                1.0,
+            )),
+        ];
+        for mut rel in relations {
+            assert!(rel.next_tuple().is_none());
+            rel.reset();
+            assert!(rel.next_tuple().is_none());
+            assert_eq!(rel.total_len(), Some(0));
+            assert_eq!(rel.max_score(), 1.0, "σ_max falls back to 1.0");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both sources read exactly the from-scratch sort of their tuples.
+        /// A [`VecRelation`] over any chunking of the lane, for both kinds
+        /// (score in [`score_order`], distance with ties by id), reads the
+        /// sort after a reset `stop` tuples in (often mid-chunk), stays
+        /// exhausted, and leaves a second view over the same chunks at the
+        /// head. An [`RTreeRelation`] yields the distance lane's distances,
+        /// in order, over the same ids, again after a reset. Points sit on
+        /// a 5 × 5 grid with six score levels, so ties are common, and the
+        /// lane may be empty.
+        #[test]
+        fn sources_read_the_from_scratch_sort(
+            cells in prop::collection::vec((0usize..5, 0usize..5, 0usize..6), 0..40),
+            lens in prop::collection::vec(0usize..9, 0..8),
+            stop in 0usize..40,
+            qx in 0usize..9,
+            qy in 0usize..9,
+        ) {
+            let query = Vector::from([qx as f64 / 2.0, qy as f64 / 2.0]);
+            let tuples: Vec<Tuple> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y, level))| {
+                    let at = Vector::from([x as f64, y as f64]);
+                    Tuple::new(TupleId::new(0, i), at, (level + 1) as f64 / 6.0)
+                })
+                .collect();
+            let distance = |t: &Tuple| t.distance_to(&query);
+            let mut by_score = tuples.clone();
+            by_score.sort_by(score_order);
+            let mut by_distance = tuples.clone();
+            by_distance.sort_by(|a, b| distance(a).total_cmp(&distance(b)).then(a.id.cmp(&b.id)));
+            let max_score = max_score_or_one(&tuples);
+            let lens = [lens, vec![1]].concat();
+            for (kind, lane, built) in [
+                (AccessKind::Score, &by_score, VecRelation::score_sorted("s", tuples.clone())),
+                (
+                    AccessKind::Distance,
+                    &by_distance,
+                    VecRelation::distance_sorted("d", &query, tuples.clone()),
+                ),
+            ] {
+                prop_assert_eq!((built.kind(), built.max_score()), (kind, max_score));
+                prop_assert_eq!(&built.sorted_tuples(), lane);
+                let chunks: Arc<[Arc<Vec<Tuple>>]> = cut(lane, &lens).into();
+                let mut view = VecRelation::chunked("v", kind, Arc::clone(&chunks), 0.5);
+                let mut other = VecRelation::chunked("v", kind, chunks, 0.5);
+                let shape = (view.kind(), view.total_len(), view.max_score());
+                prop_assert_eq!(shape, (kind, Some(lane.len()), 0.5));
+                for _ in 0..stop {
+                    view.next_tuple();
+                }
+                view.reset();
+                let read: Vec<Tuple> = std::iter::from_fn(|| view.next_tuple()).collect();
+                prop_assert_eq!(&read, lane);
+                prop_assert!(view.next_tuple().is_none(), "stays exhausted");
+                prop_assert_eq!(other.next_tuple().as_ref(), lane.first());
+            }
+
+            let mut tree = RTreeRelation::from_tuples("t", query.clone(), tuples);
+            let shape = (tree.kind(), tree.total_len(), tree.max_score());
+            prop_assert_eq!(shape, (AccessKind::Distance, Some(by_distance.len()), max_score));
+            let ids = |lane: &[Tuple]| {
+                let mut ids: Vec<TupleId> = lane.iter().map(|t| t.id).collect();
+                ids.sort();
+                ids
+            };
+            for _ in 0..2 {
+                let read: Vec<Tuple> = std::iter::from_fn(|| tree.next_tuple()).collect();
+                let read_d: Vec<f64> = read.iter().map(distance).collect();
+                let lane_d: Vec<f64> = by_distance.iter().map(distance).collect();
+                prop_assert_eq!(read_d, lane_d);
+                prop_assert_eq!(ids(&read), ids(&by_distance));
+                tree.reset();
+            }
+        }
     }
 }

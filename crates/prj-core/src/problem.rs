@@ -224,7 +224,7 @@ impl<S: ScoringFunction> ProblemBuilder<S> {
     }
 
     /// Adds an already-constructed sorted-access relation (e.g. a
-    /// [`SimulatedService`](prj_access::SimulatedService)).
+    /// [`MergedAccess`](prj_access::MergedAccess) over a relation's parts).
     pub fn relation(mut self, relation: Box<dyn SortedAccess>) -> Self {
         self.boxed_relations.push(relation);
         self
@@ -260,9 +260,9 @@ impl<S: ScoringFunction> ProblemBuilder<S> {
                         self.scoring.distance(&t.vector, &query)
                     }))
                 }
-                (AccessKind::Distance, RelationBackend::RTree) => {
-                    Box::new(RTreeRelation::new(name, (*self.query).clone(), tuples))
-                }
+                (AccessKind::Distance, RelationBackend::RTree) => Box::new(
+                    RTreeRelation::from_tuples(name, Arc::clone(&self.query), tuples),
+                ),
                 (AccessKind::Score, _) => Box::new(VecRelation::score_sorted(name, tuples)),
             };
             relations.push(boxed);

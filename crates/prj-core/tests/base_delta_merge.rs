@@ -9,8 +9,7 @@
 //! whole-relation run and still certify its stop.
 
 use prj_access::{
-    AccessKind, DeltaBuffer, MergeOrder, MergedAccess, SharedScoreRelation, SortedAccess, Tuple,
-    TupleId, VecRelation,
+    AccessKind, DeltaBuffer, MergeOrder, MergedAccess, SortedAccess, Tuple, TupleId, VecRelation,
 };
 use prj_core::{naive_rank_join, Algorithm, EuclideanLogScore, ProblemBuilder, ScoredCombination};
 use prj_geometry::Vector;
@@ -37,8 +36,8 @@ fn fingerprint(combos: &[ScoredCombination]) -> Vec<(Vec<TupleId>, u64)> {
 
 /// A merged base+delta sorted access in the given kind, mirroring exactly
 /// the views `prj-engine`'s catalog serves: the base as an ordinary sorted
-/// source, the delta's shared score lane as a [`SharedScoreRelation`] (score
-/// kind) or a per-query distance sort (distance kind).
+/// source, the delta's shared score lane as a one-chunk [`VecRelation`]
+/// (score kind) or a per-query distance sort (distance kind).
 fn base_delta_access(
     rel: usize,
     base: Vec<Tuple>,
@@ -50,9 +49,10 @@ fn base_delta_access(
     let parts: Vec<Box<dyn SortedAccess>> = match kind {
         AccessKind::Score => vec![
             Box::new(VecRelation::score_sorted(name.clone(), base)),
-            Box::new(SharedScoreRelation::new(
-                Arc::from(format!("{name}+d")),
-                Arc::clone(delta.tuples()),
+            Box::new(VecRelation::chunked(
+                format!("{name}+d"),
+                AccessKind::Score,
+                [Arc::clone(delta.tuples())],
                 delta.max_score(),
             )),
         ],

@@ -71,8 +71,8 @@
 
 use crate::sharding::ShardingPolicy;
 use prj_access::{
-    merge_score_chunks, DeltaBuffer, MergeOrder, MergedAccess, RelationStats, SharedRTreeRelation,
-    SharedScoreRelation, SortedAccess, Tuple, TupleId, VecRelation,
+    merge_score_chunks, AccessKind, DeltaBuffer, MergeOrder, MergedAccess, RTreeRelation,
+    RelationStats, SortedAccess, Tuple, TupleId, VecRelation,
 };
 use prj_core::ScoringFunction;
 use prj_geometry::Vector;
@@ -486,7 +486,7 @@ impl CatalogRelation {
     ) -> Box<dyn SortedAccess> {
         let shard = &self.shards[j];
         let query = query.into();
-        let base = Box::new(SharedRTreeRelation::new(
+        let base = Box::new(RTreeRelation::new(
             Arc::clone(&self.name),
             Arc::clone(&shard.rtree),
             Arc::clone(&query),
@@ -496,7 +496,7 @@ impl CatalogRelation {
             return base;
         }
         let delta = Box::new(VecRelation::distance_sorted(
-            self.name.to_string(),
+            Arc::clone(&self.name),
             query.as_ref(),
             shard.delta.tuples().as_ref().clone(),
         ));
@@ -510,17 +510,19 @@ impl CatalogRelation {
     /// lane is already score-sorted, so merging it in costs nothing extra).
     pub fn shard_score_view(&self, j: usize) -> Box<dyn SortedAccess> {
         let shard = &self.shards[j];
-        let base = Box::new(SharedScoreRelation::chunked(
+        let base = Box::new(VecRelation::chunked(
             Arc::clone(&self.name),
+            AccessKind::Score,
             Arc::clone(&shard.score_chunks),
             shard.base_stats.max_score,
         ));
         if shard.delta.is_empty() {
             return base;
         }
-        let delta = Box::new(SharedScoreRelation::new(
+        let delta = Box::new(VecRelation::chunked(
             Arc::clone(&self.name),
-            Arc::clone(shard.delta.tuples()),
+            AccessKind::Score,
+            [Arc::clone(shard.delta.tuples())],
             shard.delta.max_score(),
         ));
         Box::new(self.merged(vec![base, delta], MergeOrder::DescendingScore))
@@ -543,7 +545,7 @@ impl CatalogRelation {
             tuples.extend(chunk.iter().cloned());
         }
         tuples.extend(shard.delta.tuples().iter().cloned());
-        let rel = VecRelation::distance_sorted_by(self.name.to_string(), tuples, move |t| {
+        let rel = VecRelation::distance_sorted_by(Arc::clone(&self.name), tuples, move |t| {
             scoring.distance(&t.vector, &q)
         })
         .with_max_score(shard.stats.max_score);
@@ -590,7 +592,7 @@ impl CatalogRelation {
         query: &Vector,
     ) -> Box<dyn SortedAccess> {
         let q = query.clone();
-        let rel = VecRelation::distance_sorted_by(self.name.to_string(), self.all_tuples(), {
+        let rel = VecRelation::distance_sorted_by(Arc::clone(&self.name), self.all_tuples(), {
             move |t| scoring.distance(&t.vector, &q)
         })
         .with_max_score(self.stats.max_score);
@@ -598,7 +600,7 @@ impl CatalogRelation {
     }
 
     fn merged(&self, parts: Vec<Box<dyn SortedAccess>>, order: MergeOrder) -> MergedAccess {
-        MergedAccess::new(self.name.to_string(), parts, order)
+        MergedAccess::new(Arc::clone(&self.name), parts, order)
     }
 }
 

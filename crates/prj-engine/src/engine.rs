@@ -928,17 +928,78 @@ fn merge_unit_parts(
     }
 }
 
+/// How one query is accounted once it resolves: the engine's statistics
+/// and metrics, and the query's trace and root `query` span (both `None`
+/// while the span recorder is off).
+struct QueryAccount {
+    stats: Arc<EngineStats>,
+    obs: Arc<EngineObs>,
+    trace: Option<TraceId>,
+    root: Option<SpanGuard>,
+}
+
+impl QueryAccount {
+    /// The trace and root span the query's child spans hang under.
+    fn parent(&self) -> Option<(TraceId, SpanId)> {
+        self.trace.zip(self.root.as_ref().map(|r| r.id()))
+    }
+
+    /// Accounts a query the result cache served: a cached [`QueryRecord`]
+    /// and a `cache=hit` root span.
+    fn cache_hit(self, latency: Duration) {
+        let record = QueryRecord {
+            latency,
+            from_cache: true,
+            ..QueryRecord::default()
+        };
+        self.obs.record_query(&record);
+        self.stats.record(record);
+        if let Some(mut root) = self.root {
+            root.attr("cache", "hit");
+            root.finish();
+        }
+    }
+
+    /// Accounts an executed query: a [`QueryRecord`] whose `sumDepths`
+    /// counts only the accesses `units` freshly performed (unit-cache hits
+    /// did none, and the per-shard lanes must keep adding up to the
+    /// engine-wide total), the root span's `cache` status and the result's
+    /// `sum_depths`, and the trace's finish at `latency`.
+    fn executed(
+        self,
+        cache: &str,
+        result: &RankJoinResult,
+        units: Vec<UnitRecord>,
+        relations: &[usize],
+        latency: Duration,
+    ) {
+        let record = QueryRecord {
+            latency,
+            sum_depths: units.iter().map(|u| u.sum_depths).sum(),
+            bound_updates: result.metrics.bound_updates,
+            from_cache: false,
+            units,
+            relation_depths: relation_depths(relations, result),
+        };
+        self.obs.record_query(&record);
+        self.stats.record(record);
+        if let Some(mut root) = self.root {
+            root.attr("cache", cache);
+            root.attr("sum_depths", result.sum_depths());
+            root.finish();
+        }
+        self.obs.query_finished(self.trace, latency);
+    }
+}
+
 /// Everything a live streaming producer needs at completion: where to cache
 /// the drained execution and how to account/trace it.
 struct StreamFinish {
     cache: Arc<ResultCache>,
-    stats: Arc<EngineStats>,
-    obs: Arc<EngineObs>,
+    account: QueryAccount,
     key: CacheKey,
     plan: Plan,
     relations: Vec<usize>,
-    trace: Option<TraceId>,
-    root: Option<SpanGuard>,
 }
 
 impl StreamFinish {
@@ -948,22 +1009,8 @@ impl StreamFinish {
         // latency measures engine work, not how slowly the consumer
         // drained the stream.
         let latency = result.metrics.total_time;
-        let record = QueryRecord {
-            latency,
-            sum_depths: result.stats.sum_depths(),
-            bound_updates: result.metrics.bound_updates,
-            from_cache: false,
-            units,
-            relation_depths: relation_depths(&self.relations, &result),
-        };
-        self.obs.record_query(&record);
-        self.stats.record(record);
-        if let Some(mut root) = self.root {
-            root.attr("cache", "miss");
-            root.attr("sum_depths", result.sum_depths());
-            root.finish();
-        }
-        self.obs.query_finished(self.trace, latency);
+        self.account
+            .executed("miss", &result, units, &self.relations, latency);
         self.cache.insert(
             self.key,
             Arc::new(CachedExecution {
@@ -1305,10 +1352,16 @@ impl Engine {
     /// span: the spec's own trace context when the caller provided one
     /// (cluster dispatch), a freshly generated trace otherwise — but only
     /// while the recorder is live, so a disabled ring costs nothing.
-    fn begin_query(&self, spec: &QuerySpec) -> (Option<TraceId>, Option<SpanGuard>) {
+    fn begin_query(&self, spec: &QuerySpec) -> QueryAccount {
+        let mut account = QueryAccount {
+            stats: Arc::clone(&self.stats),
+            obs: Arc::clone(&self.obs),
+            trace: None,
+            root: None,
+        };
         let recorder = self.obs.recorder();
         if !recorder.enabled() {
-            return (None, None);
+            return account;
         }
         let qt = spec.trace.unwrap_or_else(|| QueryTrace {
             trace: TraceId::generate(),
@@ -1320,7 +1373,9 @@ impl Engine {
         };
         span.attr("k", spec.k);
         span.attr("relations", spec.relations.len());
-        (Some(qt.trace), Some(span))
+        account.trace = Some(qt.trace);
+        account.root = Some(span);
+        account
     }
 
     /// Snapshots the referenced relations and derives the cache key *from
@@ -1565,21 +1620,11 @@ impl Engine {
                 return QueryTicket { receiver };
             }
         };
-        let (trace, mut root) = self.begin_query(&spec);
+        let account = self.begin_query(&spec);
 
         if let Some(execution) = self.cache.get(&key) {
             let latency = started.elapsed();
-            let record = QueryRecord {
-                latency,
-                from_cache: true,
-                ..QueryRecord::default()
-            };
-            self.obs.record_query(&record);
-            self.stats.record(record);
-            if let Some(mut root) = root {
-                root.attr("cache", "hit");
-                root.finish();
-            }
+            account.cache_hit(latency);
             let _ = sender.send(Ok(EngineResult {
                 execution,
                 from_cache: true,
@@ -1590,9 +1635,9 @@ impl Engine {
         }
 
         let prepared = {
-            let plan_span = trace
-                .zip(root.as_ref())
-                .map(|(trace, root)| self.obs.recorder().child(trace, root.id(), "plan"));
+            let plan_span = account
+                .parent()
+                .map(|(trace, root)| self.obs.recorder().child(trace, root, "plan"));
             let prepared = self.prepare_units(&spec, &snapshot);
             drop(plan_span);
             prepared
@@ -1605,28 +1650,15 @@ impl Engine {
                 let plan = merged_plan(&units);
                 let k = spec.k;
                 let cache = Arc::clone(&self.cache);
-                let stats = Arc::clone(&self.stats);
-                let obs = Arc::clone(&self.obs);
-                let unit_trace = trace.zip(root.as_ref().map(|r| r.id()));
                 let relations: Vec<usize> = spec.relations.iter().map(|r| r.index()).collect();
-                let ctx = self.unit_context(&spec, &snapshot, drive, unit_trace);
+                let ctx = self.unit_context(&spec, &snapshot, drive, account.parent());
                 self.executor.spawn(move || {
                     // Re-check the cache at execution time: a duplicate query
                     // queued behind the first execution of this key should be
                     // served from its result, not re-run (thundering herd).
                     if let Some(execution) = cache.get(&key) {
                         let latency = started.elapsed();
-                        let record = QueryRecord {
-                            latency,
-                            from_cache: true,
-                            ..QueryRecord::default()
-                        };
-                        obs.record_query(&record);
-                        stats.record(record);
-                        if let Some(mut root) = root {
-                            root.attr("cache", "hit");
-                            root.finish();
-                        }
+                        account.cache_hit(latency);
                         let _ = sender.send(Ok(EngineResult {
                             execution,
                             from_cache: true,
@@ -1640,26 +1672,7 @@ impl Engine {
                         Ok((result, unit_records)) => {
                             let latency = started.elapsed();
                             let fresh_units = unit_records.len();
-                            let record = QueryRecord {
-                                latency,
-                                // Count only the accesses *this* query freshly
-                                // performed: unit-cache hits did none, and the
-                                // per-shard lanes must keep adding up to the
-                                // engine-wide total.
-                                sum_depths: unit_records.iter().map(|u| u.sum_depths).sum(),
-                                bound_updates: result.metrics.bound_updates,
-                                from_cache: false,
-                                units: unit_records,
-                                relation_depths: relation_depths(&relations, &result),
-                            };
-                            obs.record_query(&record);
-                            stats.record(record);
-                            if let Some(root) = root.as_mut() {
-                                root.attr("cache", "miss");
-                                root.attr("sum_depths", result.sum_depths());
-                            }
-                            drop(root.take());
-                            obs.query_finished(trace, latency);
+                            account.executed("miss", &result, unit_records, &relations, latency);
                             let execution = Arc::new(CachedExecution { result, plan });
                             cache.insert(key, Arc::clone(&execution));
                             Ok(EngineResult {
@@ -1670,8 +1683,12 @@ impl Engine {
                             })
                         }
                         Err(e) => {
-                            drop(root.take());
-                            obs.trace_event(trace, TraceClass::Error, started.elapsed());
+                            drop(account.root);
+                            account.obs.trace_event(
+                                account.trace,
+                                TraceClass::Error,
+                                started.elapsed(),
+                            );
                             Err(e)
                         }
                     };
@@ -1713,8 +1730,8 @@ impl Engine {
         }
         let started = Instant::now();
         let (snapshot, _key) = self.snapshot_and_key(&spec)?;
-        let (trace, mut root) = self.begin_query(&spec);
-        if let Some(root) = root.as_mut() {
+        let mut account = self.begin_query(&spec);
+        if let Some(root) = account.root.as_mut() {
             root.attr("explain", if analyze { "analyze" } else { "plan" });
         }
         let relations: Vec<RelationPlanData> = snapshot
@@ -1730,9 +1747,9 @@ impl Engine {
             })
             .collect();
         let prepared = {
-            let plan_span = trace
-                .zip(root.as_ref())
-                .map(|(trace, root)| self.obs.recorder().child(trace, root.id(), "plan"));
+            let plan_span = account
+                .parent()
+                .map(|(trace, root)| self.obs.recorder().child(trace, root, "plan"));
             let prepared = self.prepare_units(&spec, &snapshot);
             drop(plan_span);
             prepared
@@ -1754,8 +1771,7 @@ impl Engine {
                 .iter()
                 .map(|u| Self::reads_delta(&snapshot, drive, u.shard))
                 .collect();
-            let unit_trace = trace.zip(root.as_ref().map(|r| r.id()));
-            let mut ctx = self.unit_context(&spec, &snapshot, drive, unit_trace);
+            let mut ctx = self.unit_context(&spec, &snapshot, drive, account.parent());
             ctx.use_unit_cache = false;
             let outcomes = fan_out_units(units, &ctx);
             let mut parts: Vec<Arc<RankJoinResult>> = Vec::with_capacity(outcomes.len());
@@ -1786,20 +1802,9 @@ impl Engine {
             let latency = started.elapsed();
             let total_sum_depths: u64 = profiles.iter().map(|u| u.depths).sum();
             let relation_indices: Vec<usize> = spec.relations.iter().map(|r| r.index()).collect();
-            let record = QueryRecord {
-                latency,
-                sum_depths: unit_records.iter().map(|u| u.sum_depths).sum(),
-                bound_updates: result.metrics.bound_updates,
-                from_cache: false,
-                units: unit_records,
-                relation_depths: relation_depths(&relation_indices, &result),
-            };
-            self.obs.record_query(&record);
-            self.stats.record(record);
-            if let Some(root) = root.as_mut() {
-                root.attr("cache", "bypass");
-                root.attr("sum_depths", total_sum_depths);
-            }
+            // Every unit ran fresh, so the merged result's depths are the
+            // profiles' total.
+            account.executed("bypass", &result, unit_records, &relation_indices, latency);
             Some(AnalyzeData {
                 result,
                 latency,
@@ -1809,10 +1814,6 @@ impl Engine {
         } else {
             None
         };
-        drop(root);
-        if analyze {
-            self.obs.query_finished(trace, started.elapsed());
-        }
         Ok(ExplainData {
             plan,
             drive,
@@ -1835,19 +1836,9 @@ impl Engine {
     pub fn stream(&self, spec: QuerySpec) -> Result<ResultStream, EngineError> {
         let started = Instant::now();
         let (snapshot, key) = self.snapshot_and_key(&spec)?;
-        let (trace, root) = self.begin_query(&spec);
+        let account = self.begin_query(&spec);
         if let Some(execution) = self.cache.get(&key) {
-            let record = QueryRecord {
-                latency: started.elapsed(),
-                from_cache: true,
-                ..QueryRecord::default()
-            };
-            self.obs.record_query(&record);
-            self.stats.record(record);
-            if let Some(mut root) = root {
-                root.attr("cache", "hit");
-                root.finish();
-            }
+            account.cache_hit(started.elapsed());
             let plan = execution.plan.clone();
             return Ok(ResultStream {
                 inner: StreamInner::Replay {
@@ -1861,9 +1852,9 @@ impl Engine {
         }
 
         let (drive, units) = {
-            let plan_span = trace
-                .zip(root.as_ref())
-                .map(|(trace, root)| self.obs.recorder().child(trace, root.id(), "plan"));
+            let plan_span = account
+                .parent()
+                .map(|(trace, root)| self.obs.recorder().child(trace, root, "plan"));
             let prepared = self.prepare_units(&spec, &snapshot);
             drop(plan_span);
             prepared?
@@ -1879,26 +1870,10 @@ impl Engine {
         // incrementally — the delivery stops being access-incremental
         // across the network, the emitted rows do not change.
         if units.iter().any(|u| u.shard.is_some()) {
-            let unit_trace = trace.zip(root.as_ref().map(|r| r.id()));
-            let ctx = self.unit_context(&spec, &snapshot, drive, unit_trace);
+            let ctx = self.unit_context(&spec, &snapshot, drive, account.parent());
             let (result, unit_records) = run_units(units, k, &ctx)?;
             let latency = started.elapsed();
-            let record = QueryRecord {
-                latency,
-                sum_depths: unit_records.iter().map(|u| u.sum_depths).sum(),
-                bound_updates: result.metrics.bound_updates,
-                from_cache: false,
-                units: unit_records,
-                relation_depths: relation_depths(&relations, &result),
-            };
-            self.obs.record_query(&record);
-            self.stats.record(record);
-            if let Some(mut root) = root {
-                root.attr("cache", "miss");
-                root.attr("sum_depths", result.sum_depths());
-                root.finish();
-            }
-            self.obs.query_finished(trace, latency);
+            account.executed("miss", &result, unit_records, &relations, latency);
             let execution = Arc::new(CachedExecution {
                 result,
                 plan: plan.clone(),
@@ -1928,13 +1903,10 @@ impl Engine {
         let (sender, receiver) = sync_channel(STREAM_BUFFER);
         let finish = StreamFinish {
             cache: Arc::clone(&self.cache),
-            stats: Arc::clone(&self.stats),
-            obs: Arc::clone(&self.obs),
+            account,
             key,
             plan: plan.clone(),
             relations,
-            trace,
-            root,
         };
         std::thread::Builder::new()
             .name("prj-engine-stream".to_string())
