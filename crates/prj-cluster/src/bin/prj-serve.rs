@@ -6,7 +6,7 @@
 //!
 //! OPTIONS:
 //!     --addr HOST:PORT   listen address (default 127.0.0.1:7878; port 0 = ephemeral)
-//!     --threads N        engine worker threads (default: available parallelism)
+//!     --threads N        engine query runs at once (default: available parallelism)
 //!     --cache N          result-cache capacity in entries (default 1024)
 //!     --shards N         spatial shards per relation (default 1 = unsharded)
 //!     --table1           preload the paper's Table 1 relations as R1, R2, R3
@@ -920,7 +920,7 @@ fn serve(options: &Options) -> Result<(), String> {
     let _health = bind_health(options.health_addr.as_deref(), health_render)?;
     let addr = server.local_addr();
     println!(
-        "prj-serve {role} listening on {addr} (prj/{} line protocol, {} worker threads)",
+        "prj-serve {role} listening on {addr} (prj/{} line protocol, {} run permits)",
         prj_api::PROTOCOL_VERSION,
         threads,
     );

@@ -49,7 +49,8 @@ pub struct CoordinatorBuilder {
 }
 
 impl CoordinatorBuilder {
-    /// Engine worker threads (default: available parallelism).
+    /// Engine query runs that may execute at once (default: available
+    /// parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self

@@ -6,8 +6,8 @@
 //! key from that same snapshot and returns a memoised result immediately on
 //! a hit; on a miss it plans the query once from whole-relation statistics
 //! and builds **one** execution unit — a [`prj_core::Problem`] over the
-//! catalog's shard-merged views, O(1) to build — which runs on the
-//! [`Executor`] worker that picks it up. Shards are the unit of storage,
+//! catalog's shard-merged views, O(1) to build — which runs once it holds
+//! one of the [`Executor`]'s run permits. Shards are the unit of storage,
 //! publish cost and cluster placement, not of in-process execution: the
 //! merged views are one globally sorted stream per relation, so a query
 //! reads exactly what it would read unsharded and the shard count is
@@ -264,7 +264,7 @@ impl EngineResult {
     }
 }
 
-/// A handle to an in-flight query submitted to the pool.
+/// A handle to an in-flight query.
 #[derive(Debug)]
 pub struct QueryTicket {
     receiver: Receiver<Result<EngineResult, EngineError>>,
@@ -534,7 +534,8 @@ impl Default for EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Number of worker threads (default: available parallelism).
+    /// Number of query runs that may execute at once (default: available
+    /// parallelism); further misses wait for a run permit.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -845,7 +846,7 @@ impl UnitExecContext {
 
 /// Executes every unit, returning the per-unit outcomes in
 /// completion-independent unit order. An in-process query has one unit and
-/// runs it on the calling pool worker; only a cluster coordinator's
+/// runs it on the calling thread; only a cluster coordinator's
 /// per-shard units fan out.
 fn fan_out_units(
     units: Vec<ExecutionUnit>,
@@ -857,9 +858,8 @@ fn fan_out_units(
     } else {
         // Per-shard units are blocking network calls to distinct workers
         // (plus, on a partially routed cluster, local shard units); scoped
-        // threads keep the fan-out off the engine's worker pool so a
-        // partitioned query can never deadlock a small pool against
-        // itself.
+        // threads run them side by side under the query's one run permit,
+        // so a partitioned query never waits on permits it holds itself.
         std::thread::scope(|scope| {
             let handles: Vec<_> = units
                 .into_iter()
@@ -1303,7 +1303,7 @@ impl Engine {
         &self.registry
     }
 
-    /// Number of executor worker threads.
+    /// Number of query runs that may execute at once.
     pub fn threads(&self) -> usize {
         self.executor.threads()
     }
@@ -1606,18 +1606,40 @@ impl Engine {
         }
     }
 
-    /// Submits a query to the pool and returns a ticket to wait on.
+    /// Submits a query and returns a ticket to wait on.
     ///
-    /// Cache hits and planning errors resolve the ticket immediately; misses
-    /// run on a worker thread.
+    /// Cache hits and planning errors resolve the ticket immediately; a
+    /// miss waits here for one of the executor's `threads` run permits and
+    /// then runs on a thread of its own.
     pub fn submit(&self, spec: QuerySpec) -> QueryTicket {
+        let (ticket, miss) = self.start(spec);
+        if let Some(run) = miss {
+            self.executor.spawn(run);
+        }
+        ticket
+    }
+
+    /// Runs one query to completion: the steps of [`Engine::submit`], but a
+    /// miss runs on the calling thread once it holds a run permit. A
+    /// panicking run is reported as [`EngineError::WorkerLost`].
+    pub fn query(&self, spec: QuerySpec) -> Result<EngineResult, EngineError> {
+        let (ticket, miss) = self.start(spec);
+        if let Some(run) = miss {
+            self.executor.run(run);
+        }
+        ticket.wait()
+    }
+
+    /// The shared first steps of a query: snapshot, cache lookup, planning.
+    /// Returns the ticket and, on a miss, the run that resolves it.
+    fn start(&self, spec: QuerySpec) -> (QueryTicket, Option<impl FnOnce() + Send + 'static>) {
         let started = Instant::now();
         let (sender, receiver) = sync_channel(1);
         let (snapshot, key) = match self.snapshot_and_key(&spec) {
             Ok(snapshot_and_key) => snapshot_and_key,
             Err(e) => {
                 let _ = sender.send(Err(e));
-                return QueryTicket { receiver };
+                return (QueryTicket { receiver }, None);
             }
         };
         let account = self.begin_query(&spec);
@@ -1631,7 +1653,7 @@ impl Engine {
                 latency,
                 fresh_units: 0,
             }));
-            return QueryTicket { receiver };
+            return (QueryTicket { receiver }, None);
         }
 
         let prepared = {
@@ -1642,9 +1664,10 @@ impl Engine {
             drop(plan_span);
             prepared
         };
-        match prepared {
+        let miss = match prepared {
             Err(e) => {
                 let _ = sender.send(Err(e));
+                None
             }
             Ok((drive, units)) => {
                 let plan = merged_plan(&units);
@@ -1652,7 +1675,7 @@ impl Engine {
                 let cache = Arc::clone(&self.cache);
                 let relations: Vec<usize> = spec.relations.iter().map(|r| r.index()).collect();
                 let ctx = self.unit_context(&spec, &snapshot, drive, account.parent());
-                self.executor.spawn(move || {
+                Some(move || {
                     // Re-check the cache at execution time: a duplicate query
                     // queued behind the first execution of this key should be
                     // served from its result, not re-run (thundering herd).
@@ -1693,15 +1716,10 @@ impl Engine {
                         }
                     };
                     let _ = sender.send(response);
-                });
+                })
             }
-        }
-        QueryTicket { receiver }
-    }
-
-    /// Runs one query to completion (submit + wait).
-    pub fn query(&self, spec: QuerySpec) -> Result<EngineResult, EngineError> {
-        self.submit(spec).wait()
+        };
+        (QueryTicket { receiver }, miss)
     }
 
     /// EXPLAIN / EXPLAIN ANALYZE: reports how the engine would execute (or
@@ -1829,10 +1847,10 @@ impl Engine {
     ///
     /// A fully drained stream populates the result cache just like a batch
     /// query; a cache hit replays the memoised combinations. Live streams run
-    /// on a dedicated thread rather than a pool worker: their producer is
+    /// on a dedicated thread and take no run permit: their producer is
     /// consumer-paced (it blocks once it runs a few results
-    /// ahead), and a slow or idle consumer must not starve the pool that
-    /// serves batch queries.
+    /// ahead), and a slow or idle consumer must not hold a permit that
+    /// batch queries wait for.
     pub fn stream(&self, spec: QuerySpec) -> Result<ResultStream, EngineError> {
         let started = Instant::now();
         let (snapshot, key) = self.snapshot_and_key(&spec)?;

@@ -1,85 +1,125 @@
-//! The concurrent executor: a fixed pool of worker threads.
+//! The concurrent executor: at most `threads` query runs at a time.
 //!
-//! Queries are pure CPU work over shared immutable structures, so a classic
-//! fixed-size thread pool over an [`mpsc`](std::sync::mpsc) job queue is all
-//! the engine needs — no async runtime, no work stealing. Jobs are boxed
-//! closures; results travel back to the caller through per-query channels
-//! owned by the [`crate::engine::QueryTicket`] /
-//! [`crate::engine::ResultStream`] handles.
+//! Queries are pure CPU work over shared immutable structures, so the engine
+//! needs no async runtime and no work stealing, only a bound on how many
+//! operators run at once. The executor is that bound: a gate of `threads`
+//! run permits. [`Executor::run`] runs a job on the calling thread, so a
+//! blocking query pays no hand-off to another thread and back (each hand-off
+//! is a thread wake-up, slow when the other CPU sits idle);
+//! [`Executor::spawn`] runs it on a thread of its own, for callers that want
+//! a ticket back. Either way the job first waits for a permit, so a query
+//! queued behind a full gate starts after its predecessors have filled the
+//! result cache. Results travel back to the caller through per-query
+//! channels owned by the [`crate::engine::QueryTicket`] handles.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Condvar, Mutex};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// The permits shared by the executor and its running jobs.
+#[derive(Debug, Default)]
+struct Gate {
+    state: Mutex<GateState>,
+    /// Signalled when a permit is given back rather than handed over.
+    idle: Condvar,
+}
 
-/// A fixed pool of worker threads consuming jobs from a shared queue.
+#[derive(Debug, Default)]
+struct GateState {
+    running: usize,
+    /// Callers waiting for a permit, oldest first.
+    waiting: VecDeque<SyncSender<()>>,
+}
+
+/// One taken permit; dropping it (a panicking job included) hands it to
+/// the longest waiter, so callers are served in arrival order and a caller
+/// that releases and asks again cannot overtake them.
+struct Permit(Arc<Gate>);
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        let mut state = self.0.state.lock().expect("executor gate");
+        match state.waiting.pop_front() {
+            Some(next) => {
+                let _ = next.send(());
+            }
+            None => {
+                state.running -= 1;
+                self.0.idle.notify_all();
+            }
+        }
+    }
+}
+
+/// A gate of run permits: at most `threads` jobs run at once.
 #[derive(Debug)]
 pub struct Executor {
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: usize,
+    gate: Arc<Gate>,
+    spawned: AtomicUsize,
 }
 
 impl Executor {
-    /// Spawns a pool of `threads` workers (at least one).
+    /// A gate of `threads` permits (at least one).
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..threads)
-            .map(|i| {
-                let receiver: Arc<Mutex<Receiver<Job>>> = Arc::clone(&receiver);
-                std::thread::Builder::new()
-                    .name(format!("prj-engine-worker-{i}"))
-                    .spawn(move || loop {
-                        // Hold the queue lock only while popping, not while
-                        // running the job.
-                        let job = match receiver.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(_) => return,
-                        };
-                        match job {
-                            // A panicking job must not take the worker down
-                            // with it: the job's result channel is dropped
-                            // (its ticket observes WorkerLost) and the worker
-                            // lives on to serve the next query.
-                            Ok(job) => {
-                                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                            }
-                            Err(_) => return, // queue closed: shut down
-                        }
-                    })
-                    .expect("spawn engine worker")
-            })
-            .collect();
         Executor {
-            sender: Some(sender),
-            workers,
+            threads: threads.max(1),
+            gate: Arc::default(),
+            spawned: AtomicUsize::new(0),
         }
     }
 
-    /// Number of worker threads.
+    /// Number of jobs that may run at once.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.threads
     }
 
-    /// Enqueues a job; some worker will run it.
+    /// Blocks until a permit is free and takes it.
+    fn permit(&self) -> Permit {
+        let mut state = self.gate.state.lock().expect("executor gate");
+        if state.running < self.threads {
+            state.running += 1;
+        } else {
+            let (handoff, wait) = sync_channel(1);
+            state.waiting.push_back(handoff);
+            drop(state);
+            wait.recv().expect("a permit is handed to every waiter");
+        }
+        Permit(Arc::clone(&self.gate))
+    }
+
+    /// Runs a job on the calling thread once a permit is free. A panicking
+    /// job is contained: it drops whatever it owned (a query's result
+    /// channel, so its ticket observes `WorkerLost`) and the caller carries
+    /// on.
+    pub fn run(&self, job: impl FnOnce()) {
+        let _permit = self.permit();
+        let _ = catch_unwind(AssertUnwindSafe(job));
+    }
+
+    /// Runs a job on a new thread once a permit is free; blocks the caller
+    /// until then, so at most `threads` spawned jobs are ever alive.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.sender
-            .as_ref()
-            .expect("executor already shut down")
-            .send(Box::new(job))
-            .expect("engine workers are gone");
+        let permit = self.permit();
+        let i = self.spawned.fetch_add(1, Ordering::Relaxed);
+        std::thread::Builder::new()
+            .name(format!("prj-engine-worker-{i}"))
+            .spawn(move || {
+                let _permit = permit;
+                job();
+            })
+            .expect("spawn engine worker");
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        // Closing the channel lets every worker drain outstanding jobs and
-        // exit; joining makes shutdown deterministic.
-        drop(self.sender.take());
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        // Wait for every running job, so shutdown is deterministic.
+        let mut state = self.gate.state.lock().expect("executor gate");
+        while state.running > 0 {
+            state = self.gate.idle.wait(state).expect("executor gate");
         }
     }
 }
@@ -137,6 +177,67 @@ mod tests {
         let (tx, rx) = sync_channel(1);
         pool.spawn(move || tx.send(7u8).unwrap());
         assert_eq!(rx.recv().unwrap(), 7);
+    }
+
+    #[test]
+    fn at_most_threads_jobs_run_at_once() {
+        let gate = Arc::new(Executor::new(2));
+        let (running, peak) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let job = {
+            let (running, peak) = (Arc::clone(&running), Arc::clone(&peak));
+            move || {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                running.fetch_sub(1, Ordering::SeqCst);
+            }
+        };
+        // Six callers running on their own threads, plus six spawned jobs.
+        let callers: Vec<_> = (0..6)
+            .map(|_| {
+                let (gate, job) = (Arc::clone(&gate), job.clone());
+                std::thread::spawn(move || gate.run(job))
+            })
+            .collect();
+        for _ in 0..6 {
+            gate.spawn(job.clone());
+        }
+        for caller in callers {
+            caller.join().unwrap();
+        }
+        drop(Arc::into_inner(gate).expect("callers joined"));
+        assert_eq!(running.load(Ordering::SeqCst), 0);
+        assert!(peak.load(Ordering::SeqCst) <= 2, "peak {peak:?}");
+    }
+
+    #[test]
+    fn waiters_are_served_in_arrival_order() {
+        let gate = Arc::new(Executor::new(1));
+        let (release, held) = sync_channel::<()>(0);
+        gate.spawn(move || held.recv().unwrap());
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let waiters: Vec<_> = (0..4)
+            .map(|i| {
+                let (gate2, order) = (Arc::clone(&gate), Arc::clone(&order));
+                let waiter =
+                    std::thread::spawn(move || gate2.run(|| order.lock().unwrap().push(i)));
+                // Queue each waiter before starting the next.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                while gate.gate.state.lock().unwrap().waiting.len() <= i {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "waiter {i} never queued"
+                    );
+                    std::thread::yield_now();
+                }
+                waiter
+            })
+            .collect();
+        release.send(()).unwrap();
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]

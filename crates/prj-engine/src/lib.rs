@@ -31,7 +31,7 @@
 //!   reduction, TBPA at n ≥ 3, never the LP dominance test. Every
 //!   execution unit of the query runs that plan; a pinned algorithm
 //!   overrides it.
-//! * [`engine`] — the execution façade: a fixed worker pool
+//! * [`engine`] — the execution façade: a gate of run permits
 //!   ([`executor`]), batched and streaming queries
 //!   ([`Engine::stream`] exposes the paper's incremental pulling model
 //!   with backpressure), one operator per in-process query over the
@@ -51,7 +51,8 @@
 //!   lives there and serves all three roles).
 //! * [`stats`] — engine-wide aggregation of the operator's metrics.
 //! * [`obs`] — observability: per-query span traces (recorded into a
-//!   lock-light ring, stitched across processes for distributed queries)
+//!   bounded ring indexed by trace, stitched across processes for
+//!   distributed queries)
 //!   and the metric series behind the `prj/2` `metrics` verb and the
 //!   `--metrics-addr` Prometheus-style exposition.
 //!

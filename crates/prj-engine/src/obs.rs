@@ -40,6 +40,14 @@
 //! remote units ship their `execute_unit`/`run` spans back over the wire;
 //! the coordinator stitches them under the dispatching `unit` span via
 //! [`Recorder::import`].
+//!
+//! ## Trace retention
+//!
+//! An executed query files its trace on the thread that ran it, right after
+//! its root span finishes ([`EngineObs::trace_event`]): the recorder hands
+//! back that trace's spans alone, the outcome is classified, and the
+//! [`TraceStore`] keeps or drops the trace. There is no background thread
+//! or queue, and a trace is fetchable as soon as its query returns.
 
 use crate::stats::QueryRecord;
 use prj_api::{MetricKind, MetricSample, SpanRecord};
@@ -49,7 +57,7 @@ use prj_obs::{
     Counter, Gauge, Histogram, MetricsRegistry, Recorder, RetentionPolicy, Sample, SpanId,
     TraceClass, TraceId, TraceStore,
 };
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The trace identity a query executes under: the cluster-wide trace id
@@ -61,32 +69,6 @@ pub struct QueryTrace {
     pub trace: TraceId,
     /// The upstream span to parent the query's root span under.
     pub parent: Option<SpanId>,
-}
-
-/// One finished query handed to the background trace drain: the spans are
-/// looked up (and the retention decision made) *off* the query path.
-#[derive(Debug)]
-struct TraceEvent {
-    trace: TraceId,
-    class: TraceClass,
-    latency: Duration,
-}
-
-/// Shared bookkeeping between trace producers and the drain thread, so
-/// [`EngineObs::flush_traces`] can wait for the queue to empty.
-#[derive(Debug, Default)]
-struct DrainState {
-    pending: Mutex<usize>,
-    idle: Condvar,
-}
-
-/// The sending half of the trace drain. The `Sender` sits behind a mutex
-/// because query completions arrive from many threads; the lock is
-/// per-completion, never on a hot loop.
-#[derive(Debug)]
-struct TraceDrain {
-    sender: Mutex<mpsc::Sender<TraceEvent>>,
-    state: Arc<DrainState>,
 }
 
 /// The engine's observability bundle: recorder, registry, and the metric
@@ -105,8 +87,7 @@ pub struct EngineObs {
     compactions_total: Arc<Counter>,
     delta_tuples: Arc<Gauge>,
     slow_threshold: Option<Duration>,
-    trace_store: Arc<TraceStore>,
-    drain: Option<TraceDrain>,
+    trace_store: TraceStore,
 }
 
 impl EngineObs {
@@ -118,36 +99,12 @@ impl EngineObs {
         let recorder = Arc::new(Recorder::new(trace_capacity));
         // Tail-sampled retention rides on tracing: with the recorder off
         // there are no spans to retain, so the store is disabled too.
-        let trace_store = Arc::new(TraceStore::new(if trace_capacity > 0 {
+        let trace_store = TraceStore::new(if trace_capacity > 0 {
             RetentionPolicy::default()
         } else {
             RetentionPolicy {
                 capacity: 0,
                 ok_sample_per_mille: 0,
-            }
-        }));
-        let drain = (trace_capacity > 0).then(|| {
-            let (sender, receiver) = mpsc::channel::<TraceEvent>();
-            let state = Arc::new(DrainState::default());
-            let thread_recorder = Arc::clone(&recorder);
-            let thread_store = Arc::clone(&trace_store);
-            let thread_state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("prj-trace-drain".to_string())
-                .spawn(move || {
-                    while let Ok(event) = receiver.recv() {
-                        drain_trace(&thread_recorder, &thread_store, slow_threshold, event);
-                        let mut pending = thread_state.pending.lock().expect("trace drain state");
-                        *pending -= 1;
-                        if *pending == 0 {
-                            thread_state.idle.notify_all();
-                        }
-                    }
-                })
-                .expect("spawn prj-trace-drain");
-            TraceDrain {
-                sender: Mutex::new(sender),
-                state,
             }
         });
         EngineObs {
@@ -164,7 +121,6 @@ impl EngineObs {
             recorder,
             slow_threshold,
             trace_store,
-            drain,
         }
     }
 
@@ -188,11 +144,6 @@ impl EngineObs {
     /// register their own series here so one snapshot covers the process.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// The configured slow-query threshold.
-    pub fn slow_threshold(&self) -> Option<Duration> {
-        self.slow_threshold
     }
 
     /// Folds one served query into the metric series. Pre-registered
@@ -227,15 +178,12 @@ impl EngineObs {
 
     /// The tail-sampled trace store (the `FetchTrace`/`ListTraces`
     /// backing). Disabled (capacity 0) when tracing is off.
-    pub fn trace_store(&self) -> &Arc<TraceStore> {
+    pub fn trace_store(&self) -> &TraceStore {
         &self.trace_store
     }
 
-    /// Reports a successfully finished query to the background trace
-    /// drain. Classification happens here (slow vs. ok, by the configured
-    /// threshold); span collection, the retention decision, and the
-    /// slow-query stderr dump all happen on the drain thread — nothing
-    /// blocks the query path.
+    /// Files a successfully finished query's trace, classed slow or ok by
+    /// the configured threshold (see [`EngineObs::trace_event`]).
     pub fn query_finished(&self, trace: Option<TraceId>, latency: Duration) {
         let class = match self.slow_threshold {
             Some(threshold) if latency >= threshold => TraceClass::Slow,
@@ -244,72 +192,29 @@ impl EngineObs {
         self.trace_event(trace, class, latency);
     }
 
-    /// Hands one finished trace (with an explicit outcome class, e.g.
-    /// [`TraceClass::Error`]) to the background drain.
+    /// Files one finished trace with an explicit outcome class (e.g.
+    /// [`TraceClass::Error`]), on the caller's thread: collects the
+    /// trace's spans (call it after the root span has finished), upgrades
+    /// an ok or slow class to `failover` when a `failover` event span is
+    /// present (a replica failover is recorded only as that span), writes
+    /// the slow-query stderr dump, and offers the trace to the
+    /// tail-sampled store, so it is fetchable as soon as the query returns.
     pub fn trace_event(&self, trace: Option<TraceId>, class: TraceClass, latency: Duration) {
-        let (Some(drain), Some(trace)) = (self.drain.as_ref(), trace) else {
+        let Some(trace) = trace.filter(|_| self.recorder.enabled()) else {
             return;
         };
-        *drain.state.pending.lock().expect("trace drain state") += 1;
-        let sent = drain
-            .sender
-            .lock()
-            .expect("trace drain sender")
-            .send(TraceEvent {
-                trace,
-                class,
-                latency,
-            })
-            .is_ok();
-        if !sent {
-            // Drain thread gone (only possible during teardown): undo the
-            // pending count so flush_traces never hangs.
-            let mut pending = drain.state.pending.lock().expect("trace drain state");
-            *pending -= 1;
-            if *pending == 0 {
-                drain.state.idle.notify_all();
-            }
-        }
-    }
-
-    /// Blocks until the background drain has processed every event sent so
-    /// far. Trace reads (`FetchTrace`/`ListTraces`) call this so a query
-    /// finished before the read is guaranteed visible in the store.
-    pub fn flush_traces(&self) {
-        let Some(drain) = self.drain.as_ref() else {
-            return;
+        let spans = self.recorder.trace(trace);
+        let class = if matches!(class, TraceClass::Ok | TraceClass::Slow)
+            && spans.iter().any(|s| s.name == "failover")
+        {
+            TraceClass::Failover
+        } else {
+            class
         };
-        let mut pending = drain.state.pending.lock().expect("trace drain state");
-        while *pending > 0 {
-            pending = drain.state.idle.wait(pending).expect("trace drain state");
-        }
-    }
-}
-
-/// One drain-thread step: collect the trace's spans, upgrade the class to
-/// `failover` when the trace contains a failover event span (the outcome
-/// the query path can't see), emit the slow-query stderr dump, and offer
-/// the trace to the tail-sampled store.
-fn drain_trace(
-    recorder: &Recorder,
-    store: &TraceStore,
-    slow_threshold: Option<Duration>,
-    event: TraceEvent,
-) {
-    let spans = recorder.trace(event.trace);
-    let class = if matches!(event.class, TraceClass::Ok | TraceClass::Slow)
-        && spans.iter().any(|s| s.name == "failover")
-    {
-        TraceClass::Failover
-    } else {
-        event.class
-    };
-    if let Some(threshold) = slow_threshold {
-        if event.latency >= threshold {
-            let trace = event.trace;
+        if let Some(threshold) = self.slow_threshold.filter(|t| latency >= *t) {
             let mut out = format!(
                 "slow-query trace={trace} latency_us={} threshold_us={} spans={}\n",
-                event.latency.as_micros(),
+                latency.as_micros(),
                 threshold.as_micros(),
                 spans.len(),
             );
@@ -320,8 +225,8 @@ fn drain_trace(
             }
             eprint!("{out}");
         }
+        self.trace_store.offer(class, trace, spans);
     }
-    store.offer(class, event.trace, spans);
 }
 
 impl Default for EngineObs {

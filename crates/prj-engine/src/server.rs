@@ -5,7 +5,7 @@
 //! shared [`Session`], and writes the response line(s) back. A streaming
 //! request writes `item` lines as the engine certifies results — the
 //! engine-side channel gives the producer backpressure, so a slow client
-//! slows its own run, not the pool. Malformed lines are answered with an
+//! slows its own run, not anyone else's. Malformed lines are answered with an
 //! `err` response instead of dropping the connection, so a curious `nc`
 //! user gets diagnostics rather than silence.
 //!

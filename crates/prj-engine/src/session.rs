@@ -383,12 +383,8 @@ impl Session {
                 Response::Explain(to_explain_report(data))
             }
             Request::FetchTrace { trace } => {
-                let obs = self.engine.obs();
-                // Make any trace already reported to the drain visible
-                // before reading the store.
-                obs.flush_traces();
                 let stored = TraceId::from_u64(trace)
-                    .and_then(|id| obs.trace_store().fetch(id))
+                    .and_then(|id| self.engine.obs().trace_store().fetch(id))
                     .ok_or_else(|| {
                         ApiError::new(
                             ErrorKind::InvalidQuery,
@@ -401,24 +397,22 @@ impl Session {
                     spans: crate::obs::to_api_spans(&stored.spans),
                 }
             }
-            Request::ListTraces => {
-                let obs = self.engine.obs();
-                obs.flush_traces();
-                Response::Traces {
-                    traces: obs
-                        .trace_store()
-                        .list()
-                        .into_iter()
-                        .map(|(t, spans)| TraceSummary {
-                            trace: t.trace.as_u64(),
-                            class: t.class.as_str().to_string(),
-                            root: t.root,
-                            duration_micros: t.duration_micros,
-                            spans,
-                        })
-                        .collect(),
-                }
-            }
+            Request::ListTraces => Response::Traces {
+                traces: self
+                    .engine
+                    .obs()
+                    .trace_store()
+                    .list()
+                    .into_iter()
+                    .map(|(t, spans)| TraceSummary {
+                        trace: t.trace.as_u64(),
+                        class: t.class.as_str().to_string(),
+                        root: t.root,
+                        duration_micros: t.duration_micros,
+                        spans,
+                    })
+                    .collect(),
+            },
             Request::Health => Response::Health(self.base_health()),
         }))
     }

@@ -265,3 +265,82 @@ fn a_two_relation_subscription_acks_cbpa() {
     let line = wire::encode_response(&ack);
     assert!(line.contains(" algo=CBPA "), "{line}");
 }
+
+/// A scoring whose every evaluation panics, standing in for any bug that
+/// panics inside a run.
+#[derive(Debug)]
+struct PanickingScore;
+
+impl prj_core::ScoringFunction for PanickingScore {
+    fn proximity_weighted_score(&self, _sigma: f64, _dq: f64, _dmu: f64) -> f64 {
+        panic!("scoring panicked on purpose")
+    }
+}
+
+impl prj_core::ScoringSpec for PanickingScore {
+    fn cache_fingerprint(&self) -> u64 {
+        prj_core::fingerprint("panicking", &[])
+    }
+}
+
+#[test]
+fn a_panicking_run_reports_worker_lost_and_the_engine_serves_on() {
+    let (engine, ids, _) = synthetic_engine(1);
+    let point = Vector::from([0.0, 0.0]);
+    let panicking = || QuerySpec::top_k(ids.clone(), point.clone(), 3).with_scoring(PanickingScore);
+    // `query` runs a miss on the calling thread, `submit` on a pool worker;
+    // either way the panic stays inside the engine.
+    assert!(matches!(
+        engine.query(panicking()),
+        Err(prj_engine::EngineError::WorkerLost)
+    ));
+    assert!(matches!(
+        engine.submit(panicking()).wait(),
+        Err(prj_engine::EngineError::WorkerLost)
+    ));
+    let spec = QuerySpec::top_k(ids.clone(), point.clone(), 3);
+    assert_eq!(
+        engine
+            .query(spec.clone())
+            .expect("query")
+            .combinations()
+            .len(),
+        3
+    );
+    assert_eq!(
+        engine
+            .submit(spec)
+            .wait()
+            .expect("submit")
+            .combinations()
+            .len(),
+        3
+    );
+}
+
+#[test]
+fn concurrent_identical_cold_queries_run_the_operator_once() {
+    // One run permit: the first caller to take it runs the query; every
+    // other caller waits at the gate and finds the result in the cache.
+    let (engine, ids, _) = synthetic_engine(1);
+    let spec = QuerySpec::top_k(ids, Vector::from([0.1, -0.1]), 5);
+    let barrier = std::sync::Barrier::new(8);
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    engine.query(spec.clone()).expect("query")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(results.iter().filter(|r| !r.from_cache).count(), 1);
+    assert!(results
+        .iter()
+        .all(|r| r.combinations() == results[0].combinations()));
+    let stats = engine.stats();
+    assert_eq!(stats.executed, 1, "only one caller may execute");
+    assert_eq!(stats.cache_hits, 7);
+}

@@ -1,8 +1,12 @@
-//! Engine-level observability: per-query span traces and the metric series
-//! behind the Prometheus exposition.
+//! Engine-level observability: per-query span traces, the retained traces
+//! served through a session, and the metric series behind the Prometheus
+//! exposition.
 
-use prj_engine::{EngineBuilder, QuerySpec, RelationId};
+use prj_api::{QueryRequest, Request, Response, TraceContext, TupleData};
+use prj_engine::{EngineBuilder, QuerySpec, RelationId, Session};
 use prj_geometry::Vector;
+use std::sync::Arc;
+use std::time::Duration;
 
 fn table1_engine(shards: usize) -> (prj_engine::Engine, Vec<RelationId>) {
     let engine = EngineBuilder::default().threads(2).shards(shards).build();
@@ -183,4 +187,79 @@ fn streamed_queries_record_spans_and_metrics_too() {
         .find(|s| s.name == "prj_queries_total")
         .expect("series");
     assert_eq!(queries.value, 1.0);
+}
+
+#[test]
+fn a_slow_query_trace_is_served_as_soon_as_the_query_returns() {
+    // A 1 ns threshold makes every executed query slow, a class the trace
+    // store always retains.
+    let engine = EngineBuilder::default()
+        .threads(1)
+        .slow_query_threshold(Some(Duration::from_nanos(1)))
+        .build();
+    let session = Session::new(Arc::new(engine));
+    for (name, rows) in [
+        ("R1", [([0.0, -0.5], 0.5), ([0.0, 1.0], 1.0)]),
+        ("R2", [([1.0, 1.0], 1.0), ([-2.0, 2.0], 0.8)]),
+    ] {
+        let tuples = rows
+            .iter()
+            .map(|(x, s)| TupleData::new(x.to_vec(), *s))
+            .collect();
+        let response = session.handle(Request::RegisterRelation {
+            name: name.to_string(),
+            tuples,
+        });
+        assert!(matches!(response, Response::Registered { .. }));
+    }
+    let trace = 0x5eed_0024;
+    let query = QueryRequest::new(vec!["R1".into(), "R2".into()], [0.0, 0.0])
+        .k(2)
+        .traced(TraceContext { trace, parent: 0 });
+    let response = session.handle(Request::TopK(query));
+    assert!(matches!(response, Response::Results { .. }), "{response:?}");
+
+    // Fetched right after the query returns: no wait, no retry.
+    let Response::Trace {
+        trace: fetched,
+        class,
+        spans,
+    } = session.handle(Request::FetchTrace { trace })
+    else {
+        panic!("the slow query's trace is retained");
+    };
+    assert_eq!(fetched, trace);
+    assert_eq!(class, "slow");
+    let root = spans
+        .iter()
+        .find(|s| s.name == "query")
+        .expect("root query span");
+    assert_eq!(
+        root.parent, 0,
+        "a wire parent of 0 makes the query the root"
+    );
+    for child in ["plan", "unit"] {
+        let span = spans
+            .iter()
+            .find(|s| s.name == child)
+            .unwrap_or_else(|| panic!("{child} span"));
+        assert_eq!(span.parent, root.id, "{child} nests under the query");
+    }
+
+    let Response::Traces { traces } = session.handle(Request::ListTraces) else {
+        panic!("trace listing");
+    };
+    let listed = traces
+        .iter()
+        .find(|t| t.trace == trace)
+        .expect("the trace is listed");
+    assert_eq!(listed.class, "slow");
+    assert_eq!(listed.root, "query");
+    assert_eq!(listed.spans, spans.len());
+
+    let Response::Health(health) = session.handle(Request::Health) else {
+        panic!("health report");
+    };
+    assert_eq!(health.traces_retained, traces.len() as u64);
+    assert_eq!(health.traces_retained, 1, "only the query left a trace");
 }

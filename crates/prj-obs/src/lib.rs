@@ -5,10 +5,9 @@
 //!
 //! * [`trace`] — structured spans: a [`TraceId`] shared by every span of
 //!   one query (across processes), [`Span`]s with monotonic timing and
-//!   parent/child linkage, recorded into a lock-light ring buffer
-//!   ([`Recorder`]) with a pluggable sink ([`SpanSink`], e.g. the
-//!   line-format [`LineSink`] for server logs). Worker-side spans shipped
-//!   over the wire are re-parented into the coordinator's recorder by
+//!   parent/child linkage, recorded into a bounded ring of recent spans
+//!   indexed by trace ([`Recorder`]). Worker-side spans shipped over the
+//!   wire are re-parented into the coordinator's recorder by
 //!   [`Recorder::import`], producing one stitched trace per distributed
 //!   query.
 //! * [`metrics`] — a [`MetricsRegistry`] of atomic [`Counter`]s,
@@ -23,11 +22,10 @@
 //!   deterministically down-sampled; backs the `FetchTrace`/`ListTraces`
 //!   verbs.
 //!
-//! Design constraint: nothing here may put a mutex on a query hot path.
-//! Metric updates are single atomic RMWs; span begin is an atomic id
-//! allocation plus an `Instant` read; span finish takes one uncontended
-//! per-slot lock on the ring (never shared with other slots except under
-//! wrap-around races).
+//! Cost on a query path: metric updates are single atomic RMWs; span
+//! begin is an atomic id allocation plus an `Instant` read; span finish
+//! takes the recorder's one mutex for a constant-time push and eviction,
+//! never a scan of the ring.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +38,4 @@ pub mod trace;
 pub use expose::{render_prometheus, MetricsServer, RenderFn};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, Sample, SampleKind};
 pub use store::{RetentionPolicy, StoredTrace, TraceClass, TraceStore};
-pub use trace::{
-    now_micros, LineSink, Recorder, RemoteSpan, Span, SpanGuard, SpanId, SpanSink, TraceId,
-};
+pub use trace::{now_micros, Recorder, RemoteSpan, Span, SpanGuard, SpanId, TraceId};

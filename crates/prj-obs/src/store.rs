@@ -153,11 +153,6 @@ impl TraceStore {
         }
     }
 
-    /// The store's retention policy.
-    pub fn policy(&self) -> RetentionPolicy {
-        self.policy
-    }
-
     /// The retention decision for a finished trace, made *without* looking
     /// at its spans: interesting classes are always kept, `Ok` traces pass
     /// a deterministic per-mille gate keyed on the trace id. Callers can

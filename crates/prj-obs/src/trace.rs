@@ -7,17 +7,18 @@
 //! monotonic (`Instant`-based), expressed as microseconds since the
 //! process-local trace epoch.
 //!
-//! The [`Recorder`] is deliberately lock-light: beginning a span is one
-//! atomic id allocation plus an `Instant` read; finishing it claims a ring
-//! slot with one `fetch_add` and takes that slot's own mutex (uncontended
-//! unless the ring wraps onto a concurrent writer). A recorder built with
-//! capacity 0 is fully disabled: spans become no-ops with no allocation at
-//! all, which is what the instrumentation-overhead bench lane measures
-//! against.
+//! The [`Recorder`] keeps the last `capacity` finished spans behind one
+//! mutex, indexed by trace. Beginning a span is one atomic id allocation
+//! plus an `Instant` read; finishing it takes the mutex for a constant-time
+//! push (at capacity, plus the eviction of the oldest span); and
+//! [`Recorder::trace`] clones only the asked trace's spans, however full
+//! the ring is. A recorder built with capacity 0 is fully disabled: spans
+//! become no-ops with no allocation at all.
 
-use std::io::Write;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The process-local monotonic epoch all span timestamps are offsets from.
@@ -126,7 +127,7 @@ pub struct Span {
 }
 
 impl Span {
-    /// Renders the span as a single log line (the [`LineSink`] format).
+    /// Renders the span as a single log line (the slow-query dump format).
     pub fn to_line(&self) -> String {
         let mut line = format!(
             "span trace={} id={} parent={} name={} start_us={} dur_us={}",
@@ -162,52 +163,29 @@ pub struct RemoteSpan {
     pub duration_micros: u64,
 }
 
-/// Where finished spans additionally go (besides the in-memory ring).
-pub trait SpanSink: Send + Sync {
-    /// Observes one finished span.
-    fn record(&self, span: &Span);
-}
-
-/// A [`SpanSink`] writing one [`Span::to_line`] line per span — the
-/// `prj-serve` log format.
-pub struct LineSink {
-    writer: Mutex<Box<dyn Write + Send>>,
-}
-
-impl LineSink {
-    /// A sink over any writer.
-    pub fn new(writer: Box<dyn Write + Send>) -> LineSink {
-        LineSink {
-            writer: Mutex::new(writer),
-        }
-    }
-
-    /// A sink writing to standard error.
-    pub fn stderr() -> LineSink {
-        LineSink::new(Box::new(std::io::stderr()))
-    }
-}
-
-impl SpanSink for LineSink {
-    fn record(&self, span: &Span) {
-        let mut w = self.writer.lock().expect("line sink lock");
-        let _ = writeln!(w, "{}", span.to_line());
-    }
-}
-
-/// The in-memory ring of recently finished spans, plus an optional sink.
+/// The in-memory ring of the last `capacity` finished spans, indexed by
+/// trace so one trace's spans come out without touching any other's.
 ///
 /// Capacity 0 disables recording entirely; every guard becomes a no-op.
 pub struct Recorder {
-    slots: Vec<Mutex<Option<Span>>>,
-    cursor: AtomicUsize,
-    sink: RwLock<Option<Box<dyn SpanSink>>>,
+    capacity: usize,
+    ring: Mutex<Ring>,
+}
+
+/// The retained spans: the trace of each, in arrival order (one entry per
+/// span, so its length is the ring's fill), and each trace's spans, also
+/// in arrival order. The oldest span overall is therefore the front of the
+/// trace named by the front of `arrivals`.
+#[derive(Default)]
+struct Ring {
+    arrivals: VecDeque<TraceId>,
+    traces: HashMap<TraceId, VecDeque<Span>>,
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
-            .field("capacity", &self.slots.len())
+            .field("capacity", &self.capacity)
             .finish_non_exhaustive()
     }
 }
@@ -217,9 +195,8 @@ impl Recorder {
     /// disabled).
     pub fn new(capacity: usize) -> Recorder {
         Recorder {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicUsize::new(0),
-            sink: RwLock::new(None),
+            capacity,
+            ring: Mutex::new(Ring::default()),
         }
     }
 
@@ -230,12 +207,7 @@ impl Recorder {
 
     /// `false` when the recorder was built with capacity 0.
     pub fn enabled(&self) -> bool {
-        !self.slots.is_empty()
-    }
-
-    /// Installs (or clears) the sink finished spans are forwarded to.
-    pub fn set_sink(&self, sink: Option<Box<dyn SpanSink>>) {
-        *self.sink.write().expect("sink lock") = sink;
+        self.capacity > 0
     }
 
     /// Begins a root span of `trace`.
@@ -293,16 +265,25 @@ impl Recorder {
         });
     }
 
-    /// Stores one finished span in the ring and forwards it to the sink.
+    /// Stores one finished span in the ring, evicting the oldest span once
+    /// the ring holds `capacity`.
     pub fn record(&self, span: Span) {
-        if self.slots.is_empty() {
+        if !self.enabled() {
             return;
         }
-        if let Some(sink) = self.sink.read().expect("sink lock").as_ref() {
-            sink.record(&span);
+        let mut guard = self.ring.lock().expect("span ring lock");
+        let ring = &mut *guard;
+        if ring.arrivals.len() == self.capacity {
+            let oldest = ring.arrivals.pop_front().expect("a full ring");
+            if let Entry::Occupied(mut spans) = ring.traces.entry(oldest) {
+                spans.get_mut().pop_front();
+                if spans.get().is_empty() {
+                    spans.remove();
+                }
+            }
         }
-        let slot = self.cursor.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        *self.slots[slot].lock().expect("ring slot lock") = Some(span);
+        ring.arrivals.push_back(span.trace);
+        ring.traces.entry(span.trace).or_default().push_back(span);
     }
 
     /// Stitches spans from another process into `trace`, re-identified with
@@ -317,7 +298,7 @@ impl Recorder {
         attach_start_micros: u64,
         spans: &[RemoteSpan],
     ) {
-        if self.slots.is_empty() || spans.is_empty() {
+        if !self.enabled() || spans.is_empty() {
             return;
         }
         let base = spans.iter().map(|s| s.start_micros).min().unwrap_or(0);
@@ -344,19 +325,25 @@ impl Recorder {
     /// Every finished span still in the ring, oldest first (by start time,
     /// ties by id).
     pub fn finished(&self) -> Vec<Span> {
-        let mut spans: Vec<Span> = self
-            .slots
-            .iter()
-            .filter_map(|slot| slot.lock().expect("ring slot lock").clone())
-            .collect();
+        let mut spans: Vec<Span> = {
+            let ring = self.ring.lock().expect("span ring lock");
+            ring.traces.values().flatten().cloned().collect()
+        };
         spans.sort_by_key(|s| (s.start_micros, s.id.as_u64()));
         spans
     }
 
-    /// Every finished span of one trace still in the ring, oldest first.
+    /// Every finished span of one trace still in the ring, oldest first:
+    /// [`Recorder::finished`] filtered to `trace`, at the cost of that
+    /// trace's spans alone.
     pub fn trace(&self, trace: TraceId) -> Vec<Span> {
-        let mut spans = self.finished();
-        spans.retain(|s| s.trace == trace);
+        let mut spans: Vec<Span> = {
+            let ring = self.ring.lock().expect("span ring lock");
+            ring.traces
+                .get(&trace)
+                .map_or_else(Vec::new, |spans| spans.iter().cloned().collect())
+        };
+        spans.sort_by_key(|s| (s.start_micros, s.id.as_u64()));
         spans
     }
 }
@@ -467,6 +454,52 @@ mod tests {
     }
 
     #[test]
+    fn per_trace_lookup_equals_the_filtered_ring_across_wrap_around() {
+        let capacity = 7;
+        let recorder = Arc::new(Recorder::new(capacity));
+        let traces: Vec<TraceId> = (0..5).map(|_| TraceId::generate()).collect();
+        // A seeded walk over the traces (some runs of one trace, so whole
+        // traces get evicted too) with starts out of arrival order.
+        let mut state = 7u64;
+        let mut recorded = Vec::new();
+        for i in 0..60u64 {
+            state = splitmix64(state);
+            let trace = traces[(state % traces.len() as u64) as usize];
+            let span = Span {
+                name: format!("op{i}"),
+                trace,
+                id: SpanId::next(),
+                parent: None,
+                start_micros: 1_000 + (state >> 40) % 50,
+                duration_micros: i,
+                attrs: Vec::new(),
+            };
+            recorded.push(span.clone());
+            recorder.record(span);
+            let finished = recorder.finished();
+            assert_eq!(finished.len(), recorded.len().min(capacity));
+            for trace in &traces {
+                let filtered: Vec<Span> = finished
+                    .iter()
+                    .filter(|s| s.trace == *trace)
+                    .cloned()
+                    .collect();
+                assert_eq!(recorder.trace(*trace), filtered, "after span {i}");
+            }
+            let ring = recorder.ring.lock().unwrap();
+            assert!(
+                ring.traces.values().all(|spans| !spans.is_empty()),
+                "a fully evicted trace leaves no entry behind"
+            );
+        }
+        // What is left is exactly the last `capacity` spans recorded.
+        let mut last = recorded[recorded.len() - capacity..].to_vec();
+        last.sort_by_key(|s| (s.start_micros, s.id.as_u64()));
+        assert_eq!(recorder.finished(), last);
+        assert!(recorder.trace(TraceId::generate()).is_empty());
+    }
+
+    #[test]
     fn disabled_recorder_records_nothing() {
         let recorder = Arc::new(Recorder::disabled());
         assert!(!recorder.enabled());
@@ -549,32 +582,5 @@ mod tests {
         assert_eq!(spans[0].duration_micros, 0);
         assert_eq!(spans[0].parent, Some(parent));
         assert_eq!(spans[0].attrs[0].0, "worker");
-    }
-
-    #[test]
-    fn line_sink_receives_finished_spans() {
-        struct Capture(Arc<Mutex<Vec<String>>>);
-        impl Write for Capture {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .push(String::from_utf8_lossy(buf).to_string());
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let lines = Arc::new(Mutex::new(Vec::new()));
-        let recorder = Arc::new(Recorder::new(4));
-        recorder.set_sink(Some(Box::new(LineSink::new(Box::new(Capture(
-            Arc::clone(&lines),
-        ))))));
-        let trace = TraceId::generate();
-        recorder.span(trace, "query").finish();
-        let captured = lines.lock().unwrap().join("");
-        assert!(captured.contains("span trace="));
-        assert!(captured.contains("name=query"));
     }
 }

@@ -4,9 +4,10 @@
 //! The three tiny relations of Example 3.1 are registered once in the
 //! engine's catalog (R-tree + score-sorted array + statistics built at
 //! registration); 128 top-k queries are then submitted concurrently to the
-//! executor's thread pool, followed by an identical second wave that is
-//! served from the LRU result cache. One query is also consumed through the
-//! streaming API to show the incremental pulling model.
+//! executor (at most `threads` run at once), followed by an identical
+//! second wave that is served from the LRU result cache. One query is
+//! also consumed through the streaming API to show the incremental pulling
+//! model.
 //!
 //! ```text
 //! cargo run --release --example serving
@@ -23,7 +24,7 @@ fn main() {
             .map(|(i, (x, s))| Tuple::new(TupleId::new(rel, i), Vector::from(*x), *s))
             .collect()
     };
-    // At least four workers so the pool is exercised even on small machines.
+    // At least four run permits so runs overlap even on small machines.
     let threads = std::thread::available_parallelism()
         .map_or(4, |n| n.get())
         .max(4);
@@ -36,7 +37,7 @@ fn main() {
     let r3 = engine.register("R3", mk(2, &[([-1.0, 1.0], 1.0), ([-2.0, -2.0], 0.4)]));
     let ids = vec![r1, r2, r3];
     println!(
-        "catalog: {} relations registered; executor: {} worker threads",
+        "catalog: {} relations registered; executor: {} run permits",
         engine.catalog().len(),
         engine.threads()
     );
