@@ -30,13 +30,16 @@
 //! [`Catalog::drop_relation`] removes a relation. Mutations are
 //! copy-on-write and **shard-local**: an append routes each new tuple to its
 //! shard and extends only the touched shards, bumping only their epochs.
-//! Extending a shard of n tuples by a batch of m costs one memcpy of its
-//! R-tree's flat lanes (cloned with room for the batch) plus m incremental
-//! inserts (O(m·log n)), a re-merge of only the ~1024-tuple score-lane
-//! chunks the batch lands in (every other chunk is shared with the previous
-//! snapshot), and a re-read of every score for the statistics. In-flight
-//! queries keep reading their old `Arc`s untouched. The engine keys its
-//! result cache by each relation's **epoch vector**
+//! Extending a shard of n tuples by a batch of m copies O(m·log n) data,
+//! plus one reference-count bump per shared chunk: a clone of its R-tree,
+//! which shares every `Arc`'d chunk of the tree's arena, takes m
+//! incremental inserts that copy only the chunks on their root-to-leaf
+//! paths and the payload pool's tail; a re-merge of only the
+//! ~1024-tuple score-lane chunks the batch lands in (every other chunk is
+//! shared with the previous snapshot); and statistics carried forward from
+//! the previous base by [`RelationStats::combine`] with the batch's own.
+//! In-flight queries keep reading their old `Arc`s untouched. The engine
+//! keys its result cache by each relation's **epoch vector**
 //! ([`CatalogRelation::epochs`]), which is what makes a memoised
 //! pre-mutation result structurally unservable afterwards — ingest on one
 //! shard invalidates exactly the results that could have read that shard's
@@ -181,9 +184,9 @@ pub struct RelationShard {
 }
 
 impl RelationShard {
-    /// A shard over `tuples` (in ingestion order): the R-tree is bulk-loaded
-    /// and the owned tuples are sorted and moved into the score lane's
-    /// chunks.
+    /// A shard over `tuples` (in ingestion order): the R-tree is bulk-loaded,
+    /// the statistics are read off the tuples in that order, and the owned
+    /// tuples are sorted and moved into the score lane's chunks.
     fn build(tuples: Vec<Tuple>, epoch: u64) -> Self {
         // An empty shard gets a placeholder dimensionality; its first
         // extension builds for real.
@@ -193,24 +196,17 @@ impl RelationShard {
             .map(|t| (t.vector.clone(), (t.id, t.score)))
             .collect();
         let rtree = RTree::bulk_load(dim, items);
-        Self::with_base(rtree, merge_score_chunks(&[], tuples), epoch)
+        let stats = RelationStats::from_tuples(&tuples);
+        Self::with_base(rtree, merge_score_chunks(&[], tuples), stats, epoch)
     }
 
-    /// A shard with an empty delta over the given base. The statistics are
-    /// read straight off the R-tree's payload pool, which holds the base
-    /// scores in ingestion order — the order [`RelationStats::from_tuples`]
-    /// sums them in over the ingestion-order tuples, so the bits are the
-    /// same.
+    /// A shard with an empty delta over the given base and its statistics.
     fn with_base(
         rtree: RTree<(TupleId, f64)>,
         score_chunks: Vec<Arc<Vec<Tuple>>>,
+        stats: RelationStats,
         epoch: u64,
     ) -> Self {
-        let dim = score_chunks
-            .iter()
-            .find_map(|c| c.first())
-            .map_or(0, |t| t.dim());
-        let stats = RelationStats::from_scores(dim, rtree.payloads().iter().map(|&(_, s)| s));
         RelationShard {
             rtree: Arc::new(rtree),
             score_chunks: score_chunks.into(),
@@ -224,24 +220,27 @@ impl RelationShard {
 
     /// This shard's base extended by `extra`, at `epoch`, with an empty
     /// delta — the one routine behind both the rebuild append and the
-    /// compaction fold. The R-tree is cloned with room for the batch (one
-    /// memcpy of its flat lanes, which the inserts then do not re-grow) and
-    /// `extra` inserted in the given (arrival) order through the
-    /// incremental insert, O(|extra|·log n). The score lane re-merges only
-    /// the chunks the batch lands in ([`merge_score_chunks`]) and shares
-    /// the rest, so its cost is O(|extra| · chunk), not O(n); the
-    /// statistics re-read every score in the payload pool. In-flight
-    /// readers of `self` are unaffected.
+    /// compaction fold; it copies O(|extra|·log n) data. The R-tree is cloned,
+    /// which shares every chunk of its arena, and `extra` is inserted in
+    /// the given (arrival) order through the incremental insert, which
+    /// copies only the chunks on each insert's path and the payload pool's
+    /// tail. The score lane re-merges only the chunks the batch lands in
+    /// ([`merge_score_chunks`]) and shares the rest. The statistics carry
+    /// the base's forward: [`RelationStats::combine`] of them and the
+    /// batch's own, so cardinality, min and max (`σ_max`) are exact and
+    /// the moments are merged, not re-read. In-flight readers of `self`
+    /// are unaffected.
     fn extended(&self, extra: Vec<Tuple>, epoch: u64) -> RelationShard {
         if self.rtree.is_empty() {
             // The empty shard's R-tree was built with a placeholder
             // dimensionality; build from scratch.
             return RelationShard::build(extra, epoch);
         }
-        let mut rtree = self.rtree.clone_with_room(extra.len());
+        let stats = RelationStats::combine(&[self.base_stats, RelationStats::from_tuples(&extra)]);
+        let mut rtree = RTree::clone(&self.rtree);
         rtree.extend(extra.iter().map(|t| (t.vector.clone(), (t.id, t.score))));
         let score_chunks = merge_score_chunks(&self.score_chunks, extra);
-        Self::with_base(rtree, score_chunks, epoch)
+        Self::with_base(rtree, score_chunks, stats, epoch)
     }
 
     /// A new shard snapshot with `extra` appended at a bumped epoch: only
@@ -1052,6 +1051,73 @@ mod tests {
     }
 
     #[test]
+    fn a_one_tuple_append_shares_every_untouched_node_chunk() {
+        let catalog = Catalog::new();
+        let id = catalog.register("r", mk_tuples(0, 10_000));
+        let before = catalog.relation(id).unwrap();
+        catalog
+            .append_rows(id, vec![(Vector::from([0.25, -0.5]), 0.55)])
+            .unwrap();
+        let after = catalog.relation(id).unwrap();
+        let (old, new) = (before.shard(0).rtree(), after.shard(0).rtree());
+        let fresh = TupleId::new(id.0, 10_000);
+        // Every node with its own state: its children or its entries.
+        let nodes = |t: &RTree<(TupleId, f64)>| {
+            let mut out = Vec::new();
+            let mut stack: Vec<prj_index::NodeId> = t.root().into_iter().collect();
+            while let Some(n) = stack.pop() {
+                let entries: Vec<(TupleId, u64)> = (0..t.node_entry_count(n))
+                    .map(|e| t.node_entry(n, e).1)
+                    .map(|&(tid, score)| (tid, score.to_bits()))
+                    .collect();
+                out.push((n, t.node_children(n).to_vec(), entries));
+                stack.extend_from_slice(t.node_children(n));
+            }
+            out
+        };
+        let (old_nodes, new_nodes) = (nodes(old), nodes(new));
+        // Whether the new tuple lies under `n` (so `n` is on its path).
+        let holds = |n: prj_index::NodeId| {
+            let mut stack = vec![n];
+            while let Some(n) = stack.pop() {
+                if (0..new.node_entry_count(n)).any(|e| new.node_entry(n, e).1 .0 == fresh) {
+                    return true;
+                }
+                stack.extend_from_slice(new.node_children(n));
+            }
+            false
+        };
+        // Touched: every node on the new tuple's path, every node whose
+        // children or entries changed (a split halved it), every new node.
+        let touched: Vec<(bool, usize)> = new_nodes
+            .iter()
+            .filter(|(n, children, entries)| {
+                holds(*n)
+                    || !old_nodes
+                        .iter()
+                        .any(|(o, c, e)| o == n && c == children && e == entries)
+            })
+            .map(|(n, _, _)| (n.is_leaf(), n.chunk()))
+            .collect();
+        let copied = new.copied_node_chunks(old);
+        assert!(!copied.is_empty());
+        assert!(copied.iter().all(|c| touched.contains(c)), "{copied:?}");
+        let mut chunks: Vec<(bool, usize)> = old_nodes
+            .iter()
+            .map(|(n, _, _)| (n.is_leaf(), n.chunk()))
+            .collect();
+        chunks.sort_unstable();
+        chunks.dedup();
+        assert!(
+            copied.len() * 4 <= chunks.len(),
+            "{} of {} node chunks copied",
+            copied.len(),
+            chunks.len()
+        );
+        assert!(new.payloads().last() == Some(&(fresh, 0.55)));
+    }
+
+    #[test]
     fn register_and_snapshot() {
         let catalog = Catalog::new();
         let a = catalog.register("hotels", mk_tuples(0, 20));
@@ -1340,10 +1406,11 @@ mod tests {
         // tree size.
         for j in 0..2 {
             assert_eq!(score_lane(after.shard(j)), score_lane(reference.shard(j)));
-            assert_eq!(
-                after.shard(j).rtree().payloads(),
-                reference.shard(j).rtree().payloads()
-            );
+            assert!(after
+                .shard(j)
+                .rtree()
+                .payloads()
+                .eq(reference.shard(j).rtree().payloads()));
             assert_eq!(
                 after.shard(j).rtree().len(),
                 reference.shard(j).rtree().len()
@@ -1494,17 +1561,6 @@ mod tests {
         assert_eq!(catalog.lookup("r"), Some(old));
     }
 
-    fn stats_bits(s: &RelationStats) -> (usize, usize, [u64; 5]) {
-        let moments = [
-            s.min_score,
-            s.max_score,
-            s.mean_score,
-            s.score_stddev,
-            s.score_skewness,
-        ];
-        (s.cardinality, s.dimensions, moments.map(f64::to_bits))
-    }
-
     /// Rows with scores drawn from eight levels, so ties are common.
     fn scored_rows(rows: Vec<([f64; 2], usize)>) -> Vec<(Vector, f64)> {
         rows.into_iter()
@@ -1513,19 +1569,36 @@ mod tests {
     }
 
     /// Checks every shard of `rel` against a model of its base tuples in
-    /// ingestion order: the score lane, the statistics and the R-tree's
-    /// payload pool must be exactly what a from-scratch rebuild gives.
+    /// ingestion order: the score lane and the R-tree's payload pool must be
+    /// exactly what a from-scratch rebuild gives, and so must the
+    /// statistics' cardinality, dimensions, min and max (`σ_max`). The
+    /// moments are carried forward by [`RelationStats::combine`] rather
+    /// than re-read, so they match the rebuild's two-pass moments to within
+    /// rounding, `1e-9·max(1, |x|)`.
     fn assert_matches_rebuild(rel: &CatalogRelation, model: &[Vec<Tuple>]) {
         for (j, base) in model.iter().enumerate() {
             let shard = rel.shard(j);
             let rebuilt = VecRelation::score_sorted(String::new(), base.clone());
             assert_eq!(score_lane(shard), rebuilt.sorted_tuples());
+            let (got, want) = (shard.base_stats, RelationStats::from_tuples(base));
             assert_eq!(
-                stats_bits(&shard.base_stats),
-                stats_bits(&RelationStats::from_tuples(base))
+                (got.cardinality, got.dimensions),
+                (want.cardinality, want.dimensions)
             );
+            assert_eq!(got.min_score.to_bits(), want.min_score.to_bits());
+            assert_eq!(got.max_score.to_bits(), want.max_score.to_bits());
+            for (g, w) in [
+                (got.mean_score, want.mean_score),
+                (got.score_stddev, want.score_stddev),
+                (got.score_skewness, want.score_skewness),
+            ] {
+                assert!(
+                    (g - w).abs() <= 1e-9 * w.abs().max(1.0),
+                    "{got:?} vs {want:?}"
+                );
+            }
             let ingestion: Vec<(TupleId, f64)> = base.iter().map(|t| (t.id, t.score)).collect();
-            assert_eq!(shard.rtree().payloads(), ingestion.as_slice());
+            assert!(shard.rtree().payloads().eq(&ingestion));
         }
     }
 

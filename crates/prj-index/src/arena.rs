@@ -1,24 +1,38 @@
-//! Packed node identifiers and slot allocation for the R-tree arenas.
+//! Packed node identifiers and the chunked copy-on-write lanes of the
+//! R-tree arena.
 //!
-//! The tree keeps two kinds of nodes (leaves and internals) in flat,
-//! struct-of-arrays slabs. A [`NodeId`] addresses one slot of one of those
-//! slabs and packs three things into 32 bits:
+//! The tree keeps two kinds of nodes (leaves and internals) in
+//! struct-of-arrays lanes. A [`NodeId`] addresses one slot of one kind and
+//! packs two things into 32 bits:
 //!
 //! ```text
-//!   bit 31      bits 24..31        bits 0..24
-//!   [leaf?]     [generation]       [slot index]
+//!   bit 31      bits 0..31
+//!   [leaf?]     [slot index]
 //! ```
 //!
-//! * the **kind bit** selects the leaf or internal arena, so traversal never
+//! * the **kind bit** selects the leaf or internal lanes, so traversal never
 //!   branches on a tag stored in the node itself;
-//! * the **generation** is bumped every time a slot is recycled, so a stale
-//!   id kept across a free/realloc can never alias the new occupant;
-//! * the **index** addresses the slot. 2²⁴ slots per kind bounds a single
-//!   tree at ~16.7M nodes — with the default fanout that is >100M points,
-//!   far beyond a per-shard index; overflow is a typed [`ArenaError`], not
-//!   a wrap-around.
+//! * the **index** addresses the slot. Nodes are never freed, so an index
+//!   is never reused. 2³¹ slots per kind bounds a single tree far beyond a
+//!   per-shard index; overflow is a typed [`ArenaError`], not a wrap-around.
+//!
+//! Every lane is a `Lane`: fixed-size `Arc`'d chunks of slots, so a slot
+//! index addresses a (chunk, slot-in-chunk) pair ([`NodeId::chunk`]).
+//! Cloning a lane bumps one reference count per chunk,
+//! and a write goes through [`Arc::make_mut`], which copies only the chunk
+//! it lands in when a clone still shares it. This is what makes a
+//! copy-on-write publish of a tree cost the chunks an update touches rather
+//! than the whole tree.
 
 use std::fmt;
+use std::sync::Arc;
+
+/// Node slots per chunk of a node lane. A power of two, so a slot index
+/// splits into (chunk, slot-in-chunk) with a shift and a mask.
+pub(crate) const NODE_CHUNK: usize = 64;
+
+/// Payloads per chunk of the payload pool.
+pub(crate) const POOL_CHUNK: usize = 1024;
 
 /// Typed errors from the packed node-id arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,54 +61,47 @@ impl fmt::Display for ArenaError {
 
 impl std::error::Error for ArenaError {}
 
-/// Identifier of a node in the tree arena: kind bit + generation + slot index
-/// packed into 32 bits.
+/// Identifier of a node in the tree arena: kind bit + slot index packed
+/// into 32 bits.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
     /// Number of bits used for the slot index.
-    pub const INDEX_BITS: u32 = 24;
+    pub const INDEX_BITS: u32 = 31;
     /// Largest representable slot index.
     pub const MAX_INDEX: usize = (1 << Self::INDEX_BITS) - 1;
-    /// Number of distinct generations before the counter wraps.
-    pub const GENERATIONS: u16 = 1 << 7;
 
-    /// Packs `(index, generation, is_leaf)` into an id.
-    ///
-    /// The generation is taken modulo [`NodeId::GENERATIONS`]; the index is
-    /// checked and overflow answers a typed [`ArenaError`].
-    pub fn pack(index: usize, generation: u8, is_leaf: bool) -> Result<NodeId, ArenaError> {
+    /// Packs `(index, is_leaf)` into an id; an index beyond
+    /// [`NodeId::MAX_INDEX`] answers a typed [`ArenaError`].
+    pub fn pack(index: usize, is_leaf: bool) -> Result<NodeId, ArenaError> {
         if index > Self::MAX_INDEX {
             return Err(ArenaError::CapacityExceeded {
                 requested: index,
                 max: Self::MAX_INDEX,
             });
         }
-        let generation = (generation as u16 % Self::GENERATIONS) as u32;
-        let mut bits = index as u32 | (generation << Self::INDEX_BITS);
-        if is_leaf {
-            bits |= 1 << 31;
-        }
-        Ok(NodeId(bits))
+        Ok(NodeId(
+            index as u32 | (u32::from(is_leaf) << Self::INDEX_BITS),
+        ))
     }
 
-    /// The slot index within the leaf or internal arena.
+    /// The slot index within the leaf or internal lanes.
     #[inline]
     pub fn index(self) -> usize {
         (self.0 & Self::MAX_INDEX as u32) as usize
     }
 
-    /// The recycling generation of the slot this id was minted for.
+    /// The chunk of the node's lanes that holds this slot.
     #[inline]
-    pub fn generation(self) -> u8 {
-        ((self.0 >> Self::INDEX_BITS) & (Self::GENERATIONS as u32 - 1)) as u8
+    pub fn chunk(self) -> usize {
+        self.index() / NODE_CHUNK
     }
 
-    /// `true` when the id addresses the leaf arena.
+    /// `true` when the id addresses the leaf lanes.
     #[inline]
     pub fn is_leaf(self) -> bool {
-        self.0 >> 31 == 1
+        self.0 >> Self::INDEX_BITS == 1
     }
 
     /// The raw packed representation (stable within one process run).
@@ -103,7 +110,8 @@ impl NodeId {
         self.0
     }
 
-    /// Placeholder id used to fill unused slab slots; never live.
+    /// Placeholder id used to fill unused child slots; never read as a
+    /// node.
     pub(crate) const DANGLING: NodeId = NodeId(u32::MAX);
 }
 
@@ -111,113 +119,101 @@ impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}#{}@g{}",
+            "{}#{}",
             if self.is_leaf() { "leaf" } else { "int" },
-            self.index(),
-            self.generation()
+            self.index()
         )
     }
 }
 
-/// `lane` copied into an allocation with room for `room` more elements, so
-/// growing the copy by that much does not reallocate (and re-copy) it.
-pub(crate) fn with_room<E: Clone>(lane: &[E], room: usize) -> Vec<E> {
-    let mut copy = Vec::with_capacity(lane.len() + room);
-    copy.extend_from_slice(lane);
-    copy
-}
-
-/// Slot allocator for one node kind: a free list plus per-slot generations
-/// and liveness flags. The actual node payload lives in the tree's flat
-/// slabs, indexed by slot.
+/// One lane of the arena: `width` elements per slot, stored in `Arc`'d
+/// chunks of exactly `SLOTS` slots each (the tail chunk's unused slots hold
+/// filler), so a read is one index into the chunk list and one into the
+/// chunk. Slots are only ever appended, never removed.
 #[derive(Debug, Clone)]
-pub(crate) struct SlotArena {
-    is_leaf: bool,
-    generations: Vec<u8>,
-    live: Vec<bool>,
-    free: Vec<u32>,
+pub(crate) struct Lane<E, const SLOTS: usize> {
+    width: usize,
+    len: usize,
+    chunks: Vec<Arc<[E]>>,
 }
 
-impl SlotArena {
-    pub(crate) fn new(is_leaf: bool) -> Self {
-        SlotArena {
-            is_leaf,
-            generations: Vec::new(),
-            live: Vec::new(),
-            free: Vec::new(),
+impl<E, const SLOTS: usize> Lane<E, SLOTS> {
+    pub(crate) fn new(width: usize) -> Self {
+        Lane {
+            width,
+            len: 0,
+            chunks: Vec::new(),
         }
     }
 
-    /// A copy of this arena with room for `slots` more fresh slots.
-    pub(crate) fn clone_with_room(&self, slots: usize) -> Self {
-        SlotArena {
-            is_leaf: self.is_leaf,
-            generations: with_room(&self.generations, slots),
-            live: with_room(&self.live, slots),
-            free: self.free.clone(),
-        }
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
-    /// Allocates a slot. `Ok((id, fresh))` where `fresh` tells the caller to
-    /// extend its slabs by one slot-stride; recycled slots reuse existing
-    /// slab space under a bumped generation.
-    pub(crate) fn alloc(&mut self) -> Result<(NodeId, bool), ArenaError> {
-        if let Some(slot) = self.free.pop() {
-            let slot = slot as usize;
-            let id = NodeId::pack(slot, self.generations[slot], self.is_leaf)?;
-            self.live[slot] = true;
-            Ok((id, false))
-        } else {
-            let slot = self.generations.len();
-            let id = NodeId::pack(slot, 0, self.is_leaf)?;
-            self.generations.push(0);
-            self.live.push(true);
-            Ok((id, true))
-        }
+    /// The `width` elements of `slot`.
+    #[inline]
+    pub(crate) fn get(&self, slot: usize) -> &[E] {
+        let start = slot % SLOTS * self.width;
+        &self.chunks[slot / SLOTS][start..start + self.width]
     }
 
-    /// Returns a live slot to the free list. Stale ids for the slot stop
-    /// validating immediately (the generation is bumped on free, and the
-    /// next occupant is minted under the new generation). Tree operations
-    /// never free nodes today (splits reuse slots in place); this is the
-    /// hook for node-dropping structural updates such as delta compaction.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn free(&mut self, id: NodeId) {
-        debug_assert!(self.is_live(id), "freeing a dead or foreign id: {id:?}");
-        let slot = id.index();
-        self.generations[slot] = self.generations[slot].wrapping_add(1) % NodeId::GENERATIONS as u8;
-        self.live[slot] = false;
-        self.free.push(slot as u32);
+    /// The chunks, in slot order.
+    pub(crate) fn chunks(&self) -> &[Arc<[E]>] {
+        &self.chunks
     }
 
-    /// `true` when `id` addresses this arena's kind and its generation
-    /// matches the slot's current one (i.e. the id has not been recycled).
-    pub(crate) fn is_live(&self, id: NodeId) -> bool {
-        id.is_leaf() == self.is_leaf
-            && id.index() < self.generations.len()
-            && self.live[id.index()]
-            && self.generations[id.index()] == id.generation()
-    }
-
-    /// Iterates the currently live slot indexes in increasing order.
-    pub(crate) fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.live
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, &live)| live.then_some(slot))
-    }
-
-    /// Builds a `SlotArena` that already has `slots` slots handed out, so
-    /// capacity-overflow paths can be exercised without allocating slab
-    /// memory for 2²⁴ real nodes.
+    /// A copy that shares no chunk with `self`.
     #[cfg(test)]
-    pub(crate) fn with_preallocated_slots(is_leaf: bool, slots: usize) -> Self {
-        SlotArena {
-            is_leaf,
-            generations: vec![0; slots],
-            live: vec![true; slots],
-            free: Vec::new(),
+    pub(crate) fn unshared(&self) -> Self
+    where
+        E: Clone,
+    {
+        Lane {
+            width: self.width,
+            len: self.len,
+            chunks: self.chunks.iter().map(|c| Arc::from(c.to_vec())).collect(),
         }
+    }
+
+    /// Every element of every slot, in slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &E> + Clone + '_ {
+        self.chunks
+            .iter()
+            .flat_map(|chunk| chunk.iter())
+            .take(self.len * self.width)
+    }
+}
+
+impl<E: Clone, const SLOTS: usize> Lane<E, SLOTS> {
+    /// The `width` elements of `slot`, writable; copies the slot's chunk
+    /// first if a clone of the lane still shares it.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, slot: usize) -> &mut [E] {
+        let start = slot % SLOTS * self.width;
+        &mut Arc::make_mut(&mut self.chunks[slot / SLOTS])[start..start + self.width]
+    }
+
+    /// Appends one slot holding exactly `width` `values`; returns its index.
+    pub(crate) fn push(&mut self, values: impl IntoIterator<Item = E>) -> usize {
+        let mut values = values.into_iter();
+        let slot = self.len;
+        let first = values.next().expect("a slot holds at least one element");
+        if slot.is_multiple_of(SLOTS) {
+            // A fresh chunk, filled with copies of the first value.
+            self.chunks
+                .push(Arc::from(vec![first.clone(); SLOTS * self.width]));
+        }
+        self.len += 1;
+        let cells = self.get_mut(slot);
+        cells[0] = first;
+        let written = 1 + cells[1..]
+            .iter_mut()
+            .zip(values)
+            .map(|(c, v)| *c = v)
+            .count();
+        debug_assert_eq!(written, self.width, "a slot holds exactly `width` values");
+        slot
     }
 }
 
@@ -228,7 +224,7 @@ mod tests {
 
     #[test]
     fn pack_rejects_index_overflow_with_typed_error() {
-        let err = NodeId::pack(NodeId::MAX_INDEX + 1, 0, true).unwrap_err();
+        let err = NodeId::pack(NodeId::MAX_INDEX + 1, true).unwrap_err();
         assert_eq!(
             err,
             ArenaError::CapacityExceeded {
@@ -237,79 +233,44 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("capacity exceeded"));
-        assert!(NodeId::pack(NodeId::MAX_INDEX, 0, true).is_ok());
+        assert!(NodeId::pack(NodeId::MAX_INDEX, true).is_ok());
     }
 
     #[test]
-    fn arena_alloc_propagates_capacity_error() {
-        let mut full = SlotArena::with_preallocated_slots(false, NodeId::MAX_INDEX + 1);
-        let err = full.alloc().unwrap_err();
-        assert!(matches!(err, ArenaError::CapacityExceeded { .. }));
-        // A recycled slot still allocates fine even when the arena is at
-        // capacity: recycling reuses indexes instead of growing.
-        let last = NodeId::pack(NodeId::MAX_INDEX, 0, false).unwrap();
-        full.free(last);
-        let (re, fresh) = full.alloc().unwrap();
-        assert!(!fresh);
-        assert_eq!(re.index(), NodeId::MAX_INDEX);
-        assert_ne!(re, last, "recycled id must not alias the freed one");
-    }
-
-    #[test]
-    fn dangling_is_never_live() {
-        let mut arena = SlotArena::new(true);
-        let (id, _) = arena.alloc().unwrap();
-        assert!(arena.is_live(id));
-        assert!(!arena.is_live(NodeId::DANGLING));
+    fn a_write_to_a_clone_copies_only_its_chunk() {
+        let mut lane: Lane<u32, 4> = Lane::new(2);
+        for i in 0..10 {
+            lane.push([i, i + 100]);
+        }
+        assert_eq!(lane.chunks().len(), 3);
+        let mut copy = lane.clone();
+        copy.get_mut(5)[1] = 7;
+        assert_eq!(lane.get(5), &[5, 105]);
+        assert_eq!(copy.get(5), &[5, 7]);
+        let shared: Vec<bool> = (0..3)
+            .map(|c| Arc::ptr_eq(&lane.chunks()[c], &copy.chunks()[c]))
+            .collect();
+        assert_eq!(shared, [true, false, true]);
+        copy.push([10, 110]);
+        assert_eq!(lane.len(), 10);
+        assert_eq!(copy.len(), 11);
+        assert!(!Arc::ptr_eq(&lane.chunks()[2], &copy.chunks()[2]));
+        assert_eq!(lane.iter().count(), 20);
+        assert_eq!(copy.iter().nth(20), Some(&10));
+        assert_eq!(copy.iter().count(), 22);
     }
 
     proptest! {
         /// pack ∘ unpack is the identity on every field.
         #[test]
-        fn node_id_round_trips(index in 0usize..(NodeId::MAX_INDEX + 1), generation in 0u8..128, leaf_bit in 0u8..2) {
+        fn node_id_round_trips(index in 0usize..(NodeId::MAX_INDEX + 1), leaf_bit in 0u8..2) {
             let is_leaf = leaf_bit == 1;
-            let id = NodeId::pack(index, generation, is_leaf).unwrap();
+            let id = NodeId::pack(index, is_leaf).unwrap();
             prop_assert_eq!(id.index(), index);
-            prop_assert_eq!(id.generation(), generation);
+            prop_assert_eq!(id.chunk(), index / NODE_CHUNK);
             prop_assert_eq!(id.is_leaf(), is_leaf);
             // The packed form is canonical: re-packing yields identical bits.
-            prop_assert_eq!(NodeId::pack(index, generation, is_leaf).unwrap().to_bits(), id.to_bits());
-        }
-
-        /// Random alloc/free interleavings: live ids are unique, freed ids
-        /// stop validating, and a recycled slot's new id never equals any id
-        /// previously minted for it (no aliasing through recycling).
-        #[test]
-        fn no_aliasing_after_recycling(seed in 0u64..u64::MAX) {
-            let mut rng = seed;
-            let mut step = move || {
-                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                rng >> 33
-            };
-            let mut arena = SlotArena::new(true);
-            let mut live: Vec<NodeId> = Vec::new();
-            let mut retired: Vec<NodeId> = Vec::new();
-            for _ in 0..200 {
-                if live.is_empty() || step() % 2 == 0 {
-                    let (id, _) = arena.alloc().unwrap();
-                    prop_assert!(arena.is_live(id));
-                    prop_assert!(!live.contains(&id), "duplicate live id {:?}", id);
-                    prop_assert!(!retired.contains(&id), "recycled id {:?} aliases a retired one", id);
-                    live.push(id);
-                } else {
-                    let victim = live.swap_remove((step() % live.len() as u64) as usize);
-                    arena.free(victim);
-                    prop_assert!(!arena.is_live(victim), "freed id {:?} still live", victim);
-                    retired.push(victim);
-                }
-                for id in &live {
-                    prop_assert!(arena.is_live(*id));
-                }
-                for id in &retired {
-                    prop_assert!(!arena.is_live(*id), "retired id {:?} came back to life", id);
-                }
-            }
-            prop_assert_eq!(arena.live_slots().count(), live.len());
+            prop_assert_eq!(NodeId::pack(index, is_leaf).unwrap().to_bits(), id.to_bits());
         }
     }
 }

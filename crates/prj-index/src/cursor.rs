@@ -26,7 +26,9 @@ struct Pending {
     dist: f64,
     is_entry: bool,
     node: NodeId,
-    entry: usize,
+    /// The entry's position in its leaf, and its payload-pool index.
+    entry: u32,
+    payload: u32,
 }
 
 impl Eq for Pending {}
@@ -75,6 +77,7 @@ impl NearestCursor {
                 is_entry: false,
                 node: root,
                 entry: 0,
+                payload: 0,
             });
         }
     }
@@ -91,7 +94,7 @@ impl NearestCursor {
     ) -> Option<NearestNeighbor<'t, T>> {
         while let Some(item) = self.heap.pop() {
             if item.is_entry {
-                let (point, data) = tree.node_entry(item.node, item.entry);
+                let (point, data) = tree.pooled_entry(item.node, item.entry as usize, item.payload);
                 return Some(NearestNeighbor {
                     point,
                     data,
@@ -99,12 +102,13 @@ impl NearestCursor {
                 });
             }
             if tree.is_leaf(item.node) {
-                for idx in 0..tree.node_entry_count(item.node) {
+                for (idx, (dist, payload)) in tree.leaf_entries(item.node, query).enumerate() {
                     self.heap.push(Pending {
-                        dist: tree.entry_distance(item.node, idx, query),
+                        dist,
                         is_entry: true,
                         node: item.node,
-                        entry: idx,
+                        entry: idx as u32,
+                        payload,
                     });
                 }
             } else {
@@ -114,6 +118,7 @@ impl NearestCursor {
                         is_entry: false,
                         node: child,
                         entry: 0,
+                        payload: 0,
                     });
                 }
             }

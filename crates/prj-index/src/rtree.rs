@@ -2,14 +2,21 @@
 //!
 //! Design notes:
 //!
-//! * Node state lives in flat struct-of-arrays slabs addressed by packed
-//!   [`NodeId`]s (kind bit + recycling generation + slot index, see
-//!   [`crate::arena`]). A leaf's points are one contiguous `f64` run and an
-//!   internal node's children are one contiguous [`NodeId`] run, so the hot
-//!   traversal loops (mindist against a box, distance against a leaf's
-//!   points) stream over dense lanes instead of chasing one heap `Vec` per
-//!   node. Payloads are stored once in an append-only pool and referenced by
-//!   index, so splits move `dim` floats and a `u32` — never the payload.
+//! * Node state lives in struct-of-arrays lanes addressed by packed
+//!   [`NodeId`]s (kind bit + slot index, see [`crate::arena`]). A leaf's
+//!   points are one contiguous `f64` run and an internal node's children
+//!   are one contiguous [`NodeId`] run, so the hot traversal loops (mindist
+//!   against a box, distance against a leaf's points) stream over dense
+//!   lanes instead of chasing one heap `Vec` per node. Payloads are stored
+//!   once in an append-only pool and referenced by index, so splits move
+//!   `dim` floats and a `u32` — never the payload.
+//! * Every lane, and the payload pool, is a run of fixed-size `Arc`'d
+//!   chunks, so a slot is addressed as (chunk, slot-in-chunk). Cloning a
+//!   tree shares every chunk; a write copies only the chunk it lands in
+//!   while a clone still shares it. An insert into a clone therefore copies
+//!   the chunks on its root-to-leaf path, the chunks its splits touch and
+//!   the pool's tail chunk — a copy-on-write publish in O(batch · log n),
+//!   not O(n). No operation frees a node, so slots are never reused.
 //! * Insertion uses the classic Guttman algorithm with quadratic split.
 //! * Bulk loading uses a top-down tiling scheme in the spirit of
 //!   Sort-Tile-Recursive / OMT: items are recursively sorted along the widest
@@ -19,10 +26,12 @@
 //!   exactly what the paper's *distance-based access* needs (the related-work
 //!   section credits the same incremental-distance-join line of work).
 
-use crate::arena::{with_room, SlotArena};
 pub use crate::arena::{ArenaError, NodeId};
+use crate::arena::{Lane, NODE_CHUNK, POOL_CHUNK};
 use prj_geometry::Vector;
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Fanout configuration of the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,39 +70,44 @@ impl RTreeConfig {
     }
 }
 
+/// Node lanes come in chunks of `NODE_CHUNK` slots.
+type NodeLane<E> = Lane<E, NODE_CHUNK>;
+
 /// An R-tree over points in `R^d` carrying payloads of type `T`.
 ///
-/// Every node kind gets its own slot arena plus fixed-stride slabs (one slot
-/// spans `max_entries + 1` entries so an overflowing node never reallocates
-/// before its split): leaves own a point-coordinate lane and a payload-index
-/// lane, internal nodes own a child-id lane, and both own a bounding-box lane
-/// (`2 * dim` floats, lower corner then upper corner).
+/// Every node kind gets its own fixed-width lanes (one slot spans
+/// `max_entries + 1` entries so an overflowing node fits before its split):
+/// leaves own a point-coordinate lane and a payload-index lane, internal
+/// nodes own a child-id lane, and both own a length lane and a bounding-box
+/// lane (`2 * dim` floats, lower corner then upper corner). Every lane and
+/// the payload pool is a run of `Arc`'d chunks (see [`crate::arena`]), so a
+/// [`Clone`] shares all of them, and an insert into the clone copies only
+/// the chunks it writes: those on its root-to-leaf path, those its splits
+/// touch, and the payload pool's tail.
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
     config: RTreeConfig,
     dim: usize,
-    /// Entries per slab slot: `max_entries + 1`.
+    /// Entries per slot: `max_entries + 1`.
     stride: usize,
     root: Option<NodeId>,
     len: usize,
-    leaves: SlotArena,
     /// Entry count per leaf slot.
-    leaf_len: Vec<u32>,
+    leaf_len: NodeLane<u32>,
     /// Leaf bounding boxes, `2 * dim` per slot.
-    leaf_bounds: Vec<f64>,
+    leaf_bounds: NodeLane<f64>,
     /// Leaf point coordinates, `dim * stride` per slot.
-    leaf_points: Vec<f64>,
+    leaf_points: NodeLane<f64>,
     /// Leaf payload-pool indexes, `stride` per slot.
-    leaf_payload: Vec<u32>,
-    internals: SlotArena,
+    leaf_payload: NodeLane<u32>,
     /// Child count per internal slot.
-    int_len: Vec<u32>,
+    int_len: NodeLane<u32>,
     /// Internal bounding boxes, `2 * dim` per slot.
-    int_bounds: Vec<f64>,
+    int_bounds: NodeLane<f64>,
     /// Child ids, `stride` per slot.
-    int_children: Vec<NodeId>,
+    int_children: NodeLane<NodeId>,
     /// Append-only payload pool; leaf entries reference it by index.
-    data: Vec<T>,
+    data: Lane<T, POOL_CHUNK>,
 }
 
 /// A nearest-neighbour result: a borrowed point (a `dim`-length coordinate
@@ -106,6 +120,11 @@ pub struct NearestNeighbor<'a, T> {
     pub data: &'a T,
     /// Euclidean distance from the query.
     pub distance: f64,
+}
+
+/// The empty bounding box of dimension `dim`, as a lane's `2 * dim` floats.
+fn empty_bounds(dim: usize) -> impl Iterator<Item = f64> {
+    std::iter::repeat_n(f64::INFINITY, dim).chain(std::iter::repeat_n(f64::NEG_INFINITY, dim))
 }
 
 /// Resets a bounding-box lane to the empty box.
@@ -211,22 +230,21 @@ impl<T> RTree<T> {
     /// Creates an empty tree with an explicit fanout configuration.
     pub fn with_config(dim: usize, config: RTreeConfig) -> Self {
         assert!(dim > 0, "dimension must be positive");
+        let stride = config.max_entries + 1;
         RTree {
             config,
             dim,
-            stride: config.max_entries + 1,
+            stride,
             root: None,
             len: 0,
-            leaves: SlotArena::new(true),
-            leaf_len: Vec::new(),
-            leaf_bounds: Vec::new(),
-            leaf_points: Vec::new(),
-            leaf_payload: Vec::new(),
-            internals: SlotArena::new(false),
-            int_len: Vec::new(),
-            int_bounds: Vec::new(),
-            int_children: Vec::new(),
-            data: Vec::new(),
+            leaf_len: Lane::new(1),
+            leaf_bounds: Lane::new(2 * dim),
+            leaf_points: Lane::new(dim * stride),
+            leaf_payload: Lane::new(stride),
+            int_len: Lane::new(1),
+            int_bounds: Lane::new(2 * dim),
+            int_children: Lane::new(stride),
+            data: Lane::new(1),
         }
     }
 
@@ -235,12 +253,18 @@ impl<T> RTree<T> {
     ///
     /// # Panics
     /// Panics if any point has a dimension different from `dim`.
-    pub fn bulk_load(dim: usize, items: Vec<(Vector, T)>) -> Self {
+    pub fn bulk_load(dim: usize, items: Vec<(Vector, T)>) -> Self
+    where
+        T: Clone,
+    {
         Self::bulk_load_with_config(dim, RTreeConfig::default(), items)
     }
 
     /// [`RTree::bulk_load`] with an explicit configuration.
-    pub fn bulk_load_with_config(dim: usize, config: RTreeConfig, items: Vec<(Vector, T)>) -> Self {
+    pub fn bulk_load_with_config(dim: usize, config: RTreeConfig, items: Vec<(Vector, T)>) -> Self
+    where
+        T: Clone,
+    {
         let mut tree = Self::with_config(dim, config);
         if items.is_empty() {
             return tree;
@@ -249,14 +273,10 @@ impl<T> RTree<T> {
             assert_eq!(p.dim(), dim, "point dimension mismatch in bulk load");
         }
         tree.len = items.len();
-        tree.data.reserve(items.len());
+        // Collected in place, reusing `items`' allocation.
         let mut entries: Vec<(Vector, u32)> = items
             .into_iter()
-            .map(|(point, data)| {
-                let payload = tree.data.len() as u32;
-                tree.data.push(data);
-                (point, payload)
-            })
+            .map(|(point, data)| (point, tree.data.push([data]) as u32))
             .collect();
         let root = tree.bulk_build(&mut entries);
         tree.root = Some(root);
@@ -266,11 +286,7 @@ impl<T> RTree<T> {
     fn bulk_build(&mut self, entries: &mut [(Vector, u32)]) -> NodeId {
         let m = self.config.max_entries;
         if entries.len() <= m {
-            let leaf = self.alloc_leaf();
-            for (point, payload) in entries.iter() {
-                self.push_leaf_entry(leaf, point.as_slice(), *payload);
-            }
-            return leaf;
+            return self.push_leaf(entries.iter().map(|(p, payload)| (p.as_slice(), *payload)));
         }
         // Height of the subtree and capacity of each child subtree.
         let n = entries.len();
@@ -305,100 +321,75 @@ impl<T> RTree<T> {
             children.push(self.bulk_build(chunk));
             rest = tail;
         }
-        let node = self.alloc_internal();
-        for child in children {
-            self.push_child(node, child);
-        }
-        node
+        self.push_internal(&children)
     }
 
-    /// Allocates (or recycles) a leaf slot with reset length and bounds.
-    fn alloc_leaf(&mut self) -> NodeId {
-        let (id, fresh) = self.leaves.alloc().expect("R-tree leaf arena exhausted");
-        if fresh {
-            self.leaf_len.push(0);
-            self.leaf_bounds.extend(
-                std::iter::repeat_n(f64::INFINITY, self.dim)
-                    .chain(std::iter::repeat_n(f64::NEG_INFINITY, self.dim)),
-            );
-            self.leaf_points
-                .extend(std::iter::repeat_n(0.0, self.dim * self.stride));
-            self.leaf_payload
-                .extend(std::iter::repeat_n(0, self.stride));
-        } else {
-            let slot = id.index();
-            self.leaf_len[slot] = 0;
-            reset_bounds(
-                &mut self.leaf_bounds[slot * 2 * self.dim..(slot + 1) * 2 * self.dim],
-                self.dim,
-            );
-        }
+    /// Appends a leaf slot holding `entries` (point, payload-pool index).
+    fn push_leaf<'p>(&mut self, entries: impl Iterator<Item = (&'p [f64], u32)>) -> NodeId {
+        let (dim, stride) = (self.dim, self.stride);
+        let id = NodeId::pack(self.leaf_len.len(), true).expect("R-tree leaf arena exhausted");
+        self.leaf_len.push([0]);
+        self.leaf_bounds.push(empty_bounds(dim));
+        self.leaf_points
+            .push(std::iter::repeat_n(0.0, dim * stride));
+        self.leaf_payload.push(std::iter::repeat_n(0, stride));
+        self.set_leaf(id.index(), entries);
         id
     }
 
-    /// Allocates (or recycles) an internal slot with reset length and bounds.
-    fn alloc_internal(&mut self) -> NodeId {
-        let (id, fresh) = self
-            .internals
-            .alloc()
-            .expect("R-tree internal arena exhausted");
-        if fresh {
-            self.int_len.push(0);
-            self.int_bounds.extend(
-                std::iter::repeat_n(f64::INFINITY, self.dim)
-                    .chain(std::iter::repeat_n(f64::NEG_INFINITY, self.dim)),
-            );
-            self.int_children
-                .extend(std::iter::repeat_n(NodeId::DANGLING, self.stride));
-        } else {
-            let slot = id.index();
-            self.int_len[slot] = 0;
-            reset_bounds(
-                &mut self.int_bounds[slot * 2 * self.dim..(slot + 1) * 2 * self.dim],
-                self.dim,
-            );
+    /// Replaces leaf `slot`'s entries with `entries`.
+    fn set_leaf<'p>(&mut self, slot: usize, entries: impl Iterator<Item = (&'p [f64], u32)>) {
+        let dim = self.dim;
+        let points = self.leaf_points.get_mut(slot);
+        let payloads = self.leaf_payload.get_mut(slot);
+        let bounds = self.leaf_bounds.get_mut(slot);
+        reset_bounds(bounds, dim);
+        let mut len = 0;
+        for (point, payload) in entries {
+            points[len * dim..(len + 1) * dim].copy_from_slice(point);
+            payloads[len] = payload;
+            expand_bounds_to_point(bounds, dim, point);
+            len += 1;
         }
+        self.leaf_len.get_mut(slot)[0] = len as u32;
+    }
+
+    /// Appends an internal slot over `children`.
+    fn push_internal(&mut self, children: &[NodeId]) -> NodeId {
+        let id = NodeId::pack(self.int_len.len(), false).expect("R-tree internal arena exhausted");
+        self.int_len.push([0]);
+        self.int_bounds.push(empty_bounds(self.dim));
+        self.int_children
+            .push(std::iter::repeat_n(NodeId::DANGLING, self.stride));
+        self.set_internal(id.index(), children);
         id
+    }
+
+    /// Replaces internal `slot`'s children with `children`.
+    fn set_internal(&mut self, slot: usize, children: &[NodeId]) {
+        debug_assert!(children.len() <= self.stride);
+        self.int_len.get_mut(slot)[0] = children.len() as u32;
+        self.int_children.get_mut(slot)[..children.len()].copy_from_slice(children);
+        self.recompute_bounds(slot);
     }
 
     /// Appends an entry to a leaf's lanes, expanding its bounds.
     fn push_leaf_entry(&mut self, leaf: NodeId, point: &[f64], payload: u32) {
-        debug_assert!(self.leaves.is_live(leaf));
-        let slot = leaf.index();
-        let len = self.leaf_len[slot] as usize;
-        debug_assert!(len < self.stride, "leaf slab overflow before split");
-        let base = (slot * self.stride + len) * self.dim;
-        self.leaf_points[base..base + self.dim].copy_from_slice(point);
-        self.leaf_payload[slot * self.stride + len] = payload;
-        self.leaf_len[slot] = (len + 1) as u32;
-        let b = slot * 2 * self.dim;
-        expand_bounds_to_point(&mut self.leaf_bounds[b..b + 2 * self.dim], self.dim, point);
-    }
-
-    /// Appends a child to an internal node's lane, expanding its bounds.
-    fn push_child(&mut self, node: NodeId, child: NodeId) {
-        debug_assert!(self.internals.is_live(node));
-        let slot = node.index();
-        let len = self.int_len[slot] as usize;
-        debug_assert!(len < self.stride, "internal slab overflow before split");
-        self.int_children[slot * self.stride + len] = child;
-        self.int_len[slot] = (len + 1) as u32;
-        let child_bounds = self.node_bounds(child).to_vec();
-        let b = slot * 2 * self.dim;
-        expand_bounds_to_box(
-            &mut self.int_bounds[b..b + 2 * self.dim],
-            self.dim,
-            &child_bounds,
-        );
+        let (slot, dim) = (leaf.index(), self.dim);
+        let len = self.node_entry_count(leaf);
+        debug_assert!(len < self.stride, "leaf slot overflow before split");
+        self.leaf_len.get_mut(slot)[0] = len as u32 + 1;
+        self.leaf_points.get_mut(slot)[len * dim..(len + 1) * dim].copy_from_slice(point);
+        self.leaf_payload.get_mut(slot)[len] = payload;
+        expand_bounds_to_point(self.leaf_bounds.get_mut(slot), dim, point);
     }
 
     /// The bounding-box lane of a node (lower corner then upper corner).
     fn node_bounds(&self, node: NodeId) -> &[f64] {
-        let b = node.index() * 2 * self.dim;
         if node.is_leaf() {
-            &self.leaf_bounds[b..b + 2 * self.dim]
+            self.leaf_bounds.get(node.index())
         } else {
-            &self.int_bounds[b..b + 2 * self.dim]
+            self.int_bounds.get(node.index())
         }
     }
 
@@ -419,61 +410,66 @@ impl<T> RTree<T> {
 
     /// The payload pool: one payload per indexed point, in insertion order
     /// (bulk-load order, then one per [`RTree::insert`]).
-    pub fn payloads(&self) -> &[T] {
-        &self.data
+    pub fn payloads(&self) -> impl Iterator<Item = &T> + Clone + '_ {
+        self.data.iter()
     }
 
-    /// A copy of this tree with room for `extra` more [`RTree::insert`]s,
-    /// so inserting them does not reallocate — and so re-copy — the lanes
-    /// just copied. Each insert adds one payload and allocates at most one
-    /// leaf; internal nodes get the same room, which covers every insert
-    /// but a rare cascade of splits.
-    pub fn clone_with_room(&self, extra: usize) -> Self
-    where
-        T: Clone,
-    {
-        let (dim, stride) = (self.dim, self.stride);
-        RTree {
-            config: self.config,
-            dim,
-            stride,
-            root: self.root,
-            len: self.len,
-            leaves: self.leaves.clone_with_room(extra),
-            leaf_len: with_room(&self.leaf_len, extra),
-            leaf_bounds: with_room(&self.leaf_bounds, extra * 2 * dim),
-            leaf_points: with_room(&self.leaf_points, extra * dim * stride),
-            leaf_payload: with_room(&self.leaf_payload, extra * stride),
-            internals: self.internals.clone_with_room(extra),
-            int_len: with_room(&self.int_len, extra),
-            int_bounds: with_room(&self.int_bounds, extra * 2 * dim),
-            int_children: with_room(&self.int_children, extra * stride),
-            data: with_room(&self.data, extra),
+    /// The node chunks of this tree that are not the very allocations
+    /// `base` holds at the same position, as `(is_leaf, chunk)` pairs (see
+    /// [`NodeId::chunk`]), leaves first, each kind in chunk order. A clone
+    /// shares every chunk with its original, so on a clone of `base` this
+    /// lists exactly the chunks its inserts copied or added.
+    pub fn copied_node_chunks(&self, base: &RTree<T>) -> Vec<(bool, usize)> {
+        fn copied<E, const S: usize>(lane: &Lane<E, S>, base: &Lane<E, S>) -> Vec<usize> {
+            let old = base.chunks();
+            (0..lane.chunks().len())
+                .filter(|&c| {
+                    old.get(c)
+                        .is_none_or(|o| !Arc::ptr_eq(o, &lane.chunks()[c]))
+                })
+                .collect()
         }
+        let leaves: BTreeSet<usize> = [
+            copied(&self.leaf_len, &base.leaf_len),
+            copied(&self.leaf_bounds, &base.leaf_bounds),
+            copied(&self.leaf_points, &base.leaf_points),
+            copied(&self.leaf_payload, &base.leaf_payload),
+        ]
+        .concat()
+        .into_iter()
+        .collect();
+        let internals: BTreeSet<usize> = [
+            copied(&self.int_len, &base.int_len),
+            copied(&self.int_bounds, &base.int_bounds),
+            copied(&self.int_children, &base.int_children),
+        ]
+        .concat()
+        .into_iter()
+        .collect();
+        leaves
+            .into_iter()
+            .map(|c| (true, c))
+            .chain(internals.into_iter().map(|c| (false, c)))
+            .collect()
     }
 
     /// Inserts a point with its payload (Guttman insertion, quadratic split).
     ///
     /// # Panics
     /// Panics if the point's dimension differs from the tree's.
-    pub fn insert(&mut self, point: Vector, data: T) {
+    pub fn insert(&mut self, point: Vector, data: T)
+    where
+        T: Clone,
+    {
         assert_eq!(point.dim(), self.dim, "point dimension mismatch");
         self.len += 1;
-        let payload = self.data.len() as u32;
-        self.data.push(data);
+        let payload = self.data.push([data]) as u32;
         match self.root {
-            None => {
-                let leaf = self.alloc_leaf();
-                self.push_leaf_entry(leaf, point.as_slice(), payload);
-                self.root = Some(leaf);
-            }
+            None => self.root = Some(self.push_leaf(std::iter::once((point.as_slice(), payload)))),
             Some(root) => {
                 if let Some(sibling) = self.insert_rec(root, point.as_slice(), payload) {
                     // Root split: grow the tree by one level.
-                    let new_root = self.alloc_internal();
-                    self.push_child(new_root, root);
-                    self.push_child(new_root, sibling);
-                    self.root = Some(new_root);
+                    self.root = Some(self.push_internal(&[root, sibling]));
                 }
             }
         }
@@ -481,11 +477,15 @@ impl<T> RTree<T> {
 
     /// Inserts every `(point, payload)` item in turn — the compaction fold
     /// primitive: cloning a shared base tree and extending it with a shard's
-    /// delta costs O(delta · log n) instead of a full O(n) bulk re-load.
+    /// delta costs O(delta · log n) and copies only the chunks the inserts
+    /// write, instead of a full O(n) bulk re-load.
     ///
     /// # Panics
     /// Panics if any point's dimension differs from the tree's.
-    pub fn extend(&mut self, items: impl IntoIterator<Item = (Vector, T)>) {
+    pub fn extend(&mut self, items: impl IntoIterator<Item = (Vector, T)>)
+    where
+        T: Clone,
+    {
         for (point, data) in items {
             self.insert(point, data);
         }
@@ -495,14 +495,13 @@ impl<T> RTree<T> {
     fn insert_rec(&mut self, node: NodeId, point: &[f64], payload: u32) -> Option<NodeId> {
         if node.is_leaf() {
             self.push_leaf_entry(node, point, payload);
-            if (self.leaf_len[node.index()] as usize) <= self.config.max_entries {
+            if self.node_entry_count(node) <= self.config.max_entries {
                 return None;
             }
             return Some(self.split_leaf(node));
         }
         // Choose the child needing the least enlargement (ties: least volume).
-        let slot = node.index();
-        let children = &self.int_children[slot * self.stride..][..self.int_len[slot] as usize];
+        let children = self.node_children(node);
         let mut best = children[0];
         let mut best_enlargement = f64::INFINITY;
         let mut best_volume = f64::INFINITY;
@@ -520,42 +519,36 @@ impl<T> RTree<T> {
         }
         let split = self.insert_rec(best, point, payload);
         // Refresh this node's bbox and children list.
+        let slot = node.index();
         if let Some(sibling) = split {
-            let slot = node.index();
-            let len = self.int_len[slot] as usize;
-            self.int_children[slot * self.stride + len] = sibling;
-            self.int_len[slot] = (len + 1) as u32;
+            let len = self.int_len.get(slot)[0] as usize;
+            self.int_children.get_mut(slot)[len] = sibling;
+            self.int_len.get_mut(slot)[0] = len as u32 + 1;
         }
-        self.recompute_bounds(node);
-        if self.int_len[node.index()] as usize > self.config.max_entries {
+        self.recompute_bounds(slot);
+        if self.node_children(node).len() > self.config.max_entries {
             Some(self.split_internal(node))
         } else {
             None
         }
     }
 
-    /// Recomputes a node's bounds from its entries or children.
-    fn recompute_bounds(&mut self, node: NodeId) {
-        let slot = node.index();
+    /// Recomputes internal `slot`'s bounds from its children's, writing
+    /// them (and so copying a shared chunk) only if they changed.
+    fn recompute_bounds(&mut self, slot: usize) {
         let dim = self.dim;
-        if node.is_leaf() {
-            let len = self.leaf_len[slot] as usize;
-            let (bounds_slab, points) = (&mut self.leaf_bounds, &self.leaf_points);
-            let bounds = &mut bounds_slab[slot * 2 * dim..(slot + 1) * 2 * dim];
-            reset_bounds(bounds, dim);
-            for e in 0..len {
-                let base = (slot * self.stride + e) * dim;
-                expand_bounds_to_point(bounds, dim, &points[base..base + dim]);
-            }
-        } else {
-            let len = self.int_len[slot] as usize;
-            let mut acc = vec![f64::INFINITY; dim];
-            acc.extend(std::iter::repeat_n(f64::NEG_INFINITY, dim));
-            for e in 0..len {
-                let child = self.int_children[slot * self.stride + e];
-                expand_bounds_to_box(&mut acc, dim, self.node_bounds(child));
-            }
-            self.int_bounds[slot * 2 * dim..(slot + 1) * 2 * dim].copy_from_slice(&acc);
+        let mut bounds: Vec<f64> = empty_bounds(dim).collect();
+        let len = self.int_len.get(slot)[0] as usize;
+        for &child in &self.int_children.get(slot)[..len] {
+            expand_bounds_to_box(&mut bounds, dim, self.node_bounds(child));
+        }
+        let old = self.int_bounds.get(slot);
+        if old
+            .iter()
+            .zip(&bounds)
+            .any(|(a, b)| a.to_bits() != b.to_bits())
+        {
+            self.int_bounds.get_mut(slot).copy_from_slice(&bounds);
         }
     }
 
@@ -563,63 +556,44 @@ impl<T> RTree<T> {
     fn split_leaf(&mut self, node: NodeId) -> NodeId {
         let dim = self.dim;
         let slot = node.index();
-        let n = self.leaf_len[slot] as usize;
+        let n = self.node_entry_count(node);
+        let points = &self.leaf_points.get(slot)[..n * dim];
         // Degenerate per-entry boxes (a point is its own box).
         let mut boxes = Vec::with_capacity(n * 2 * dim);
-        for e in 0..n {
-            let base = (slot * self.stride + e) * dim;
-            boxes.extend_from_slice(&self.leaf_points[base..base + dim]);
-            boxes.extend_from_slice(&self.leaf_points[base..base + dim]);
+        for point in points.chunks_exact(dim) {
+            boxes.extend_from_slice(point);
+            boxes.extend_from_slice(point);
         }
         let (group_a, group_b) = quadratic_partition(&boxes, dim, self.config.min_entries);
-        // Gather both groups out of the slab before rewriting it in place.
+        // Gather both groups out of the lanes before rewriting them.
+        let payload = self.leaf_payload.get(slot);
         let mut scratch_points = Vec::with_capacity(n * dim);
         let mut scratch_payload = Vec::with_capacity(n);
         for &e in group_a.iter().chain(group_b.iter()) {
-            let base = (slot * self.stride + e) * dim;
-            scratch_points.extend_from_slice(&self.leaf_points[base..base + dim]);
-            scratch_payload.push(self.leaf_payload[slot * self.stride + e]);
+            scratch_points.extend_from_slice(&points[e * dim..(e + 1) * dim]);
+            scratch_payload.push(payload[e]);
         }
-        let sibling = self.alloc_leaf();
-        self.leaf_len[slot] = 0;
-        reset_bounds(
-            &mut self.leaf_bounds[slot * 2 * dim..(slot + 1) * 2 * dim],
-            dim,
-        );
-        for (i, _) in group_a.iter().enumerate() {
-            let point = scratch_points[i * dim..(i + 1) * dim].to_vec();
-            self.push_leaf_entry(node, &point, scratch_payload[i]);
-        }
-        for i in group_a.len()..n {
-            let point = scratch_points[i * dim..(i + 1) * dim].to_vec();
-            self.push_leaf_entry(sibling, &point, scratch_payload[i]);
-        }
+        let entries = scratch_points
+            .chunks_exact(dim)
+            .zip(scratch_payload.iter().copied());
+        let sibling = self.push_leaf(entries.clone().skip(group_a.len()));
+        self.set_leaf(slot, entries.take(group_a.len()));
         sibling
     }
 
     /// Quadratic split of an overflowing internal node; returns the sibling id.
     fn split_internal(&mut self, node: NodeId) -> NodeId {
         let dim = self.dim;
-        let slot = node.index();
-        let n = self.int_len[slot] as usize;
-        let mut boxes = Vec::with_capacity(n * 2 * dim);
-        let children: Vec<NodeId> = self.int_children[slot * self.stride..][..n].to_vec();
+        let children: Vec<NodeId> = self.node_children(node).to_vec();
+        let mut boxes = Vec::with_capacity(children.len() * 2 * dim);
         for &c in &children {
             boxes.extend_from_slice(self.node_bounds(c));
         }
         let (group_a, group_b) = quadratic_partition(&boxes, dim, self.config.min_entries);
-        let sibling = self.alloc_internal();
-        self.int_len[slot] = 0;
-        reset_bounds(
-            &mut self.int_bounds[slot * 2 * dim..(slot + 1) * 2 * dim],
-            dim,
-        );
-        for &e in &group_a {
-            self.push_child(node, children[e]);
-        }
-        for &e in &group_b {
-            self.push_child(sibling, children[e]);
-        }
+        let pick =
+            |group: &[usize]| -> Vec<NodeId> { group.iter().map(|&e| children[e]).collect() };
+        let sibling = self.push_internal(&pick(&group_b));
+        self.set_internal(node.index(), &pick(&group_a));
         sibling
     }
 
@@ -645,15 +619,14 @@ impl<T> RTree<T> {
         if node.is_leaf() {
             return &[];
         }
-        debug_assert!(self.internals.is_live(node));
         let slot = node.index();
-        &self.int_children[slot * self.stride..][..self.int_len[slot] as usize]
+        &self.int_children.get(slot)[..self.int_len.get(slot)[0] as usize]
     }
 
     /// Number of point entries stored in a leaf (0 for internal nodes).
     pub fn node_entry_count(&self, node: NodeId) -> usize {
         if node.is_leaf() {
-            self.leaf_len[node.index()] as usize
+            self.leaf_len.get(node.index())[0] as usize
         } else {
             0
         }
@@ -665,36 +638,55 @@ impl<T> RTree<T> {
     /// Panics if `node` is internal or `idx` is out of range.
     pub fn node_entry(&self, node: NodeId, idx: usize) -> (&[f64], &T) {
         assert!(node.is_leaf(), "node_entry on internal node");
-        debug_assert!(self.leaves.is_live(node));
         let slot = node.index();
-        assert!(idx < self.leaf_len[slot] as usize, "entry out of range");
-        let base = (slot * self.stride + idx) * self.dim;
-        let point = &self.leaf_points[base..base + self.dim];
-        let payload = self.leaf_payload[slot * self.stride + idx] as usize;
-        (point, &self.data[payload])
+        assert!(
+            idx < self.leaf_len.get(slot)[0] as usize,
+            "entry out of range"
+        );
+        let point = &self.leaf_points.get(slot)[idx * self.dim..(idx + 1) * self.dim];
+        let payload = self.leaf_payload.get(slot)[idx] as usize;
+        (point, &self.data.get(payload)[0])
     }
 
     /// Euclidean distance from `query` to the `idx`-th entry of a leaf,
     /// streamed straight off the coordinate lane.
     pub fn entry_distance(&self, node: NodeId, idx: usize, query: &Vector) -> f64 {
-        debug_assert!(node.is_leaf() && self.leaves.is_live(node));
-        let base = (node.index() * self.stride + idx) * self.dim;
-        point_distance_squared(&self.leaf_points[base..base + self.dim], query.as_slice()).sqrt()
+        debug_assert!(node.is_leaf());
+        let point = &self.leaf_points.get(node.index())[idx * self.dim..(idx + 1) * self.dim];
+        point_distance_squared(point, query.as_slice()).sqrt()
+    }
+
+    /// Each entry of a leaf as its distance from `query` and its index in
+    /// the payload pool, in entry order, off one lookup per lane.
+    pub(crate) fn leaf_entries<'a>(
+        &'a self,
+        leaf: NodeId,
+        query: &'a Vector,
+    ) -> impl Iterator<Item = (f64, u32)> + 'a {
+        let (slot, len) = (leaf.index(), self.node_entry_count(leaf));
+        self.leaf_points.get(slot)[..len * self.dim]
+            .chunks_exact(self.dim)
+            .zip(self.leaf_payload.get(slot))
+            .map(|(point, &payload)| {
+                let distance = point_distance_squared(point, query.as_slice()).sqrt();
+                (distance, payload)
+            })
+    }
+
+    /// [`RTree::node_entry`] for an entry whose payload-pool index
+    /// [`RTree::leaf_entries`] already read.
+    pub(crate) fn pooled_entry(&self, leaf: NodeId, idx: usize, payload: u32) -> (&[f64], &T) {
+        let point = &self.leaf_points.get(leaf.index())[idx * self.dim..(idx + 1) * self.dim];
+        (point, &self.data.get(payload as usize)[0])
     }
 
     // ------------------------------ queries ---------------------------------
 
     /// Iterates over all `(point, payload)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&[f64], &T)> + '_ {
-        self.leaves.live_slots().flat_map(move |slot| {
-            (0..self.leaf_len[slot] as usize).map(move |e| {
-                let base = (slot * self.stride + e) * self.dim;
-                let payload = self.leaf_payload[slot * self.stride + e] as usize;
-                (
-                    &self.leaf_points[base..base + self.dim],
-                    &self.data[payload],
-                )
-            })
+        (0..self.leaf_len.len()).flat_map(move |slot| {
+            let leaf = NodeId::pack(slot, true).expect("a live leaf slot packs");
+            (0..self.node_entry_count(leaf)).map(move |e| self.node_entry(leaf, e))
         })
     }
 
@@ -872,32 +864,224 @@ mod tests {
         assert_eq!(tree.nearest_iter(&v(&[0.0, 0.0])).count(), 49);
     }
 
-    #[test]
-    fn clone_with_room_takes_its_inserts_in_place_and_matches_a_clone() {
-        let base = RTree::bulk_load(2, grid_points(20));
-        let extra: Vec<(Vector, usize)> = (0..6)
-            .map(|i| (v(&[i as f64 * 3.7, 19.0 - i as f64 * 2.9]), 1000 + i))
-            .collect();
-        let mut plain = base.clone();
-        let mut roomy = base.clone_with_room(extra.len());
-        let lanes = |t: &RTree<usize>| {
-            (
-                t.data.as_ptr(),
-                t.leaf_points.as_ptr(),
-                t.leaf_payload.as_ptr(),
-                t.leaf_bounds.as_ptr(),
-            )
+    /// Pseudo-random points in `[-50, 50)²` from a 64-bit LCG.
+    fn scattered(seed: u64, n: usize, first_payload: usize) -> Vec<(Vector, usize)> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 100.0 - 50.0
         };
-        let before = lanes(&roomy);
-        plain.extend(extra.clone());
-        roomy.extend(extra);
-        assert_eq!(lanes(&roomy), before, "an insert re-grew a copied lane");
-        assert_eq!(roomy.payloads(), plain.payloads());
-        let q = v(&[4.5, 11.0]);
-        let order =
-            |t: &RTree<usize>| -> Vec<usize> { t.nearest_iter(&q).map(|nn| *nn.data).collect() };
-        assert_eq!(order(&roomy), order(&plain));
-        assert_eq!(roomy.len(), 406);
+        (0..n)
+            .map(|i| (v(&[next(), next()]), first_payload + i))
+            .collect()
+    }
+
+    /// A copy of `tree` that shares no chunk with it.
+    fn deep_copy(tree: &RTree<usize>) -> RTree<usize> {
+        RTree {
+            leaf_len: tree.leaf_len.unshared(),
+            leaf_bounds: tree.leaf_bounds.unshared(),
+            leaf_points: tree.leaf_points.unshared(),
+            leaf_payload: tree.leaf_payload.unshared(),
+            int_len: tree.int_len.unshared(),
+            int_bounds: tree.int_bounds.unshared(),
+            int_children: tree.int_children.unshared(),
+            data: tree.data.unshared(),
+            ..tree.clone()
+        }
+    }
+
+    /// Every node reachable from the root, depth first, in child order.
+    fn nodes(tree: &RTree<usize>) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        let mut stack: Vec<NodeId> = tree.root().into_iter().collect();
+        while let Some(node) = stack.pop() {
+            out.push(node);
+            stack.extend(tree.node_children(node).iter().rev());
+        }
+        out
+    }
+
+    /// `true` when the subtree under `node` holds `payload`.
+    fn holds(tree: &RTree<usize>, node: NodeId, payload: usize) -> bool {
+        (0..tree.node_entry_count(node)).any(|e| *tree.node_entry(node, e).1 == payload)
+            || tree
+                .node_children(node)
+                .iter()
+                .any(|&c| holds(tree, c, payload))
+    }
+
+    /// One node's own state, bit for bit: its box and its entries or
+    /// children.
+    fn node_state(tree: &RTree<usize>, node: NodeId) -> Vec<u64> {
+        let mut out: Vec<u64> = tree.node_bounds(node).iter().map(|b| b.to_bits()).collect();
+        out.extend(
+            tree.node_children(node)
+                .iter()
+                .map(|c| u64::from(c.to_bits())),
+        );
+        for e in 0..tree.node_entry_count(node) {
+            let (point, &payload) = tree.node_entry(node, e);
+            out.extend(point.iter().map(|x| x.to_bits()));
+            out.push(payload as u64);
+        }
+        out
+    }
+
+    /// Everything observable, bit for bit: the shape and slot ids, every
+    /// box and entry, the payload pool, `iter()` and a nearest scan.
+    fn observe(tree: &RTree<usize>) -> Vec<u64> {
+        let mut out = Vec::new();
+        for node in nodes(tree) {
+            out.push(u64::from(node.to_bits()));
+            out.extend(node_state(tree, node));
+        }
+        out.extend(tree.payloads().map(|&p| p as u64));
+        for (point, &payload) in tree.iter() {
+            out.extend(point.iter().map(|x| x.to_bits()));
+            out.push(payload as u64);
+        }
+        for nn in tree.nearest_iter(&v(&[3.5, -7.25])) {
+            out.push(*nn.data as u64);
+            out.push(nn.distance.to_bits());
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Inserting into a clone leaves the original exactly as it was,
+        /// and the clone ends up bit for bit where a deep copy given the
+        /// same inserts does.
+        #[test]
+        fn inserts_into_a_clone_leave_the_original_and_match_a_deep_copy(
+            seed in 0u64..u64::MAX,
+            loaded in 0usize..3000,
+            inserted in 1usize..200,
+        ) {
+            let base = RTree::bulk_load(2, scattered(seed, loaded, 0));
+            let before = observe(&base);
+            let extra = scattered(seed ^ 0x9e37_79b9, inserted, loaded);
+            let mut shared = base.clone();
+            let mut deep = deep_copy(&base);
+            shared.extend(extra.clone());
+            deep.extend(extra);
+            proptest::prop_assert_eq!(observe(&base), before);
+            proptest::prop_assert_eq!(observe(&shared), observe(&deep));
+            proptest::prop_assert_eq!(shared.len(), loaded + inserted);
+        }
+    }
+
+    /// `true` when every lane of one node kind holds the very same chunk
+    /// `c` in both trees.
+    fn chunk_shared(a: &RTree<usize>, b: &RTree<usize>, leaf: bool, c: usize) -> bool {
+        fn same<E, const S: usize>(a: &Lane<E, S>, b: &Lane<E, S>, c: usize) -> bool {
+            Arc::ptr_eq(&a.chunks()[c], &b.chunks()[c])
+        }
+        if leaf {
+            same(&a.leaf_len, &b.leaf_len, c)
+                && same(&a.leaf_bounds, &b.leaf_bounds, c)
+                && same(&a.leaf_points, &b.leaf_points, c)
+                && same(&a.leaf_payload, &b.leaf_payload, c)
+        } else {
+            same(&a.int_len, &b.int_len, c)
+                && same(&a.int_bounds, &b.int_bounds, c)
+                && same(&a.int_children, &b.int_children, c)
+        }
+    }
+
+    /// Inserts `point` into a clone of `base` and checks that every node
+    /// chunk off the insert's path is still `base`'s; returns whether the
+    /// insert split a leaf.
+    fn assert_insert_shares_off_path(base: &RTree<usize>, point: Vector) -> bool {
+        let new = base.len();
+        let mut after = base.clone();
+        after.insert(point, new);
+        // The insert may write the nodes on its root-to-leaf path (in the
+        // new tree, the path to the new point), the node each split
+        // halved, and the nodes the splits added.
+        let mut path = vec![after.root().unwrap()];
+        while let Some(&child) = after
+            .node_children(*path.last().unwrap())
+            .iter()
+            .find(|&&c| holds(&after, c, new))
+        {
+            path.push(child);
+        }
+        assert!(holds(&after, *path.last().unwrap(), new));
+        let old = nodes(base);
+        let written: Vec<NodeId> = old
+            .iter()
+            .copied()
+            .filter(|&n| node_state(base, n) != node_state(&after, n))
+            .collect();
+        // One old node per level: the one the descent went through, which
+        // is on the path or was split off it; a split origin hangs under a
+        // path node or under another split origin.
+        assert!(written.len() <= path.len(), "{written:?} off {path:?}");
+        let mut reach = path.clone();
+        let mut i = 0;
+        while i < reach.len() {
+            for &c in after.node_children(reach[i]) {
+                if written.contains(&c) && !reach.contains(&c) {
+                    reach.push(c);
+                }
+            }
+            i += 1;
+        }
+        assert!(
+            written.iter().all(|w| reach.contains(w)),
+            "{written:?} off {path:?}"
+        );
+        let added = nodes(&after).into_iter().filter(|n| !old.contains(n));
+        let touched: BTreeSet<(bool, usize)> = path
+            .iter()
+            .chain(&written)
+            .copied()
+            .chain(added)
+            .map(|n| (n.is_leaf(), n.chunk()))
+            .collect();
+        for leaf in [true, false] {
+            let chunks = if leaf { &base.leaf_len } else { &base.int_len }
+                .chunks()
+                .len();
+            for c in (0..chunks).filter(|&c| !touched.contains(&(leaf, c))) {
+                assert!(
+                    chunk_shared(base, &after, leaf, c),
+                    "leaf {leaf}, chunk {c}"
+                );
+            }
+        }
+        let pool = base.data.chunks();
+        assert!((0..pool.len() - 1).all(|c| Arc::ptr_eq(&pool[c], &after.data.chunks()[c])));
+        let copied = after.copied_node_chunks(base);
+        assert!(!copied.is_empty());
+        assert!(copied.iter().all(|c| touched.contains(c)), "{copied:?}");
+        after.leaf_len.len() > base.leaf_len.len()
+    }
+
+    #[test]
+    fn a_one_point_insert_shares_every_chunk_off_its_path() {
+        let bulk = RTree::bulk_load(2, scattered(7, 10_000, 0));
+        assert!(bulk.leaf_len.chunks().len() > 10 && bulk.int_len.chunks().len() > 1);
+        assert!(bulk.copied_node_chunks(&bulk.clone()).is_empty());
+        // Bulk-loaded leaves are full, so every insert into `bulk` splits;
+        // after a round of inserts, most leaves have room.
+        let mut grown = bulk.clone();
+        grown.extend(scattered(9, 2_000, 10_000));
+        let mut splits = 0;
+        for base in [&bulk, &grown] {
+            for (point, _) in scattered(11, 16, 0) {
+                splits += usize::from(assert_insert_shares_off_path(base, point));
+            }
+        }
+        assert!(
+            (16..32).contains(&splits),
+            "{splits} of 32 inserts split a leaf"
+        );
     }
 
     #[test]
@@ -997,7 +1181,7 @@ mod tests {
         // The pool keeps insertion order across bulk load and inserts.
         let mut tree = tree;
         tree.insert(v(&[0.0, 3.0]), "c");
-        assert_eq!(tree.payloads(), &["a", "b", "c"]);
+        assert!(tree.payloads().eq(&["a", "b", "c"]));
     }
 
     #[test]
