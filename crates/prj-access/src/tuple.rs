@@ -83,4 +83,11 @@ mod tests {
         assert!(a < c);
         assert!(c < b);
     }
+
+    /// Pinned so that no change silently grows every tuple of every score
+    /// lane, delta and access buffer.
+    #[test]
+    fn a_tuple_fits_in_sixty_four_bytes() {
+        assert!(std::mem::size_of::<Tuple>() <= 64);
+    }
 }

@@ -220,12 +220,22 @@ impl RelationShard {
 
     /// This shard's base extended by `extra`, at `epoch`, with an empty
     /// delta — the one routine behind both the rebuild append and the
-    /// compaction fold; it copies O(|extra|·log n) data. The R-tree is cloned,
-    /// which shares every chunk of its arena, and `extra` is inserted in
-    /// the given (arrival) order through the incremental insert, which
-    /// copies only the chunks on each insert's path and the payload pool's
-    /// tail. The score lane re-merges only the chunks the batch lands in
-    /// ([`merge_score_chunks`]) and shares the rest. The statistics carry
+    /// compaction fold. What it copies, for m new tuples on an n-tuple
+    /// base:
+    ///
+    /// - the R-tree: cloning it bumps one reference count per arena chunk,
+    ///   and `extra` is inserted in the given (arrival) order through the
+    ///   incremental insert, which copies only the node chunks (64 nodes
+    ///   each) that an insert's root-to-leaf path and its splits write,
+    ///   plus the payload pool's tail chunk;
+    /// - the score lane: each chunk (about 1024 tuples) the batch lands in
+    ///   is copied once, re-merged by [`merge_score_chunks`], and the list
+    ///   of chunk pointers (one per chunk) is rebuilt; every other chunk is
+    ///   shared. A tuple is copied by value, and up to four dimensions
+    ///   without a heap allocation of its own.
+    ///
+    /// So an append copies O(m · (1024 + log n)) tuples and nodes and
+    /// O(n / 1024) pointers, never the whole base. The statistics carry
     /// the base's forward: [`RelationStats::combine`] of them and the
     /// batch's own, so cardinality, min and max (`σ_max`) are exact and
     /// the moments are merged, not re-read. In-flight readers of `self`
@@ -620,17 +630,18 @@ enum Slot {
 /// Queries only ever take the read lock for the instant it takes to clone
 /// the relevant [`Arc`]s — and the write lock is held just as briefly:
 /// index building (bulk load on registration, copy-on-write shard extension
-/// on append) happens *outside* any lock, and only the final slot swap is
-/// locked. Appends use optimistic concurrency: the new snapshot is built
-/// from the current one and published only if the base is unchanged,
-/// retrying otherwise, so no append is ever lost. Nothing that can panic
-/// runs under the lock, so a bad batch can never poison it.
+/// on append) happens outside the slot lock, and only the final slot swap
+/// takes it. Mutations of a live relation (append, drop, a compaction's
+/// publish) are serialised by a separate mutation mutex, so an append
+/// builds its snapshot from the current one and publishes it in one pass,
+/// and no append is ever lost. Nothing that can panic runs under the slot
+/// lock, so a bad batch can never poison it.
 #[derive(Debug, Default)]
 pub struct Catalog {
     slots: RwLock<Vec<Slot>>,
-    /// Serialises appends/drops so that an append's copy-on-write rebuild
-    /// is never raced by another mutation and then thrown away in the
-    /// optimistic-retry loop. Readers never touch this lock.
+    /// Held by every write of a live slot (append, drop, a compaction's
+    /// publish), so an append's copy-on-write snapshot is still current
+    /// when it publishes. Readers never touch this lock.
     mutations: Mutex<()>,
     policy: ShardingPolicy,
     /// Delta-lane size threshold: 0 turns the lane off (appends rebuild
@@ -733,48 +744,37 @@ impl Catalog {
         Ok((RelationId(index), cardinality))
     }
 
-    /// Appends to a live relation via optimistic copy-on-write: snapshot
-    /// the current relation, build the extended snapshot outside any lock
-    /// (rebuilding only the shards the new tuples land on), then publish it
-    /// only if the base is still current — retrying against the new base
-    /// otherwise, so concurrent appends are serialised without ever holding
-    /// the lock across an index build and none is lost.
+    /// Appends to a live relation by copy-on-write, in one pass under the
+    /// mutation mutex: snapshot the current relation, build the extended
+    /// snapshot from it (extending only the shards the new tuples land
+    /// on), then publish it. Every write of a live slot holds the mutex, so
+    /// the snapshot is still current when it is replaced; readers hold
+    /// only the slot lock, and only for the swap, never across the build.
     fn append_with(
         &self,
         id: RelationId,
-        make_tuples: impl Fn(&CatalogRelation) -> Vec<Tuple>,
+        make_tuples: impl FnOnce(&CatalogRelation) -> Vec<Tuple>,
     ) -> Result<MutationOutcome, CatalogError> {
-        // With mutations serialised, the optimistic publish below succeeds
-        // on the first pass; the retry loop remains as a correctness
-        // backstop, not as the concurrency mechanism.
         let _mutations = self.mutations.lock().expect("mutation lock");
-        loop {
-            let current = self.relation(id)?;
-            let tuples = make_tuples(&current);
-            Self::check_dimensions(&current, &tuples)?;
-            let (appended, touched_shards) =
-                current.appended(tuples, &self.policy, self.delta_limit > 0);
-            let next = Arc::new(appended);
-            let epoch = next.epoch();
-            let cardinality = next.cardinality();
-            let mut slots = self.slots.write().expect("catalog lock");
-            match &slots[id.0] {
-                Slot::Live(base) if Arc::ptr_eq(base, &current) => {
-                    slots[id.0] = Slot::Live(next);
-                    return Ok(MutationOutcome {
-                        id,
-                        epoch,
-                        cardinality,
-                        touched_shards,
-                    });
-                }
-                // A concurrent mutation published first: rebuild from the
-                // new base.
-                Slot::Live(_) => continue,
-                Slot::Reserved => return Err(CatalogError::UnknownId(id.0)),
-                Slot::Dropped => return Err(CatalogError::Dropped(id.0)),
-            }
-        }
+        let current = self.relation(id)?;
+        let tuples = make_tuples(&current);
+        Self::check_dimensions(&current, &tuples)?;
+        let (appended, touched_shards) =
+            current.appended(tuples, &self.policy, self.delta_limit > 0);
+        let next = Arc::new(appended);
+        let outcome = MutationOutcome {
+            id,
+            epoch: next.epoch(),
+            cardinality: next.cardinality(),
+            touched_shards,
+        };
+        let mut slots = self.slots.write().expect("catalog lock");
+        debug_assert!(
+            matches!(&slots[id.0], Slot::Live(base) if Arc::ptr_eq(base, &current)),
+            "a live slot changed without the mutation mutex"
+        );
+        slots[id.0] = Slot::Live(next);
+        Ok(outcome)
     }
 
     /// Appends pre-tagged tuples to a live relation, publishing a new
@@ -790,7 +790,7 @@ impl Catalog {
         id: RelationId,
         tuples: Vec<Tuple>,
     ) -> Result<MutationOutcome, CatalogError> {
-        self.append_with(id, |_| tuples.clone())
+        self.append_with(id, |_| tuples)
     }
 
     /// Appends raw `(location, score)` rows, assigning [`TupleId`]s from
@@ -803,9 +803,9 @@ impl Catalog {
     ) -> Result<MutationOutcome, CatalogError> {
         self.append_with(id, |current| {
             let base = current.cardinality();
-            rows.iter()
+            rows.into_iter()
                 .enumerate()
-                .map(|(i, (v, s))| Tuple::new(TupleId::new(id.0, base + i), v.clone(), *s))
+                .map(|(i, (v, s))| Tuple::new(TupleId::new(id.0, base + i), v, s))
                 .collect()
         })
     }

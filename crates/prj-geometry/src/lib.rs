@@ -4,9 +4,11 @@
 //! reproduction of *Proximity Rank Join* (Martinenghi & Tagliasacchi,
 //! VLDB 2010):
 //!
-//! * [`Vector`] — a dense, heap-allocated `d`-dimensional real vector with the
-//!   arithmetic needed by the bounding schemes (addition, scaling, dot
-//!   products, norms).
+//! * [`Vector`] — a dense `d`-dimensional real vector with the arithmetic
+//!   needed by the bounding schemes (addition, scaling, dot products,
+//!   norms). Up to four components are stored inline, so a tuple of the
+//!   paper's low dimensionalities is read, cloned and buffered without a
+//!   heap allocation.
 //! * [`Metric`] and the concrete metrics ([`Euclidean`], [`SquaredEuclidean`],
 //!   [`Manhattan`], [`Chebyshev`], [`CosineDistance`]) — the notion of distance
 //!   `δ(·,·)` used both for sorted access and inside the proximity weighting

@@ -534,21 +534,29 @@ impl<T> RTree<T> {
     }
 
     /// Recomputes internal `slot`'s bounds from its children's, writing
-    /// them (and so copying a shared chunk) only if they changed.
+    /// them (and so copying a shared chunk) only if they changed. Each
+    /// coordinate is folded on its own, so an insert needs no scratch lane.
     fn recompute_bounds(&mut self, slot: usize) {
-        let dim = self.dim;
-        let mut bounds: Vec<f64> = empty_bounds(dim).collect();
-        let len = self.int_len.get(slot)[0] as usize;
-        for &child in &self.int_children.get(slot)[..len] {
-            expand_bounds_to_box(&mut bounds, dim, self.node_bounds(child));
+        for c in 0..2 * self.dim {
+            let bound = self.children_bound(slot, c);
+            if bound.to_bits() != self.int_bounds.get(slot)[c].to_bits() {
+                self.int_bounds.get_mut(slot)[c] = bound;
+            }
         }
-        let old = self.int_bounds.get(slot);
-        if old
+    }
+
+    /// Coordinate `c` of the box covering internal `slot`'s children: the
+    /// least lower corner for `c < dim`, the greatest upper corner after,
+    /// folded in child order exactly as [`expand_bounds_to_box`] does.
+    fn children_bound(&self, slot: usize, c: usize) -> f64 {
+        let len = self.int_len.get(slot)[0] as usize;
+        let corners = self.int_children.get(slot)[..len]
             .iter()
-            .zip(&bounds)
-            .any(|(a, b)| a.to_bits() != b.to_bits())
-        {
-            self.int_bounds.get_mut(slot).copy_from_slice(&bounds);
+            .map(|&child| self.node_bounds(child)[c]);
+        if c < self.dim {
+            corners.fold(f64::INFINITY, |lo, x| if x < lo { x } else { lo })
+        } else {
+            corners.fold(f64::NEG_INFINITY, |hi, x| if x > hi { x } else { hi })
         }
     }
 
