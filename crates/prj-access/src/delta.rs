@@ -3,10 +3,11 @@
 //! A copy-on-write shard extension copies only what it touches: the
 //! batch is inserted in O(batch·log n) into a clone of the shard's R-tree
 //! that shares every chunk the inserts do not write, only the score-lane
-//! chunks the batch lands in are re-merged ([`crate::merge_score_chunks`]),
-//! and the statistics are carried forward. It still pays one reference
-//! count per shared chunk and a re-merge of ~1024 tuples per touched
-//! score chunk. A [`DeltaBuffer`] turns the append path into O(delta):
+//! chunks the batch lands in are re-merged ([`crate::merge_score_chunks`];
+//! only once a score read has built the lane), and the statistics are
+//! carried forward. It still pays one reference count per shared chunk
+//! and, with a built lane, a re-merge of ~1024 tuples per touched score
+//! chunk. A [`DeltaBuffer`] turns the append path into O(delta):
 //! freshly appended tuples land in a small score-sorted side structure next
 //! to the immutable base, and reads see base + delta through the ordinary
 //! merged sorted-access machinery ([`crate::MergedAccess`]) so bounds stay

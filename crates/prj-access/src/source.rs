@@ -10,7 +10,8 @@ use std::sync::Arc;
 /// The score-based sorted-access order with a total tie-break: score
 /// descending, ties by tuple id ascending. Every score-sorted lane —
 /// [`VecRelation::score_sorted`], a [`crate::DeltaBuffer`], the engine
-/// catalog's per-shard base — is kept in this order.
+/// catalog's per-shard score lane (built from the shard's R-tree on its
+/// first score-sorted read) — is kept in this order.
 pub fn score_order(a: &Tuple, b: &Tuple) -> Ordering {
     b.score.total_cmp(&a.score).then(a.id.cmp(&b.id))
 }

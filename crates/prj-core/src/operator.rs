@@ -169,7 +169,11 @@ struct RunCore {
     best_solo: Vec<f64>,
     /// Time spent actively stepping the operator (excludes any time an
     /// incremental run sits idle between `next_certified` calls).
-    work_time: std::time::Duration,
+    work_time: Duration,
+    /// The last clock read of the current driving call (`execute`,
+    /// `next_certified`, `into_result`): each bound update charges the work
+    /// since it, so a sorted access costs two clock reads.
+    clock: Instant,
 }
 
 impl RunCore {
@@ -194,13 +198,7 @@ impl RunCore {
         } else {
             0
         };
-        let mut metrics = RunMetrics::default();
-        let bound_started = Instant::now();
-        let t = bound.update(&state, problem.scoring(), None);
-        metrics.bound_time += bound_started.elapsed();
-        metrics.bound_updates += 1;
-
-        RunCore {
+        let mut core = RunCore {
             k,
             config,
             n,
@@ -208,8 +206,8 @@ impl RunCore {
             state,
             output: TopKBuffer::new(k),
             stats: AccessStats::new(n),
-            metrics,
-            t,
+            metrics: RunMetrics::default(),
+            t: f64::INFINITY,
             emitted: Vec::new(),
             done: false,
             potentials: Vec::with_capacity(n),
@@ -217,26 +215,47 @@ impl RunCore {
             combo_counters: Vec::with_capacity(n),
             solo: vec![Vec::new(); lanes],
             best_solo: vec![f64::NEG_INFINITY; lanes],
-            work_time: setup_started.elapsed(),
-        }
+            work_time: Duration::ZERO,
+            clock: setup_started,
+        };
+        core.update_bound(problem, bound, None);
+        core
     }
 
-    /// One iteration of Algorithm 1's main loop, with its duration charged to
-    /// the run's active work time. Returns `false` once the run has
-    /// terminated (certified top-K, access cap, or exhaustion).
-    fn step<S: ScoringFunction>(
+    /// Starts the clock: the first read of a driving call.
+    fn start_clock(&mut self) {
+        self.clock = Instant::now();
+    }
+
+    /// Charges the work since the last clock read to the work time, and
+    /// restarts the clock there.
+    fn charge_work(&mut self) {
+        let now = Instant::now();
+        self.work_time += now.duration_since(self.clock);
+        self.clock = now;
+    }
+
+    /// Recomputes the bound `t` (Algorithm 1, line 9) after relation
+    /// `updated` was read (`None`: nothing read, or a relation ran dry).
+    /// Two clock reads, one on each side of `updateBound`; the second
+    /// charges the work since the previous read, the update included.
+    fn update_bound<S: ScoringFunction>(
         &mut self,
-        problem: &mut Problem<S>,
+        problem: &Problem<S>,
         bound: &mut dyn BoundingScheme<S>,
-        pull: &mut dyn PullStrategy,
-    ) -> bool {
-        let step_started = Instant::now();
-        let progressed = self.step_inner(problem, bound, pull);
-        self.work_time += step_started.elapsed();
-        progressed
+        updated: Option<usize>,
+    ) {
+        let started = Instant::now();
+        self.t = bound.update(&self.state, problem.scoring(), updated);
+        self.charge_work();
+        self.metrics.bound_time += self.clock.duration_since(started);
+        self.metrics.bound_updates += 1;
     }
 
-    fn step_inner<S: ScoringFunction>(
+    /// One iteration of Algorithm 1's main loop. Returns `false` once the
+    /// run has terminated (certified top-K, access cap, or exhaustion). Its
+    /// work time is charged by the next clock read of the driving call.
+    fn step<S: ScoringFunction>(
         &mut self,
         problem: &mut Problem<S>,
         bound: &mut dyn BoundingScheme<S>,
@@ -284,10 +303,7 @@ impl RunCore {
             None => {
                 self.state.mark_exhausted(i);
                 self.hand_floor(bound);
-                let bound_started = Instant::now();
-                self.t = bound.update(&self.state, problem.scoring(), None);
-                self.metrics.bound_time += bound_started.elapsed();
-                self.metrics.bound_updates += 1;
+                self.update_bound(problem, bound, None);
             }
             Some(tuple) => {
                 self.stats.record_access(i);
@@ -312,10 +328,7 @@ impl RunCore {
                 }
                 // Line 9: update the bound.
                 self.hand_floor(bound);
-                let bound_started = Instant::now();
-                self.t = bound.update(&self.state, problem.scoring(), Some(i));
-                self.metrics.bound_time += bound_started.elapsed();
-                self.metrics.bound_updates += 1;
+                self.update_bound(problem, bound, Some(i));
                 // Convergence capture: one predictable branch when disabled
                 // (the common case), a stride-gated push when on.
                 if self.config.convergence_every != 0 {
@@ -363,7 +376,8 @@ impl RunCore {
         bound: &mut dyn BoundingScheme<S>,
         pull: &mut dyn PullStrategy,
     ) -> Option<ScoredCombination> {
-        loop {
+        self.start_clock();
+        let next = loop {
             // The best buffered entry not yet emitted, located by identity:
             // a near-tie formed later can insert *ahead* of emitted entries
             // (ids break exact ties), so buffer indexes are not stable.
@@ -379,16 +393,18 @@ impl RunCore {
                 // tuple and therefore scores at most `t`, so strict
                 // dominance over `t` certifies both the score rank and the
                 // by-id tie-break (an unseen tie could win on ids; see
-                // `step_inner`).
+                // `step`).
                 if self.done || combo.score >= self.t + self.config.termination_tolerance {
                     self.emitted.extend(combo.tuples.iter().map(|t| t.id));
-                    return Some(combo);
+                    break Some(combo);
                 }
             } else if self.done {
-                return None;
+                break None;
             }
             self.step(problem, bound, pull);
-        }
+        };
+        self.charge_work();
+        next
     }
 
     /// `true` when `combo` has already been handed out by `next_certified`.
@@ -594,6 +610,7 @@ pub fn execute<S: ScoringFunction>(
 ) -> RankJoinResult {
     let mut core = RunCore::new(problem, bound);
     while core.step(problem, bound, pull) {}
+    core.charge_work();
     core.finalize(bound)
 }
 
@@ -668,10 +685,12 @@ impl<S: ScoringFunction> StreamingRun<S> {
     /// Drives the run to completion and returns the full result; equivalent
     /// to having called [`execute`] on the same problem.
     pub fn into_result(mut self) -> RankJoinResult {
+        self.core.start_clock();
         while self
             .core
             .step(&mut self.problem, self.bound.as_mut(), self.pull.as_mut())
         {}
+        self.core.charge_work();
         self.core.finalize(self.bound.as_ref())
     }
 

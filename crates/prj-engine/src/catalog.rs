@@ -12,10 +12,11 @@
 //!
 //! Each relation is partitioned into `S` spatial shards by the catalog's
 //! [`ShardingPolicy`] (hash-by-grid-cell; `S = 1` disables partitioning).
-//! Every shard is a self-contained [`RelationShard`]: its own R-tree,
-//! chunked score-sorted tuple lane (its one copy of its slice of the tuples),
-//! [`RelationStats`] and **epoch** counter. Shards are the unit of storage,
-//! publish cost and cluster placement. Merged views
+//! Every shard is a self-contained [`RelationShard`]: its own R-tree (its
+//! one eager copy of its slice of the tuples), [`RelationStats`] and
+//! **epoch** counter, plus a chunked score-sorted tuple lane built from the
+//! tree on the shard's first score-sorted read. Shards are the unit of
+//! storage, publish cost and cluster placement. Merged views
 //! ([`CatalogRelation::distance_view`], …) recombine the shards into one
 //! globally sorted access stream via [`prj_access::MergedAccess`] (ties by
 //! tuple id), so consumers observe exactly the Definition 2.1 contract —
@@ -34,10 +35,11 @@
 //! plus one reference-count bump per shared chunk: a clone of its R-tree,
 //! which shares every `Arc`'d chunk of the tree's arena, takes m
 //! incremental inserts that copy only the chunks on their root-to-leaf
-//! paths and the payload pool's tail; a re-merge of only the
-//! ~1024-tuple score-lane chunks the batch lands in (every other chunk is
-//! shared with the previous snapshot); and statistics carried forward from
-//! the previous base by [`RelationStats::combine`] with the batch's own.
+//! paths and the payload pool's tail; if the shard has served a
+//! score-sorted read, a re-merge of only the ~1024-tuple score-lane chunks
+//! the batch lands in (every other chunk is shared with the previous
+//! snapshot); and statistics carried forward from the previous base by
+//! [`RelationStats::combine`] with the batch's own.
 //! In-flight queries keep reading their old `Arc`s untouched. The engine
 //! keys its result cache by each relation's **epoch vector**
 //! ([`CatalogRelation::epochs`]), which is what makes a memoised
@@ -80,7 +82,7 @@ use prj_access::{
 use prj_core::ScoringFunction;
 use prj_geometry::Vector;
 use prj_index::RTree;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Identifier of a registered relation, returned by [`Catalog::register`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -154,23 +156,29 @@ pub struct MutationOutcome {
     pub touched_shards: Vec<usize>,
 }
 
+/// A score lane: score-sorted chunks read back to back in
+/// [`prj_access::score_order`] (see [`merge_score_chunks`]).
+type ScoreChunks = Arc<[Arc<Vec<Tuple>>]>;
+
 /// One immutable shard of a relation: a disjoint slice of the tuples plus
 /// the access structures built from them, stamped with the epoch it was
-/// published at. The slice splits into an indexed **base** (R-tree and
-/// score lane) and a small **delta** of freshly appended tuples not yet
-/// folded into the base (always empty when the catalog's delta limit is
-/// 0). The score lane — `Arc`'d chunks of about 1024 tuples, read back to
-/// back in [`prj_access::score_order`] — is the shard's only copy of the
-/// base tuples, and successive snapshots share every chunk an append did
-/// not land in; the R-tree's payload pool keeps the `(id, score)` pairs in
-/// ingestion order.
+/// published at. The slice splits into an indexed **base** and a small
+/// **delta** of freshly appended tuples not yet folded into the base
+/// (always empty when the catalog's delta limit is 0). The base's R-tree is
+/// the shard's one eager copy of the base tuples: its leaves hold the
+/// points and its payload pool the `(id, score)` pairs in ingestion order.
+/// The score lane — `Arc`'d chunks of about 1024 tuples, read back to back
+/// in [`prj_access::score_order`] — is built from the tree on the first
+/// score-sorted read and kept up to date from then on; successive
+/// snapshots share every chunk an append did not land in.
 #[derive(Debug)]
 pub struct RelationShard {
     /// R-tree over the base tuples (distance-based access path).
     rtree: Arc<RTree<(TupleId, f64)>>,
-    /// The base tuples as score-lane chunks (score-based path; see
-    /// [`merge_score_chunks`]).
-    score_chunks: Arc<[Arc<Vec<Tuple>>]>,
+    /// The base tuples as score-lane chunks (score-based path), built on
+    /// first use. Shared by every snapshot over the same base, so a base
+    /// builds its lane at most once.
+    score_chunks: Arc<OnceLock<ScoreChunks>>,
     /// Appended-but-not-yet-compacted tuples (the O(delta) ingest lane).
     delta: Arc<DeltaBuffer>,
     /// Statistics over the base tuples only.
@@ -184,32 +192,31 @@ pub struct RelationShard {
 }
 
 impl RelationShard {
-    /// A shard over `tuples` (in ingestion order): the R-tree is bulk-loaded,
-    /// the statistics are read off the tuples in that order, and the owned
-    /// tuples are sorted and moved into the score lane's chunks.
+    /// A shard over `tuples` (in ingestion order): the statistics are read
+    /// off the tuples in that order, and the tuples are moved into the
+    /// R-tree's bulk load. The score lane is left to the first score read.
     fn build(tuples: Vec<Tuple>, epoch: u64) -> Self {
         // An empty shard gets a placeholder dimensionality; its first
         // extension builds for real.
         let dim = tuples.first().map_or(0, |t| t.dim()).max(1);
-        let items: Vec<(Vector, (TupleId, f64))> = tuples
-            .iter()
-            .map(|t| (t.vector.clone(), (t.id, t.score)))
-            .collect();
-        let rtree = RTree::bulk_load(dim, items);
         let stats = RelationStats::from_tuples(&tuples);
-        Self::with_base(rtree, merge_score_chunks(&[], tuples), stats, epoch)
+        let items = tuples
+            .into_iter()
+            .map(|t| (t.vector, (t.id, t.score)))
+            .collect();
+        Self::with_base(RTree::bulk_load(dim, items), OnceLock::new(), stats, epoch)
     }
 
     /// A shard with an empty delta over the given base and its statistics.
     fn with_base(
         rtree: RTree<(TupleId, f64)>,
-        score_chunks: Vec<Arc<Vec<Tuple>>>,
+        score_chunks: OnceLock<ScoreChunks>,
         stats: RelationStats,
         epoch: u64,
     ) -> Self {
         RelationShard {
             rtree: Arc::new(rtree),
-            score_chunks: score_chunks.into(),
+            score_chunks: Arc::new(score_chunks),
             delta: Arc::new(DeltaBuffer::empty()),
             base_stats: stats,
             stats,
@@ -228,18 +235,19 @@ impl RelationShard {
     ///   incremental insert, which copies only the node chunks (64 nodes
     ///   each) that an insert's root-to-leaf path and its splits write,
     ///   plus the payload pool's tail chunk;
-    /// - the score lane: each chunk (about 1024 tuples) the batch lands in
-    ///   is copied once, re-merged by [`merge_score_chunks`], and the list
-    ///   of chunk pointers (one per chunk) is rebuilt; every other chunk is
-    ///   shared. A tuple is copied by value, and up to four dimensions
-    ///   without a heap allocation of its own.
+    /// - the score lane, only if this base has built one: each chunk
+    ///   (about 1024 tuples) the batch lands in is copied once, re-merged
+    ///   by [`merge_score_chunks`], and the list of chunk pointers (one per
+    ///   chunk) is rebuilt; every other chunk is shared. A tuple is copied
+    ///   by value, and up to four dimensions without a heap allocation of
+    ///   its own. A base without a lane hands none on.
     ///
     /// So an append copies O(m · (1024 + log n)) tuples and nodes and
-    /// O(n / 1024) pointers, never the whole base. The statistics carry
-    /// the base's forward: [`RelationStats::combine`] of them and the
-    /// batch's own, so cardinality, min and max (`σ_max`) are exact and
-    /// the moments are merged, not re-read. In-flight readers of `self`
-    /// are unaffected.
+    /// O(n / 1024) pointers, never the whole base, and O(m · log n) when no
+    /// score read has built the lane. The statistics carry the base's
+    /// forward: [`RelationStats::combine`] of them and the batch's own, so
+    /// cardinality, min and max (`σ_max`) are exact and the moments are
+    /// merged, not re-read. In-flight readers of `self` are unaffected.
     fn extended(&self, extra: Vec<Tuple>, epoch: u64) -> RelationShard {
         if self.rtree.is_empty() {
             // The empty shard's R-tree was built with a placeholder
@@ -248,9 +256,38 @@ impl RelationShard {
         }
         let stats = RelationStats::combine(&[self.base_stats, RelationStats::from_tuples(&extra)]);
         let mut rtree = RTree::clone(&self.rtree);
-        rtree.extend(extra.iter().map(|t| (t.vector.clone(), (t.id, t.score))));
-        let score_chunks = merge_score_chunks(&self.score_chunks, extra);
+        let score_chunks = match self.score_chunks.get() {
+            Some(chunks) => {
+                rtree.extend(extra.iter().map(|t| (t.vector.clone(), (t.id, t.score))));
+                OnceLock::from(ScoreChunks::from(merge_score_chunks(chunks, extra)))
+            }
+            None => {
+                rtree.extend(extra.into_iter().map(|t| (t.vector, (t.id, t.score))));
+                OnceLock::new()
+            }
+        };
         Self::with_base(rtree, score_chunks, stats, epoch)
+    }
+
+    /// The base's score lane, built from the R-tree on first use: every
+    /// leaf entry read back as a tuple and sorted by
+    /// [`merge_score_chunks`]. Concurrent first readers wait for one build.
+    fn score_chunks(&self) -> &ScoreChunks {
+        self.score_chunks
+            .get_or_init(|| merge_score_chunks(&[], self.base_tuples().collect()).into())
+    }
+
+    /// The base tuples, read off the R-tree's leaves in no guaranteed order.
+    fn base_tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
+        self.rtree
+            .iter()
+            .map(|(point, &(id, score))| Tuple::new(id, Vector::from(point), score))
+    }
+
+    /// The base tuples, then the delta's, in no guaranteed order.
+    fn tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
+        self.base_tuples()
+            .chain(self.delta.tuples().iter().cloned())
     }
 
     /// A new shard snapshot with `extra` appended at a bumped epoch: only
@@ -265,7 +302,8 @@ impl RelationShard {
 
     /// A new shard snapshot with `extra` published into the delta at a
     /// bumped epoch — O(delta + extra), no index rebuild. The base
-    /// structures are shared as-is; readers merge base + delta.
+    /// structures, score lane included (built or not), are shared as-is;
+    /// readers merge base + delta.
     fn delta_appended(&self, extra: Vec<Tuple>) -> RelationShard {
         let epoch = self.epoch + 1;
         let delta = self.delta.appended(extra);
@@ -454,17 +492,14 @@ impl CatalogRelation {
     }
 
     /// Every tuple of the relation, in no guaranteed order (shard by shard,
-    /// the base's score-lane chunks then the delta). O(n); used by the
+    /// the base's R-tree leaves then the delta). O(n); used by the
     /// non-Euclidean fallback path, which re-sorts with an id tie-break,
     /// and by tests — hot paths go through the shared per-shard structures
     /// instead.
     pub fn all_tuples(&self) -> Vec<Tuple> {
         let mut all = Vec::with_capacity(self.cardinality());
         for shard in &self.shards {
-            for chunk in shard.score_chunks.iter() {
-                all.extend(chunk.iter().cloned());
-            }
-            all.extend(shard.delta.tuples().iter().cloned());
+            all.extend(shard.tuples());
         }
         all
     }
@@ -515,14 +550,16 @@ impl CatalogRelation {
         ))
     }
 
-    /// An O(1) score-based sorted-access view of **shard `j`** (the delta's
-    /// lane is already score-sorted, so merging it in costs nothing extra).
+    /// A score-based sorted-access view of **shard `j`** (the delta's lane
+    /// is already score-sorted, so merging it in costs nothing extra). O(1)
+    /// once the shard's base has built its score lane; the first score view
+    /// of a base builds it from the R-tree, O(n log n).
     pub fn shard_score_view(&self, j: usize) -> Box<dyn SortedAccess> {
         let shard = &self.shards[j];
         let base = Box::new(VecRelation::chunked(
             Arc::clone(&self.name),
             AccessKind::Score,
-            Arc::clone(&shard.score_chunks),
+            Arc::clone(shard.score_chunks()),
             shard.base_stats.max_score,
         ));
         if shard.delta.is_empty() {
@@ -550,10 +587,7 @@ impl CatalogRelation {
         let shard = &self.shards[j];
         let q = query.clone();
         let mut tuples = Vec::with_capacity(shard.stats.cardinality);
-        for chunk in shard.score_chunks.iter() {
-            tuples.extend(chunk.iter().cloned());
-        }
-        tuples.extend(shard.delta.tuples().iter().cloned());
+        tuples.extend(shard.tuples());
         let rel = VecRelation::distance_sorted_by(Arc::clone(&self.name), tuples, move |t| {
             scoring.distance(&t.vector, &q)
         })
@@ -1011,13 +1045,19 @@ mod tests {
             .collect()
     }
 
-    /// A shard's score lane: its chunks read back to back.
+    /// A shard's score lane (built if it is not yet): its chunks read back
+    /// to back.
     fn score_lane(shard: &RelationShard) -> Vec<Tuple> {
         shard
-            .score_chunks
+            .score_chunks()
             .iter()
             .flat_map(|c| c.iter().cloned())
             .collect()
+    }
+
+    /// Whether the shard's base has built its score lane.
+    fn has_lane(shard: &RelationShard) -> bool {
+        shard.score_chunks.get().is_some()
     }
 
     #[test]
@@ -1025,11 +1065,17 @@ mod tests {
         let catalog = Catalog::new();
         let id = catalog.register("r", mk_tuples(0, 10_000));
         let before = catalog.relation(id).unwrap();
+        // A score read builds the lane; from then on appends re-merge it.
+        before.score_view().next_tuple().unwrap();
         catalog
             .append_rows(id, vec![(Vector::from([0.25, -0.5]), 0.55)])
             .unwrap();
         let after = catalog.relation(id).unwrap();
-        let (old, new) = (&before.shard(0).score_chunks, &after.shard(0).score_chunks);
+        assert!(has_lane(after.shard(0)), "the append re-merged the lane");
+        let (old, new) = (
+            before.shard(0).score_chunks(),
+            after.shard(0).score_chunks(),
+        );
         assert!(old.len() > 2, "10k tuples should span several chunks");
         let copied = new
             .iter()
@@ -1602,6 +1648,101 @@ mod tests {
         }
     }
 
+    /// A catalog over registered rows, and a model of its shards: each
+    /// shard's base and delta tuples in ingestion order.
+    struct Model {
+        catalog: Catalog,
+        id: RelationId,
+        base: Vec<Vec<Tuple>>,
+        delta: Vec<Vec<Tuple>>,
+    }
+
+    impl Model {
+        /// `shards` is 1 or 4 and `delta_limit` 0 or 4, by `layout`.
+        fn new(registered: Vec<([f64; 2], usize)>, layout: (usize, usize)) -> Model {
+            let shards = [1, 4][layout.0];
+            let catalog =
+                Catalog::with_policy_and_delta(ShardingPolicy::new(shards), [0, 4][layout.1]);
+            let rows = scored_rows(registered);
+            let (id, _) = catalog.register_rows("r", rows.clone()).unwrap();
+            let mut base: Vec<Vec<Tuple>> = vec![Vec::new(); shards];
+            for (i, (v, score)) in rows.into_iter().enumerate() {
+                let j = catalog.policy().shard_of(&v);
+                base[j].push(Tuple::new(TupleId::new(id.0, i), v, score));
+            }
+            let delta = vec![Vec::new(); shards];
+            Model {
+                catalog,
+                id,
+                base,
+                delta,
+            }
+        }
+
+        /// Step `kind` 0 or 1 appends `rows`; 2 folds shard `shard` (modulo
+        /// the shard count). Checks the fold's answer and every shard's
+        /// delta length against the model.
+        fn step(&mut self, (kind, rows, shard): (usize, Vec<([f64; 2], usize)>, usize)) {
+            let (catalog, id) = (&self.catalog, self.id);
+            if kind < 2 {
+                let first = catalog.relation(id).unwrap().cardinality();
+                let rows = scored_rows(rows);
+                catalog.append_rows(id, rows.clone()).unwrap();
+                let lanes = if catalog.delta_limit() == 0 {
+                    &mut self.base
+                } else {
+                    &mut self.delta
+                };
+                for (i, (v, score)) in rows.into_iter().enumerate() {
+                    let j = catalog.policy().shard_of(&v);
+                    lanes[j].push(Tuple::new(TupleId::new(id.0, first + i), v, score));
+                }
+            } else {
+                let j = shard % self.base.len();
+                let folded = catalog.compact_shard(id, j).unwrap();
+                assert_eq!(folded, !self.delta[j].is_empty());
+                let arrived = std::mem::take(&mut self.delta[j]);
+                self.base[j].extend(arrived);
+            }
+            let rel = self.relation();
+            for (j, pending) in self.delta.iter().enumerate() {
+                assert_eq!(rel.shard(j).delta_len(), pending.len());
+            }
+        }
+
+        fn relation(&self) -> Arc<CatalogRelation> {
+            self.catalog.relation(self.id).unwrap()
+        }
+    }
+
+    /// Reads `rel`'s whole score view from two threads at once (released
+    /// together by a barrier); both must read the same tuples and share
+    /// every shard's one lane build.
+    fn read_lanes_from_two_threads(rel: &CatalogRelation) {
+        let start = std::sync::Barrier::new(2);
+        let read = || {
+            start.wait();
+            let ids: Vec<TupleId> = std::iter::from_fn({
+                let mut view = rel.score_view();
+                move || view.next_tuple()
+            })
+            .map(|t| t.id)
+            .collect();
+            let lanes: Vec<ScoreChunks> = (0..rel.num_shards())
+                .map(|j| Arc::clone(rel.shard(j).score_chunks()))
+                .collect();
+            (ids, lanes)
+        };
+        let ((ids_a, lanes_a), (ids_b, lanes_b)) = std::thread::scope(|scope| {
+            let a = scope.spawn(read);
+            let b = scope.spawn(read);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(ids_a, ids_b);
+        assert_eq!(ids_a.len(), rel.cardinality());
+        assert!(lanes_a.iter().zip(&lanes_b).all(|(a, b)| Arc::ptr_eq(a, b)));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1623,40 +1764,71 @@ mod tests {
                 0..12,
             ),
         ) {
-            let shards = [1, 4][layout.0];
-            let delta_limit = [0, 4][layout.1];
-            let catalog =
-                Catalog::with_policy_and_delta(ShardingPolicy::new(shards), delta_limit);
-            let rows = scored_rows(registered);
-            let (id, _) = catalog.register_rows("r", rows.clone()).unwrap();
-            let policy = catalog.policy();
-            let mut base: Vec<Vec<Tuple>> = vec![Vec::new(); shards];
-            let mut delta: Vec<Vec<Tuple>> = vec![Vec::new(); shards];
-            for (i, (v, score)) in rows.into_iter().enumerate() {
-                base[policy.shard_of(&v)].push(Tuple::new(TupleId::new(id.0, i), v, score));
+            let mut model = Model::new(registered, layout);
+            assert_matches_rebuild(&model.relation(), &model.base);
+            for step in steps {
+                model.step(step);
+                assert_matches_rebuild(&model.relation(), &model.base);
             }
-            assert_matches_rebuild(&catalog.relation(id).unwrap(), &base);
-            for (kind, rows, shard) in steps {
-                if kind < 2 {
-                    let first = catalog.relation(id).unwrap().cardinality();
-                    let rows = scored_rows(rows);
-                    catalog.append_rows(id, rows.clone()).unwrap();
-                    let lanes = if delta_limit == 0 { &mut base } else { &mut delta };
-                    for (i, (v, score)) in rows.into_iter().enumerate() {
-                        let j = policy.shard_of(&v);
-                        lanes[j].push(Tuple::new(TupleId::new(id.0, first + i), v, score));
+        }
+
+        /// The score lane is built on the first score read, at any step of
+        /// a random append/fold sequence (`build_at`; past the end: never),
+        /// by one thread or two at once. Until then no shard holds a lane,
+        /// and distance reads and appends build none; from then on every
+        /// step keeps each lane equal to a from-scratch rebuild of its
+        /// shard's base. The only lane a step drops is an empty base's,
+        /// which a first append or fold rebuilds from scratch.
+        #[test]
+        fn lazy_lanes_equal_a_rebuild(
+            registered in prop::collection::vec(
+                (prop::array::uniform2(-5.0..5.0f64), 0usize..8),
+                0..201,
+            ),
+            layout in (0usize..2, 0usize..2),
+            steps in prop::collection::vec(
+                (
+                    0usize..3,
+                    prop::collection::vec((prop::array::uniform2(-5.0..5.0f64), 0usize..8), 1..9),
+                    0usize..4,
+                ),
+                0..12,
+            ),
+            build in (0usize..14, 0usize..2),
+        ) {
+            let (build_at, racing) = build;
+            let mut model = Model::new(registered, layout);
+            let mut steps = steps.into_iter();
+            for i in 0.. {
+                let rel = model.relation();
+                if i < build_at {
+                    let query = Vector::from([0.5, -0.5]);
+                    let mut view = rel.distance_view(query);
+                    let read = std::iter::from_fn(|| view.next_tuple()).count();
+                    prop_assert_eq!(read, rel.cardinality());
+                    let mut all: Vec<TupleId> = rel.all_tuples().iter().map(|t| t.id).collect();
+                    all.sort_unstable();
+                    let mut want: Vec<TupleId> =
+                        model.base.iter().chain(&model.delta).flatten().map(|t| t.id).collect();
+                    want.sort_unstable();
+                    prop_assert_eq!(all, want);
+                    for j in 0..rel.num_shards() {
+                        prop_assert!(!has_lane(rel.shard(j)), "shard {} built a lane", j);
                     }
                 } else {
-                    let j = shard % shards;
-                    let folded = catalog.compact_shard(id, j).unwrap();
-                    prop_assert_eq!(folded, !delta[j].is_empty());
-                    let arrived = std::mem::take(&mut delta[j]);
-                    base[j].extend(arrived);
+                    if i == build_at && racing == 1 {
+                        read_lanes_from_two_threads(&rel);
+                    }
+                    assert_matches_rebuild(&rel, &model.base);
                 }
-                let rel = catalog.relation(id).unwrap();
-                assert_matches_rebuild(&rel, &base);
-                for (j, pending) in delta.iter().enumerate() {
-                    prop_assert_eq!(rel.shard(j).delta_len(), pending.len());
+                let Some(step) = steps.next() else { break };
+                let was_empty: Vec<bool> = model.base.iter().map(Vec::is_empty).collect();
+                model.step(step);
+                if i >= build_at {
+                    let rel = model.relation();
+                    for (j, empty) in was_empty.into_iter().enumerate() {
+                        prop_assert!(has_lane(rel.shard(j)) || empty, "shard {} lost its lane", j);
+                    }
                 }
             }
         }

@@ -14,10 +14,11 @@
 //! * [`catalog`] — *mutable, sharded* relations behind per-shard epoch
 //!   counters: registration partitions each relation under the catalog's
 //!   [`sharding::ShardingPolicy`] (hash-by-grid-cell; 1 shard = unsharded)
-//!   and builds every shard's R-tree, chunked score lane and
-//!   [`prj_access::RelationStats`] once, shared behind
-//!   [`std::sync::Arc`]s; appends rebuild only the touched shards
-//!   copy-on-write (an O(n/S) publish that copies only the score-lane
+//!   and builds every shard's R-tree and [`prj_access::RelationStats`]
+//!   once, shared behind [`std::sync::Arc`]s (a shard's chunked score
+//!   lane is built from its tree on the first score-sorted read); appends
+//!   extend only the touched shards copy-on-write (a publish that copies
+//!   only the tree chunks it writes and, with a built lane, the score-lane
 //!   chunks it lands in) and bump their epochs; drops retire the id
 //!   forever.
 //! * [`registry`] — the open set of scoring functions: families are
