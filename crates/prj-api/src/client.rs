@@ -277,7 +277,7 @@ impl ApiClient {
         }
     }
 
-    /// Cluster-internal: executes one driving-shard unit on a worker.
+    /// Cluster-internal: executes one query's unit on a worker.
     pub fn execute_unit(&mut self, unit: UnitRequest) -> Result<UnitOutcome, ApiError> {
         match self.call(&Request::ExecuteUnit(unit))? {
             Response::Unit(outcome) => Ok(outcome),

@@ -19,8 +19,7 @@
 //! | [`Request::Stream`] | run one top-k query, results delivered incrementally |
 //! | [`Request::Stats`] | engine statistics snapshot |
 //! | [`Request::Hello`] | negotiate the protocol version |
-//! | [`Request::ExecuteUnit`] | cluster-internal: run one driving-shard unit |
-//! | [`Request::ShardAssignment`] | cluster-internal: install a worker's shard set |
+//! | [`Request::ExecuteUnit`] | cluster-internal: run one query's unit |
 //! | [`Request::WorkerStats`] | cluster-internal: worker work counters |
 //! | [`Request::Metrics`] | metrics snapshot: counters/gauges/histograms |
 //! | [`Request::Subscribe`] | register a standing top-k query, pushed change events |

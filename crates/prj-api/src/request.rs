@@ -162,13 +162,13 @@ impl QueryRequest {
     }
 }
 
-/// One cluster-internal execution unit: shard `shard` of the driving
-/// relation joined against whole-relation views of the others, with the
-/// coordinator's plan pinned.
+/// One cluster-internal execution unit: the whole query, every relation
+/// read whole, with the coordinator's plan pinned.
 ///
-/// The coordinator snapshots its catalog, plans each unit, and ships this
-/// description to the worker owning the shard; the worker replays the unit
-/// against its replicated catalog and returns a [`crate::UnitOutcome`].
+/// The coordinator snapshots its catalog, plans the query, and ships this
+/// description to one worker (each holds a full replica); the worker
+/// replays the unit against its replicated catalog and returns a
+/// [`crate::UnitOutcome`].
 /// The per-relation `epochs` are the coordinator snapshot's epoch vectors:
 /// a worker whose replica disagrees answers
 /// [`crate::ErrorKind::StaleEpoch`] instead of computing an answer over
@@ -182,15 +182,9 @@ pub struct UnitRequest {
     /// Per-relation epoch vectors of the coordinator snapshot, in join
     /// order.
     pub epochs: Vec<Vec<u64>>,
-    /// Index (into `relations`) of the driving relation the combination
-    /// space is partitioned by.
-    pub drive: usize,
-    /// The driving-relation shard this unit covers.
-    pub shard: usize,
     /// The query point `q`.
     pub query: Vec<f64>,
-    /// Number of requested results `K` (the *global* K; every unit runs
-    /// with it).
+    /// Number of requested results `K`.
     pub k: usize,
     /// Scoring function, resolved by the worker's registry.
     pub scoring: ScoringSelector,
@@ -198,9 +192,6 @@ pub struct UnitRequest {
     pub access: AccessKind,
     /// The operator instantiation the coordinator planned for this unit.
     pub algorithm: Algorithm,
-    /// LP dominance-test period the coordinator planned (`None` =
-    /// disabled).
-    pub dominance_period: Option<usize>,
     /// Sample the bound-convergence trajectory every this-many sorted
     /// accesses (0 = off, the default); set by the coordinator when the
     /// unit runs under an `EXPLAIN ANALYZE`.
@@ -250,18 +241,9 @@ pub enum Request {
         /// Highest protocol version the sender supports.
         max_version: u32,
     },
-    /// Cluster-internal: execute one driving-shard unit against
-    /// the worker's replicated catalog.
+    /// Cluster-internal: execute one query's unit against the worker's
+    /// replicated catalog.
     ExecuteUnit(UnitRequest),
-    /// Cluster-internal: install the set of driving shards this
-    /// worker owns under a topology generation, so its work counters and
-    /// diagnostics can name them.
-    ShardAssignment {
-        /// Topology generation the assignment belongs to.
-        generation: u64,
-        /// The driving shards assigned to this worker.
-        shards: Vec<usize>,
-    },
     /// Cluster-internal: the worker's work counters.
     WorkerStats,
     /// Metrics snapshot: every registered counter, gauge, and
@@ -273,8 +255,8 @@ pub enum Request {
     /// the initial certified top-K, and thereafter pushes
     /// [`crate::Response::Notify`] change events on the same connection
     /// whenever a catalog mutation changes the subscription's certified
-    /// answer. The planned algorithm is pinned at subscribe time so
-    /// re-evaluations hit the per-shard unit cache.
+    /// answer. The planned algorithm is pinned at subscribe time, so every
+    /// re-evaluation replays the same plan.
     Subscribe(QueryRequest),
     /// Cancels a standing query. Acknowledged with
     /// [`crate::Response::Unsubscribed`]; no notification bearing the id is
@@ -285,7 +267,7 @@ pub enum Request {
     },
     /// Query diagnostics: answers
     /// [`crate::Response::Explain`] with the plan the engine would run —
-    /// chosen algorithm, driving relation, per-shard unit plans and the
+    /// chosen algorithm, driving relation, the unit's plan and the
     /// planner's cost inputs. With `analyze` the query is additionally
     /// *executed* (bypassing the result cache, with bound-convergence
     /// capture enabled) and the report gains per-unit depth, latency,

@@ -33,21 +33,22 @@ pub struct StatsReport {
     /// Number of spatial shards every relation is partitioned into (1 =
     /// unsharded).
     pub shards: usize,
-    /// Per-shard total sorted accesses performed by partitioned execution
-    /// units, indexed by shard (empty until a query executes).
+    /// Total sorted accesses performed by execution units, indexed by the
+    /// unit's lane (empty until a query executes; every unit reports on
+    /// lane 0).
     pub shard_depths: Vec<u64>,
     /// Per-shard total execution-unit wall time in microseconds, indexed by
     /// shard (parallel to `shard_depths`).
     pub shard_micros: Vec<u64>,
-    /// Per-shard worker-side sorted accesses, aggregated across the fleet
-    /// from [`Response::WorkerReport`] lanes (clusters only; empty
-    /// on single-node engines and pre-lane peers). Unlike `shard_depths`,
-    /// which a coordinator measures around the round trip, these are
-    /// measured where the unit actually ran.
-    pub worker_shard_depths: Vec<u64>,
-    /// Per-shard worker-side execution time in microseconds (parallel to
-    /// `worker_shard_depths`).
-    pub worker_shard_micros: Vec<u64>,
+    /// Per-worker sorted accesses, one entry per worker in topology order,
+    /// from each worker's [`Response::WorkerReport`] (clusters only; empty
+    /// on single-node engines). Unlike `shard_depths`, which a coordinator
+    /// measures around the round trip, these are measured where the units
+    /// actually ran.
+    pub worker_depths: Vec<u64>,
+    /// Per-worker execution time in microseconds (parallel to
+    /// `worker_depths`).
+    pub worker_micros: Vec<u64>,
 }
 
 /// The kind of a [`MetricSample`] series.
@@ -166,15 +167,14 @@ pub struct TrajectorySample {
 }
 
 /// The outcome of one [`crate::Request::ExecuteUnit`]: the unit's certified
-/// top-K plus exactly the accounting the coordinator's bound-aware merge
-/// needs. Floats round-trip bit-exactly, so a merged
+/// top-K plus the run's accounting. Floats round-trip bit-exactly, so a
 /// distributed answer is indistinguishable from a local one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnitOutcome {
     /// The unit's top-K combinations, best first.
     pub rows: Vec<UnitRow>,
-    /// The unit's final upper bound `t_j` when it stopped (−∞ on
-    /// exhaustion); the merged bound is the max over units.
+    /// The unit's final upper bound `t` when it stopped (−∞ on
+    /// exhaustion).
     pub final_bound: f64,
     /// Per-relation sorted-access depths, in join order.
     pub depths: Vec<u64>,
@@ -186,7 +186,7 @@ pub struct UnitOutcome {
     /// Active execution time in microseconds.
     pub micros: u64,
     /// `true` when the unit stopped on an access cap instead of the
-    /// termination condition (the merged result is then uncertified).
+    /// termination condition (the result is then uncertified).
     pub capped: bool,
     /// The worker's finished spans for this unit, for coordinator-side
     /// trace stitching (empty when the worker traces nothing or the peer
@@ -212,10 +212,10 @@ pub struct RelationPlanStat {
     pub discount: f64,
 }
 
-/// One per-shard unit plan inside an [`ExplainReport`].
+/// The execution unit's plan inside an [`ExplainReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnitPlanReport {
-    /// The driving-relation shard this unit covers.
+    /// Always 0: the unit reads every relation whole.
     pub shard: usize,
     /// Short id of the planned operator instantiation, e.g. `TBPA`.
     pub algorithm: String,
@@ -228,11 +228,10 @@ pub struct UnitPlanReport {
 /// One executed unit's measurements inside an [`AnalyzeReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnitProfile {
-    /// The driving-relation shard.
+    /// Always 0: the unit reads every relation whole.
     pub shard: usize,
-    /// Where the unit's answer came from: `fresh` (executed over fully
-    /// indexed shards), `delta-merged` (executed over base+delta views),
-    /// or `hit` (served from the per-shard unit cache).
+    /// What the unit read: `fresh` (executed over fully indexed shards)
+    /// or `delta-merged` (executed over base+delta views).
     pub cache: String,
     /// `true` when the unit ran on a remote worker.
     pub remote: bool,
@@ -253,20 +252,20 @@ pub struct AnalyzeReport {
     pub rows: Vec<ResultRow>,
     /// End-to-end latency in microseconds.
     pub latency_micros: u64,
-    /// Total sorted accesses across all units — equals the sum of the
-    /// per-unit [`UnitProfile::depths`] and the amount the engine's
-    /// `sum_depths` stat advanced by.
+    /// Total sorted accesses — equals the sum of the [`UnitProfile::depths`]
+    /// and the amount the engine's `sum_depths` stat advanced by.
     pub total_sum_depths: u64,
-    /// Per-unit measurements, in shard order.
+    /// The execution unit's measurements (one entry).
     pub units: Vec<UnitProfile>,
 }
 
 /// Answer to [`crate::Request::Explain`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainReport {
-    /// Short id of the (merged) operator instantiation, e.g. `TBPA`.
+    /// Short id of the operator instantiation, e.g. `TBPA`.
     pub algorithm: String,
-    /// Index of the chosen driving relation.
+    /// Index of the relation the planner's skew-discounted cost model
+    /// would drive.
     pub drive: usize,
     /// The effective `K`.
     pub k: usize,
@@ -274,7 +273,7 @@ pub struct ExplainReport {
     pub rationale: String,
     /// Planner cost inputs, one per joined relation, in join order.
     pub relations: Vec<RelationPlanStat>,
-    /// Per-shard unit plans, in shard order.
+    /// The execution unit's plan (one entry).
     pub units: Vec<UnitPlanReport>,
     /// Execution measurements; `None` in plan-only mode.
     pub analyzed: Option<AnalyzeReport>,
@@ -393,32 +392,16 @@ pub enum Response {
     },
     /// Answer to [`crate::Request::ExecuteUnit`].
     Unit(UnitOutcome),
-    /// Answer to [`crate::Request::ShardAssignment`].
-    AssignmentAck {
-        /// The installed topology generation.
-        generation: u64,
-        /// The installed shard set.
-        shards: Vec<usize>,
-    },
     /// Answer to [`crate::Request::WorkerStats`].
     WorkerReport {
-        /// Topology generation of the worker's current assignment.
-        generation: u64,
-        /// The driving shards assigned to this worker.
-        shards: Vec<usize>,
         /// Execution units served since boot.
         units: u64,
         /// Total sorted accesses performed by those units.
         depths: u64,
+        /// Total execution microseconds of those units.
+        micros: u64,
         /// Live relations in the worker's replicated catalog.
         relations: usize,
-        /// Per-shard units served, indexed by driving shard (empty on
-        /// pre-lane peers).
-        lane_units: Vec<u64>,
-        /// Per-shard sorted accesses, parallel to `lane_units`.
-        lane_depths: Vec<u64>,
-        /// Per-shard execution microseconds, parallel to `lane_units`.
-        lane_micros: Vec<u64>,
     },
     /// Answer to [`crate::Request::Metrics`].
     Metrics(MetricsReport),

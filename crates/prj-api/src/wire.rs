@@ -177,22 +177,6 @@ fn encode_f64_list(out: &mut String, values: &[f64]) {
     }
 }
 
-fn parse_usize_list(s: &str) -> Result<Vec<usize>, ApiError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',').map(parse_usize).collect()
-}
-
-fn encode_usize_list(out: &mut String, values: &[usize]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-}
-
 /// `epochs`: per-relation epoch vectors, `|`-separated, each a comma list.
 fn parse_epochs(s: &str) -> Result<Vec<Vec<u64>>, ApiError> {
     if s.is_empty() {
@@ -770,7 +754,7 @@ pub fn encode_request(request: &Request) -> Result<String, ApiError> {
             }
             out.push_str(" epochs=");
             encode_epochs(&mut out, &unit.epochs);
-            let _ = write!(out, " drive={} shard={} q=", unit.drive, unit.shard);
+            out.push_str(" q=");
             encode_f64_list(&mut out, &unit.query);
             let _ = write!(
                 out,
@@ -780,19 +764,12 @@ pub fn encode_request(request: &Request) -> Result<String, ApiError> {
                 encode_access(unit.access),
                 unit.algorithm.id().to_ascii_lowercase(),
             );
-            if let Some(period) = unit.dominance_period {
-                let _ = write!(out, " period={period}");
-            }
             if unit.convergence != 0 {
                 let _ = write!(out, " conv={}", unit.convergence);
             }
             if let Some(trace) = unit.trace {
                 encode_trace(&mut out, trace);
             }
-        }
-        Request::ShardAssignment { generation, shards } => {
-            let _ = write!(out, " assign gen={generation} shards=");
-            encode_usize_list(&mut out, shards);
         }
         Request::WorkerStats => out.push_str(" wstats"),
         Request::Metrics => out.push_str(" metrics"),
@@ -876,24 +853,14 @@ fn decode_request_body(verb: &str, fields: &[(&str, &str)]) -> Result<Request, A
                     epochs.len()
                 )));
             }
-            let drive = parse_usize(require(fields, "drive", verb)?)?;
-            if drive >= relations.len() {
-                return Err(ApiError::malformed(format!(
-                    "unit: drive={drive} is out of range for {} relations",
-                    relations.len()
-                )));
-            }
             Ok(Request::ExecuteUnit(UnitRequest {
                 relations,
                 epochs,
-                drive,
-                shard: parse_usize(require(fields, "shard", verb)?)?,
                 query: parse_f64_list(require(fields, "q", verb)?)?,
                 k: parse_usize(require(fields, "k", verb)?)?,
                 scoring: parse_scoring(require(fields, "scoring", verb)?)?,
                 access: parse_access(require(fields, "access", verb)?)?,
                 algorithm: parse_algorithm(require(fields, "algo", verb)?)?,
-                dominance_period: field(fields, "period").map(parse_usize).transpose()?,
                 convergence: field(fields, "conv")
                     .map(parse_usize)
                     .transpose()?
@@ -901,10 +868,6 @@ fn decode_request_body(verb: &str, fields: &[(&str, &str)]) -> Result<Request, A
                 trace: field(fields, "trace").map(parse_trace).transpose()?,
             }))
         }
-        "assign" => Ok(Request::ShardAssignment {
-            generation: parse_u64(require(fields, "gen", verb)?)?,
-            shards: parse_usize_list(field(fields, "shards").unwrap_or(""))?,
-        }),
         "wstats" => Ok(Request::WorkerStats),
         "metrics" => Ok(Request::Metrics),
         "subscribe" => Ok(Request::Subscribe(parse_query(fields, verb)?)),
@@ -1111,13 +1074,13 @@ pub fn encode_response(response: &Response) -> String {
                 out.push_str(" shard_micros=");
                 encode_u64_list(&mut out, &s.shard_micros);
             }
-            if !s.worker_shard_depths.is_empty() {
-                out.push_str(" worker_shard_depths=");
-                encode_u64_list(&mut out, &s.worker_shard_depths);
+            if !s.worker_depths.is_empty() {
+                out.push_str(" worker_depths=");
+                encode_u64_list(&mut out, &s.worker_depths);
             }
-            if !s.worker_shard_micros.is_empty() {
-                out.push_str(" worker_shard_micros=");
-                encode_u64_list(&mut out, &s.worker_shard_micros);
+            if !s.worker_micros.is_empty() {
+                out.push_str(" worker_micros=");
+                encode_u64_list(&mut out, &s.worker_micros);
             }
         }
         Response::HelloAck { version } => {
@@ -1147,37 +1110,16 @@ pub fn encode_response(response: &Response) -> String {
             out.push_str(" rows=");
             encode_unit_rows(&mut out, &unit.rows);
         }
-        Response::AssignmentAck { generation, shards } => {
-            let _ = write!(out, " ok assigned gen={generation} shards=");
-            encode_usize_list(&mut out, shards);
-        }
         Response::WorkerReport {
-            generation,
-            shards,
             units,
             depths,
+            micros,
             relations,
-            lane_units,
-            lane_depths,
-            lane_micros,
         } => {
-            let _ = write!(out, " ok worker gen={generation} shards=");
-            encode_usize_list(&mut out, shards);
-            let _ = write!(out, " units={units} depths={depths} relations={relations}");
-            // Per-shard lanes are omitted while empty (nothing executed),
-            // which is also what keeps pre-lane peers decodable.
-            if !lane_units.is_empty() {
-                out.push_str(" lane_units=");
-                encode_u64_list(&mut out, lane_units);
-            }
-            if !lane_depths.is_empty() {
-                out.push_str(" lane_depths=");
-                encode_u64_list(&mut out, lane_depths);
-            }
-            if !lane_micros.is_empty() {
-                out.push_str(" lane_micros=");
-                encode_u64_list(&mut out, lane_micros);
-            }
+            let _ = write!(
+                out,
+                " ok worker units={units} depths={depths} micros={micros} relations={relations}"
+            );
         }
         Response::Metrics(report) => {
             out.push_str(" ok metrics samples=");
@@ -1399,12 +1341,8 @@ pub fn decode_response(line: &str) -> Result<Response, ApiError> {
                 .unwrap_or(1),
             shard_depths: parse_u64_list(field(&fields, "shard_depths").unwrap_or(""))?,
             shard_micros: parse_u64_list(field(&fields, "shard_micros").unwrap_or(""))?,
-            worker_shard_depths: parse_u64_list(
-                field(&fields, "worker_shard_depths").unwrap_or(""),
-            )?,
-            worker_shard_micros: parse_u64_list(
-                field(&fields, "worker_shard_micros").unwrap_or(""),
-            )?,
+            worker_depths: parse_u64_list(field(&fields, "worker_depths").unwrap_or(""))?,
+            worker_micros: parse_u64_list(field(&fields, "worker_micros").unwrap_or(""))?,
         })),
         "hello" => Ok(Response::HelloAck {
             version: require(&fields, "ver", form)?
@@ -1422,19 +1360,11 @@ pub fn decode_response(line: &str) -> Result<Response, ApiError> {
             spans: parse_span_records(field(&fields, "spans").unwrap_or(""))?,
             trajectory: parse_trajectory(field(&fields, "traj").unwrap_or(""))?,
         })),
-        "assigned" => Ok(Response::AssignmentAck {
-            generation: parse_u64(require(&fields, "gen", form)?)?,
-            shards: parse_usize_list(field(&fields, "shards").unwrap_or(""))?,
-        }),
         "worker" => Ok(Response::WorkerReport {
-            generation: parse_u64(require(&fields, "gen", form)?)?,
-            shards: parse_usize_list(field(&fields, "shards").unwrap_or(""))?,
             units: parse_u64(require(&fields, "units", form)?)?,
             depths: parse_u64(require(&fields, "depths", form)?)?,
+            micros: parse_u64(require(&fields, "micros", form)?)?,
             relations: parse_usize(require(&fields, "relations", form)?)?,
-            lane_units: parse_u64_list(field(&fields, "lane_units").unwrap_or(""))?,
-            lane_depths: parse_u64_list(field(&fields, "lane_depths").unwrap_or(""))?,
-            lane_micros: parse_u64_list(field(&fields, "lane_micros").unwrap_or(""))?,
         }),
         "metrics" => Ok(Response::Metrics(MetricsReport {
             samples: parse_metric_samples(field(&fields, "samples").unwrap_or(""))?,
@@ -1733,8 +1663,8 @@ mod tests {
             shards: 1,
             shard_depths: Vec::new(),
             shard_micros: Vec::new(),
-            worker_shard_depths: Vec::new(),
-            worker_shard_micros: Vec::new(),
+            worker_depths: Vec::new(),
+            worker_micros: Vec::new(),
         }));
         response_round_trip(Response::Stats(StatsReport {
             queries: 7,
@@ -1747,8 +1677,8 @@ mod tests {
             shards: 4,
             shard_depths: vec![100, 0, 300, 56],
             shard_micros: vec![90, 0, 250, 40],
-            worker_shard_depths: Vec::new(),
-            worker_shard_micros: Vec::new(),
+            worker_depths: vec![250, 206],
+            worker_micros: vec![180, 200],
         }));
         response_round_trip(Response::Error(ApiError::new(
             ErrorKind::UnknownRelation,
@@ -1813,14 +1743,11 @@ mod tests {
         Request::ExecuteUnit(UnitRequest {
             relations: vec![RelationRef::Id(0), RelationRef::Name("r2".to_string())],
             epochs: vec![vec![0, 3, 0], vec![1]],
-            drive: 0,
-            shard: 2,
             query: vec![0.5, -0.25],
             k: 7,
             scoring: ScoringSelector::with_params("euclidean-log", [1.0, 2.0, 0.5]),
             access: AccessKind::Distance,
             algorithm: Algorithm::Tbpa,
-            dominance_period: Some(50),
             convergence: 0,
             trace: None,
         })
@@ -1831,14 +1758,6 @@ mod tests {
         for request in [
             Request::Hello { max_version: 2 },
             sample_unit_request(),
-            Request::ShardAssignment {
-                generation: 4,
-                shards: vec![0, 2, 5],
-            },
-            Request::ShardAssignment {
-                generation: 0,
-                shards: Vec::new(),
-            },
             Request::WorkerStats,
             Request::Metrics,
         ] {
@@ -1999,29 +1918,11 @@ mod tests {
                 spans: Vec::new(),
                 trajectory: Vec::new(),
             }),
-            Response::AssignmentAck {
-                generation: 9,
-                shards: vec![1, 3],
-            },
             Response::WorkerReport {
-                generation: 9,
-                shards: vec![1, 3],
                 units: 17,
                 depths: 1234,
+                micros: 2400,
                 relations: 3,
-                lane_units: Vec::new(),
-                lane_depths: Vec::new(),
-                lane_micros: Vec::new(),
-            },
-            Response::WorkerReport {
-                generation: 10,
-                shards: vec![0, 2],
-                units: 5,
-                depths: 321,
-                relations: 2,
-                lane_units: vec![3, 0, 2],
-                lane_depths: vec![200, 0, 121],
-                lane_micros: vec![1500, 0, 900],
             },
             Response::Metrics(MetricsReport {
                 samples: vec![
@@ -2112,12 +2013,6 @@ mod tests {
                     capped=false depths=5,6 rows=";
         match decode_response(line).unwrap() {
             Response::Unit(unit) => assert!(unit.spans.is_empty()),
-            other => panic!("unexpected decode: {other:?}"),
-        }
-        // Likewise worker reports without lanes.
-        let line = "prj/2 ok worker gen=1 shards=0 units=2 depths=30 relations=1";
-        match decode_response(line).unwrap() {
-            Response::WorkerReport { lane_units, .. } => assert!(lane_units.is_empty()),
             other => panic!("unexpected decode: {other:?}"),
         }
     }

@@ -177,16 +177,16 @@ fn random_response(seed: u64) -> Response {
                         .map(|_| rng.random_range(0..10_000u64))
                         .collect()
                 },
-                // Worker-side lanes are a cluster-only addition; exercised
+                // Per-worker totals are a cluster-only addition; exercised
                 // both absent (single-node) and present.
-                worker_shard_depths: if executed == 0 {
+                worker_depths: if executed == 0 {
                     Vec::new()
                 } else {
                     (0..shards)
                         .map(|_| rng.random_range(0..10_000u64))
                         .collect()
                 },
-                worker_shard_micros: if executed == 0 {
+                worker_micros: if executed == 0 {
                     Vec::new()
                 } else {
                     (0..shards)

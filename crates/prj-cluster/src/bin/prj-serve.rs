@@ -34,8 +34,7 @@
 //!                             from a coordinator)
 //!     --coordinator           serve as a cluster coordinator
 //!     --workers A,B,C         comma-separated worker addresses
-//!     --topology FILE         topology file (worker/shards/replicas lines)
-//!     --replicas N            owners per driving shard (default 1)
+//!     --topology FILE         topology file (worker/shards lines)
 //!     --cluster-self-check N  spawn N local worker processes, run the
 //!                             distributed round-trip + worker-kill check, exit
 //! ```
@@ -72,7 +71,6 @@ struct Options {
     coordinator: bool,
     workers: Vec<String>,
     topology: Option<String>,
-    replicas: usize,
     cluster_self_check: Option<usize>,
     metrics_addr: Option<String>,
     health_addr: Option<String>,
@@ -93,7 +91,6 @@ fn parse_args() -> Result<Options, String> {
         coordinator: false,
         workers: Vec::new(),
         topology: None,
-        replicas: 1,
         cluster_self_check: None,
         metrics_addr: None,
         health_addr: None,
@@ -125,11 +122,6 @@ fn parse_args() -> Result<Options, String> {
                 if options.shards == 0 {
                     return Err("--shards must be at least 1".to_string());
                 }
-            }
-            "--replicas" => {
-                options.replicas = value("--replicas")?
-                    .parse()
-                    .map_err(|_| "--replicas expects an integer".to_string())?
             }
             "--workers" => {
                 options.workers = value("--workers")?
@@ -177,7 +169,7 @@ fn parse_args() -> Result<Options, String> {
                      [--health-addr HOST:PORT] [--slow-query-ms N] [--max-subscriptions N] \
                      [--delta-threshold N]\n\
                      cluster: [--worker] [--coordinator --workers A,B,C | --topology FILE] \
-                     [--replicas N] [--cluster-self-check N]"
+                     [--cluster-self-check N]"
                 );
                 std::process::exit(0);
             }
@@ -331,8 +323,9 @@ fn topology_from(options: &Options) -> Result<ClusterTopology, String> {
             }
             Ok(topology)
         }
-        None => ClusterTopology::new(options.workers.clone(), options.shards, options.replicas)
-            .map_err(|e| e.to_string()),
+        None => {
+            ClusterTopology::new(options.workers.clone(), options.shards).map_err(|e| e.to_string())
+        }
     }
 }
 
@@ -536,22 +529,21 @@ fn spawn_worker(shards: usize) -> Result<prj_cluster::SpawnedWorker, String> {
 /// Spawns `n` worker processes on loopback, drives a coordinator through a
 /// register → query → append → query round-trip verified against a local
 /// single-process engine, then kills a worker and checks the failure
-/// semantics: exact completion via a replica, or a typed error — never a
-/// truncated result.
+/// semantics: exact completion on a surviving worker, or (with one worker)
+/// a typed error — never a truncated result.
 fn cluster_self_check(options: &Options, n: usize) -> Result<(), String> {
     if n == 0 {
         return Err("--cluster-self-check needs at least one worker".to_string());
     }
     let shards = options.shards.max(2);
-    let replicas = n.min(2);
-    println!("cluster-self-check: spawning {n} workers (shards={shards}, replicas={replicas})");
+    println!("cluster-self-check: spawning {n} workers (shards={shards})");
     let workers: Vec<prj_cluster::SpawnedWorker> = (0..n)
         .map(|_| spawn_worker(shards))
         .collect::<Result<_, _>>()?;
     let addrs: Vec<String> = workers.iter().map(|w| w.addr().to_string()).collect();
     println!("cluster-self-check: workers on {addrs:?}");
 
-    let topology = ClusterTopology::new(addrs, shards, replicas).map_err(|e| e.to_string())?;
+    let topology = ClusterTopology::new(addrs, shards).map_err(|e| e.to_string())?;
     let coordinator = Arc::new(
         Coordinator::builder(topology)
             .threads(2)
@@ -727,10 +719,10 @@ fn cluster_self_check(options: &Options, n: usize) -> Result<(), String> {
     metrics.shutdown();
 
     // EXPLAIN/ANALYZE leg: profile the distributed query at a point the
-    // result cache has never seen, and check the profile's books balance —
-    // per-unit depths sum to the reported sumDepths, every unit carries a
-    // bound-convergence trajectory, and the analyzed rows are bit-identical
-    // to the plain top-K of the same query.
+    // result cache has never seen, and check the profile — one remote unit
+    // whose depths are the reported sumDepths, with a bound-convergence
+    // trajectory — and that the analyzed rows are bit-identical to the
+    // plain top-K of the same query.
     let analyze_query = QueryRequest::new(vec!["rel0".into(), "rel1".into()], [1.7, 0.6]).k(5);
     let report = match coordinator.dispatch_one(Request::Explain {
         query: analyze_query.clone(),
@@ -742,18 +734,23 @@ fn cluster_self_check(options: &Options, n: usize) -> Result<(), String> {
     let analyzed = report
         .analyzed
         .ok_or("explain analyze returned no execution profile")?;
-    let unit_sum: u64 = analyzed.units.iter().map(|u| u.depths).sum();
-    if unit_sum != analyzed.total_sum_depths {
+    let [unit] = analyzed.units.as_slice() else {
         return Err(format!(
-            "analyze per-unit depths sum to {unit_sum}, profile says {}",
-            analyzed.total_sum_depths
+            "cluster analyze profiled {} units, expected one",
+            analyzed.units.len()
+        ));
+    };
+    if unit.depths != analyzed.total_sum_depths {
+        return Err(format!(
+            "analyze unit depths {} != profile total {}",
+            unit.depths, analyzed.total_sum_depths
         ));
     }
-    if analyzed.units.iter().any(|u| u.trajectory.is_empty()) {
-        return Err("an analyzed unit has no bound-convergence trajectory".to_string());
+    if unit.trajectory.is_empty() {
+        return Err("the analyzed unit has no bound-convergence trajectory".to_string());
     }
-    if !analyzed.units.iter().any(|u| u.remote) {
-        return Err("cluster analyze profiled no remote units".to_string());
+    if !unit.remote {
+        return Err("cluster analyze ran its unit locally".to_string());
     }
     let plain = match coordinator.dispatch_one(Request::TopK(analyze_query)) {
         Response::Results { rows, .. } => rows,
@@ -772,8 +769,8 @@ fn cluster_self_check(options: &Options, n: usize) -> Result<(), String> {
         ));
     }
     println!(
-        "cluster-self-check: explain analyze profiled {} units ({} depths), rows bit-identical",
-        analyzed.units.len(),
+        "cluster-self-check: explain analyze profiled one remote unit ({} depths), \
+         rows bit-identical",
         analyzed.total_sum_depths
     );
 
@@ -803,8 +800,8 @@ fn cluster_self_check(options: &Options, n: usize) -> Result<(), String> {
 
     // Kill the first worker and re-query — at a *fresh* query point, so
     // the answer cannot come out of the result cache and must execute.
-    // With replicas the cluster must still answer exactly; without, the
-    // only acceptable outcome is a typed error.
+    // A surviving worker must answer exactly; with no survivor, the only
+    // acceptable outcome is a typed error.
     let mut workers = workers;
     drop(workers.remove(0));
     println!("cluster-self-check: killed worker 0");
@@ -821,7 +818,12 @@ fn cluster_self_check(options: &Options, n: usize) -> Result<(), String> {
             if n == 1 {
                 return Err("single-worker cluster answered after its worker died".to_string());
             }
-            println!("cluster-self-check: post-kill query served exactly via replicas");
+            println!("cluster-self-check: post-kill query served exactly by a surviving worker");
+        }
+        Response::Error(e) if n > 1 => {
+            return Err(format!(
+                "post-kill query failed ({e}) although a worker survived"
+            ));
         }
         Response::Error(e)
             if matches!(

@@ -1,27 +1,27 @@
-//! The coordinator: the process clients talk to, with shard execution
-//! fanned out to worker processes.
+//! The coordinator: the process clients talk to, with query execution
+//! sent to worker processes.
 //!
 //! A [`Coordinator`] owns the authoritative catalog (a normal sharded
-//! [`Engine`]) and installs a `ClusterBackend` into it, so the engine's
-//! executor ships per-driving-shard units over the [`WorkerPool`]'s
-//! persistent `prj/2` connections instead of running them locally. Partial
-//! results recombine through the engine's existing bound-aware merge
-//! machinery, which is what makes distributed answers **bit-identical** to
-//! single-process ones — the paper's stopping condition survives the merge
-//! verbatim, so the differential harness can assert equality down to the
-//! score bits.
+//! [`Engine`]) and installs a `ClusterBackend` into it, so the engine
+//! ships each query's one execution unit over the [`WorkerPool`]'s
+//! persistent `prj/2` connections instead of running it locally. Every
+//! worker holds a full replica of the catalog, so any worker can run any
+//! query: the backend picks one per query, round-robin. The worker runs the
+//! coordinator's pinned plan at the coordinator snapshot's epochs, which
+//! is what makes distributed answers **bit-identical** to single-process
+//! ones, down to the score bits the differential harness compares.
 //!
 //! ## Failure matrix
 //!
 //! | failure | behaviour |
 //! |---|---|
-//! | worker unreachable / dies mid-unit | the unit retries on the shard's replicas in preference order; when none is left, the query fails with a typed `worker-unavailable` error — never a silently truncated result |
-//! | replica at the wrong epochs | the worker answers `stale-epoch`; other replicas are tried, and the coordinator re-snapshots and retries the whole query once before surfacing the error |
+//! | worker unreachable / dies mid-unit | the unit goes to each other worker in rotation; when every worker failed, the query fails with a typed `worker-unavailable` error — never a silently truncated result |
+//! | worker at the wrong epochs | the worker answers `stale-epoch`; the other workers are tried, and the coordinator re-snapshots and retries the whole query once before surfacing the error |
 //! | worker fails during mutation replication | the mutation is acked only after *every* worker applied it; a failure yields a typed `degraded` response and the lagging worker keeps answering `stale-epoch` (exactness is preserved; capacity is degraded until the worker is replaced) |
 //! | topology change | bumps the generation, which is folded into every cache key: entries computed under the old layout become unreachable |
 
 use crate::pool::WorkerPool;
-use crate::topology::{ClusterTopology, ShardRouter};
+use crate::topology::ClusterTopology;
 use prj_api::{
     ApiError, ClientConfig, ErrorKind, MetricsReport, Request, Response, TraceContext, UnitOutcome,
     UnitRequest,
@@ -33,7 +33,7 @@ use prj_engine::{
 };
 use prj_geometry::Vector;
 use prj_obs::{now_micros, Counter, Recorder};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -42,7 +42,6 @@ pub struct CoordinatorBuilder {
     topology: ClusterTopology,
     threads: Option<usize>,
     cache_capacity: usize,
-    unit_cache_capacity: usize,
     client: ClientConfig,
     slow_query_threshold: Option<Duration>,
     delta_threshold: usize,
@@ -59,12 +58,6 @@ impl CoordinatorBuilder {
     /// Whole-query result-cache capacity (default 1024).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Per-shard unit-cache capacity (default 4096).
-    pub fn unit_cache_capacity(mut self, capacity: usize) -> Self {
-        self.unit_cache_capacity = capacity;
         self
     }
 
@@ -96,14 +89,13 @@ impl CoordinatorBuilder {
     /// Builds the coordinator and verifies the fleet: every worker must be
     /// reachable, speak `prj/2`, partition into the same shard count, and
     /// start with an empty catalog (replication replays through this
-    /// coordinator only). Each worker is then told its shard assignment.
+    /// coordinator only).
     ///
     /// # Errors
     /// A typed [`ApiError`] naming the offending worker.
     pub fn build(self) -> Result<Coordinator, ApiError> {
         let mut engine = EngineBuilder::default()
             .cache_capacity(self.cache_capacity)
-            .unit_cache_capacity(self.unit_cache_capacity)
             .slow_query_threshold(self.slow_query_threshold)
             .delta_threshold(self.delta_threshold)
             .shards(self.topology.shards());
@@ -116,20 +108,19 @@ impl CoordinatorBuilder {
             self.topology.workers().to_vec(),
             self.client,
         ));
-        let router = Arc::new(self.topology.router());
         let coordinator = Coordinator {
             engine: Arc::clone(&engine),
             session,
             pool: Arc::clone(&pool),
-            router: Arc::clone(&router),
             mutations: Mutex::new(()),
             replication_lag_micros: AtomicU64::new(0),
         };
-        coordinator.verify_workers()?;
+        coordinator.verify_workers(self.topology.shards())?;
         let registry = engine.obs().registry();
         engine.set_remote_backend(Arc::new(ClusterBackend {
             pool,
-            router,
+            generation: self.topology.generation(),
+            next: AtomicUsize::new(0),
             recorder: Arc::clone(engine.recorder()),
             remote_units: registry.counter("prj_remote_units_total", &[]),
             failovers: registry.counter("prj_failovers_total", &[]),
@@ -143,7 +134,6 @@ pub struct Coordinator {
     engine: Arc<Engine>,
     session: Session,
     pool: Arc<WorkerPool>,
-    router: Arc<ShardRouter>,
     /// Serialises mutations so local-apply + fleet-replication is atomic
     /// with respect to other mutations (queries are never blocked here).
     mutations: Mutex<()>,
@@ -159,7 +149,6 @@ impl Coordinator {
             topology,
             threads: None,
             cache_capacity: 1024,
-            unit_cache_capacity: 4096,
             client: ClientConfig::with_timeouts(Duration::from_secs(30)),
             slow_query_threshold: None,
             delta_threshold: 0,
@@ -169,11 +158,6 @@ impl Coordinator {
     /// The engine owning the authoritative catalog.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
-    }
-
-    /// The compiled shard routing table.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
     }
 
     /// Routes one request to a single response, draining streams — the
@@ -204,13 +188,13 @@ impl Coordinator {
         }
     }
 
-    fn verify_workers(&self) -> Result<(), ApiError> {
+    fn verify_workers(&self, shards: usize) -> Result<(), ApiError> {
         for w in 0..self.pool.len() {
             let report = self
                 .pool
                 .with_conn(w, |c| c.stats())
                 .map_err(|e| at_worker(self.pool.addr(w), e))?;
-            if report.shards != self.router.shards() {
+            if report.shards != shards {
                 return Err(ApiError::new(
                     ErrorKind::Degraded,
                     format!(
@@ -218,8 +202,8 @@ impl Coordinator {
                          start it with --shards {}",
                         self.pool.addr(w),
                         report.shards,
-                        self.router.shards(),
-                        self.router.shards(),
+                        shards,
+                        shards,
                     ),
                 ));
             }
@@ -234,21 +218,13 @@ impl Coordinator {
                     ),
                 ));
             }
-            let assignment = Request::ShardAssignment {
-                generation: self.router.generation(),
-                shards: self.router.shards_of(w),
-            };
-            self.pool
-                .with_conn(w, |c| c.call(&assignment))
-                .map_err(|e| at_worker(self.pool.addr(w), e))?;
         }
         Ok(())
     }
 
     /// Applies a catalog mutation locally, then replicates it to **every**
     /// worker before acking — full replication is what lets any worker
-    /// execute any unit (driving shards need their slice, non-driving
-    /// relations are read whole). Replication failures come back as typed
+    /// execute any query. Replication failures come back as typed
     /// `degraded` errors; the lagging worker's epoch checks keep exactness
     /// intact until the fleet is repaired.
     fn mutate(&self, request: Request) -> Response {
@@ -301,7 +277,7 @@ impl Coordinator {
                     format!(
                         "mutation applied locally but replication to worker {} failed \
                          ({}); the worker is stale until replaced — queries remain \
-                         exact via its replicas",
+                         exact on the other workers",
                         self.pool.addr(w),
                         e,
                     ),
@@ -311,41 +287,35 @@ impl Coordinator {
         local
     }
 
-    /// The engine's own stats, with the fleet's worker-side lanes folded
-    /// in: `worker_shard_depths[s]` / `worker_shard_micros[s]` sum every
-    /// worker's per-shard unit accounting — measured where the units
-    /// actually ran, unlike `shard_depths`, which the coordinator measures
-    /// around the round trip. A dead worker degrades the lanes (its share
-    /// is missing), never the verb.
+    /// The engine's own stats, with each worker's totals folded in:
+    /// `worker_depths[w]` / `worker_micros[w]` are worker `w`'s unit
+    /// accounting — measured where the units actually ran, unlike
+    /// `shard_depths`, which the coordinator measures around the round
+    /// trip. A dead worker reads 0 (its share is missing), never failing
+    /// the verb.
     fn cluster_stats(&self) -> Response {
         let response = self.session.handle(Request::Stats);
         let Response::Stats(mut report) = response else {
             return response;
         };
-        let shards = self.router.shards();
-        let mut depths = vec![0u64; shards];
-        let mut micros = vec![0u64; shards];
+        let mut depths = vec![0u64; self.pool.len()];
+        let mut micros = vec![0u64; self.pool.len()];
         let mut reachable = false;
         for w in 0..self.pool.len() {
-            let Ok(Response::WorkerReport {
-                lane_depths,
-                lane_micros,
+            if let Ok(Response::WorkerReport {
+                depths: d,
+                micros: m,
                 ..
             }) = self.pool.with_conn(w, |c| c.call(&Request::WorkerStats))
-            else {
-                continue;
-            };
-            reachable = true;
-            for (shard, d) in lane_depths.iter().enumerate().take(shards) {
-                depths[shard] += d;
-            }
-            for (shard, m) in lane_micros.iter().enumerate().take(shards) {
-                micros[shard] += m;
+            {
+                reachable = true;
+                depths[w] = d;
+                micros[w] = m;
             }
         }
         if reachable {
-            report.worker_shard_depths = depths;
-            report.worker_shard_micros = micros;
+            report.worker_depths = depths;
+            report.worker_micros = micros;
         }
         Response::Stats(report)
     }
@@ -437,16 +407,20 @@ fn at_worker(addr: &str, e: ApiError) -> ApiError {
 
 /// `true` when a worker's answer to a replicated mutation matches the
 /// coordinator's — same id, same epoch, same cardinality — i.e. the
-/// replicas stayed in lockstep.
+/// catalogs stayed in lockstep.
 fn mutation_matches(local: &Response, remote: &Response) -> bool {
     local == remote
 }
 
-/// The [`RemoteUnitBackend`] implementation: ships units over the pool,
-/// failing over across the shard's replicas.
+/// The [`RemoteUnitBackend`] implementation: ships each unit over the pool
+/// to one worker, chosen round-robin, failing over to the others in
+/// rotation.
 struct ClusterBackend {
     pool: Arc<WorkerPool>,
-    router: Arc<ShardRouter>,
+    generation: u64,
+    /// Round-robin cursor: the query's first-choice worker is
+    /// `next % workers`.
+    next: AtomicUsize,
     recorder: Arc<Recorder>,
     remote_units: Arc<Counter>,
     failovers: Arc<Counter>,
@@ -461,14 +435,11 @@ impl ClusterBackend {
                 .map(|id| prj_api::RelationRef::Id(id.index()))
                 .collect(),
             epochs: call.epochs.clone(),
-            drive: call.drive,
-            shard: call.shard,
             query: call.query.as_slice().to_vec(),
             k: call.k,
             scoring: call.selector.clone(),
             access: call.access_kind,
             algorithm: call.algorithm,
-            dominance_period: call.dominance_period,
             convergence: call.convergence,
             trace: call.trace.map(|(trace, parent)| TraceContext {
                 trace: trace.as_u64(),
@@ -502,25 +473,21 @@ impl ClusterBackend {
 
 impl RemoteUnitBackend for ClusterBackend {
     fn generation(&self) -> u64 {
-        self.router.generation()
-    }
-
-    fn routes(&self, _shard: usize) -> bool {
-        // Full replication: every shard's unit can (and does) run remotely.
-        !self.pool.is_empty()
+        self.generation
     }
 
     fn execute(&self, call: &RemoteUnitCall) -> Result<RankJoinResult, EngineError> {
         let request = Self::wire_request(call);
-        let owners = self.router.owners(call.shard);
+        let workers = self.pool.len();
+        let first = self.next.fetch_add(1, Ordering::Relaxed);
         let mut failures: Vec<String> = Vec::new();
         let mut any_stale = false;
-        for &w in owners {
+        for w in (0..workers).map(|i| (first + i) % workers) {
             // Units are idempotent reads, so a transport failure earns one
             // same-worker retry: the first attempt may merely have burned a
             // connection that went stale in the pool (e.g. the worker
             // restarted); the retry dials fresh. Typed answers are real
-            // verdicts and move straight to the next replica.
+            // verdicts and move straight to the next worker.
             let mut last_kind = None;
             for attempt in 0..2 {
                 match self.pool.with_conn(w, |c| c.execute_unit(request.clone())) {
@@ -549,7 +516,7 @@ impl RemoteUnitBackend for ClusterBackend {
                     }
                 }
             }
-            // This replica is out: the unit fails over to the next owner
+            // This worker is out: the unit fails over to the next worker
             // (or surfaces the error). Count it, and pin the event into
             // the query's trace under the dispatching `unit` span.
             self.failovers.inc();
@@ -560,7 +527,6 @@ impl RemoteUnitBackend for ClusterBackend {
                     "failover",
                     vec![
                         ("worker".to_string(), self.pool.addr(w).to_string()),
-                        ("shard".to_string(), call.shard.to_string()),
                         (
                             "error".to_string(),
                             last_kind.map(|k| k.code().to_string()).unwrap_or_default(),
@@ -571,17 +537,14 @@ impl RemoteUnitBackend for ClusterBackend {
         }
         let detail = failures.join("; ");
         if any_stale {
-            // At least one replica holds the data but at different epochs
+            // At least one worker holds the data but at different epochs
             // (e.g. it is mid-replication): a fresh snapshot may succeed,
             // so classify for the coordinator's re-snapshot retry even if
-            // *other* replicas failed on transport — a dead sibling must
+            // *other* workers failed on transport — a dead sibling must
             // not demote a retriable verdict into a terminal one.
             Err(EngineError::StaleReplica(detail))
         } else {
-            Err(EngineError::WorkerUnavailable {
-                shard: call.shard,
-                detail,
-            })
+            Err(EngineError::WorkerUnavailable(detail))
         }
     }
 }
@@ -589,8 +552,8 @@ impl RemoteUnitBackend for ClusterBackend {
 /// Rebuilds a worker's [`UnitOutcome`] into the exact [`RankJoinResult`] a
 /// local run of the same unit would have produced: tuples rehydrated from
 /// their wire contents (floats round-trip bit-exactly), per-relation access
-/// depths, and the unit's final bound — everything the bound-aware merge
-/// and the certification check consume.
+/// depths, and the unit's final bound — everything the certification check
+/// consumes.
 fn rehydrate(arity: usize, outcome: UnitOutcome) -> Result<RankJoinResult, ApiError> {
     if outcome.depths.len() != arity {
         return Err(ApiError::new(

@@ -1,6 +1,6 @@
 //! Pooled persistent connections to the cluster's workers.
 //!
-//! The coordinator fans every sharded query out to its workers, so dialing
+//! The coordinator sends every query to one of its workers, so dialing
 //! per unit would put a TCP + negotiation handshake on the hot path. The
 //! [`WorkerPool`] keeps per-worker stacks of idle, already-negotiated
 //! `prj/2` [`ApiClient`]s: [`WorkerPool::with_conn`] pops one (dialing —
@@ -59,7 +59,7 @@ impl WorkerPool {
     }
 
     /// Idle pooled connections to worker `w` (a health-report signal: the
-    /// stack's depth tracks the observed fan-out parallelism).
+    /// stack's depth tracks the observed query parallelism).
     pub fn idle_len(&self, w: usize) -> usize {
         self.slots[w].idle.lock().expect("pool lock").len()
     }

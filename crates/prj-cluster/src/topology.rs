@@ -1,15 +1,12 @@
-//! Cluster topology: which workers exist and which driving shards each one
-//! executes.
+//! Cluster topology: which workers exist and how relations are sharded.
 //!
 //! A [`ClusterTopology`] is declarative — a worker address list plus the
-//! shard count and replication factor — and compiles into a [`ShardRouter`]:
-//! for every driving shard, an ordered preference list of workers (primary
-//! first, then replicas). Placement is round-robin (`shard j` → workers
-//! `j, j+1, … mod W`), which spreads primaries evenly and gives every shard
-//! `replicas` distinct owners whenever the fleet is large enough.
+//! shard count every worker's catalog partitions into. Every worker holds a
+//! full replica of the catalog, so any worker can execute any query; the
+//! coordinator picks one per query (see [`crate::coordinator`]).
 //!
-//! Every compiled router carries a **generation** number. The engine folds
-//! it into all cache keys, so results computed under an older layout become
+//! Every topology carries a **generation** number. The engine folds it into
+//! all cache keys, so results computed under an older layout become
 //! structurally unreachable after a topology change — layouts never change
 //! *what* is computed, but a generation that survived a failover is exactly
 //! when extra caution is cheapest.
@@ -22,7 +19,6 @@
 //! ```text
 //! # one directive per line; '#' starts a comment
 //! shards 4
-//! replicas 2
 //! worker 127.0.0.1:7001
 //! worker 127.0.0.1:7002
 //! ```
@@ -46,23 +42,17 @@ impl std::error::Error for TopologyError {}
 pub struct ClusterTopology {
     workers: Vec<String>,
     shards: usize,
-    replicas: usize,
     generation: u64,
 }
 
 impl ClusterTopology {
-    /// A topology over `workers` (addresses), `shards` spatial shards per
-    /// relation and `replicas` owners per driving shard (clamped to the
-    /// fleet size; at least 1).
+    /// A topology over `workers` (addresses) and `shards` spatial shards
+    /// per relation.
     ///
     /// # Errors
     /// Empty worker lists, zero shard counts and blank addresses are
     /// rejected.
-    pub fn new(
-        workers: Vec<String>,
-        shards: usize,
-        replicas: usize,
-    ) -> Result<ClusterTopology, TopologyError> {
+    pub fn new(workers: Vec<String>, shards: usize) -> Result<ClusterTopology, TopologyError> {
         if workers.is_empty() {
             return Err(TopologyError("a cluster needs at least one worker".into()));
         }
@@ -72,11 +62,9 @@ impl ClusterTopology {
         if let Some(blank) = workers.iter().find(|w| w.trim().is_empty()) {
             return Err(TopologyError(format!("worker address {blank:?} is blank")));
         }
-        let replicas = replicas.clamp(1, workers.len());
         Ok(ClusterTopology {
             workers,
             shards,
-            replicas,
             generation: 1,
         })
     }
@@ -89,7 +77,6 @@ impl ClusterTopology {
     pub fn from_str_spec(spec: &str) -> Result<ClusterTopology, TopologyError> {
         let mut workers = Vec::new();
         let mut shards = 1usize;
-        let mut replicas = 1usize;
         for (lineno, raw) in spec.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
@@ -108,11 +95,6 @@ impl ClusterTopology {
                         TopologyError(format!("line {}: bad shard count {value:?}", lineno + 1))
                     })?
                 }
-                "replicas" => {
-                    replicas = value.parse().map_err(|_| {
-                        TopologyError(format!("line {}: bad replica count {value:?}", lineno + 1))
-                    })?
-                }
                 other => {
                     return Err(TopologyError(format!(
                         "line {}: unknown directive {other:?}",
@@ -121,7 +103,7 @@ impl ClusterTopology {
                 }
             }
         }
-        ClusterTopology::new(workers, shards, replicas)
+        ClusterTopology::new(workers, shards)
     }
 
     /// Reads a topology file (see module docs for the format).
@@ -138,7 +120,7 @@ impl ClusterTopology {
         self
     }
 
-    /// The worker addresses, in placement order.
+    /// The worker addresses, in topology order.
     pub fn workers(&self) -> &[String] {
         &self.workers
     }
@@ -148,68 +130,9 @@ impl ClusterTopology {
         self.shards
     }
 
-    /// Owners per driving shard.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
     /// The topology generation.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Compiles the declarative topology into per-shard owner lists.
-    pub fn router(&self) -> ShardRouter {
-        let owners = (0..self.shards)
-            .map(|shard| {
-                (0..self.replicas)
-                    .map(|r| (shard + r) % self.workers.len())
-                    .collect()
-            })
-            .collect();
-        ShardRouter {
-            owners,
-            generation: self.generation,
-        }
-    }
-}
-
-/// The compiled routing table: driving shard → ordered worker preference
-/// list (primary first).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRouter {
-    owners: Vec<Vec<usize>>,
-    generation: u64,
-}
-
-impl ShardRouter {
-    /// The workers owning `shard`, primary first. Shards beyond the
-    /// compiled range wrap around (defensive: the catalog's shard count is
-    /// validated against the topology at connect time).
-    pub fn owners(&self, shard: usize) -> &[usize] {
-        &self.owners[shard % self.owners.len()]
-    }
-
-    /// Number of routed shards.
-    pub fn shards(&self) -> usize {
-        self.owners.len()
-    }
-
-    /// The generation this routing table was compiled at.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The shards a given worker owns (as primary or replica), in order —
-    /// what the coordinator pushes to each worker as its
-    /// [`prj_api::Request::ShardAssignment`].
-    pub fn shards_of(&self, worker: usize) -> Vec<usize> {
-        self.owners
-            .iter()
-            .enumerate()
-            .filter(|(_, owners)| owners.contains(&worker))
-            .map(|(shard, _)| shard)
-            .collect()
     }
 }
 
@@ -222,35 +145,11 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_placement_with_replicas() {
-        let topology = ClusterTopology::new(addrs(3), 4, 2).unwrap();
-        let router = topology.router();
-        assert_eq!(router.shards(), 4);
-        assert_eq!(router.generation(), 1);
-        assert_eq!(router.owners(0), &[0, 1]);
-        assert_eq!(router.owners(1), &[1, 2]);
-        assert_eq!(router.owners(2), &[2, 0]);
-        assert_eq!(router.owners(3), &[0, 1]);
-        assert_eq!(router.shards_of(0), vec![0, 2, 3]);
-        assert_eq!(router.shards_of(2), vec![1, 2]);
-    }
-
-    #[test]
-    fn replicas_clamp_to_the_fleet() {
-        let topology = ClusterTopology::new(addrs(2), 3, 9).unwrap();
-        assert_eq!(topology.replicas(), 2);
-        let router = topology.router();
-        assert_eq!(router.owners(0), &[0, 1]);
-        // Zero replicas still means one owner.
-        let single = ClusterTopology::new(addrs(2), 3, 0).unwrap();
-        assert_eq!(single.replicas(), 1);
-    }
-
-    #[test]
     fn bad_topologies_are_rejected() {
-        assert!(ClusterTopology::new(Vec::new(), 4, 1).is_err());
-        assert!(ClusterTopology::new(addrs(1), 0, 1).is_err());
-        assert!(ClusterTopology::new(vec!["  ".into()], 4, 1).is_err());
+        assert!(ClusterTopology::new(Vec::new(), 4).is_err());
+        assert!(ClusterTopology::new(addrs(1), 0).is_err());
+        assert!(ClusterTopology::new(vec!["  ".into()], 4).is_err());
+        assert!(ClusterTopology::from_str_spec("shards 4\nreplicas 2\nworker a:1").is_err());
     }
 
     #[test]
@@ -258,15 +157,14 @@ mod tests {
         let spec = "\
             # demo cluster\n\
             shards 4\n\
-            replicas 2   # cover worker loss\n\
             worker 127.0.0.1:7001\n\
             worker 127.0.0.1:7002\n\
             \n\
             worker 127.0.0.1:7003\n";
         let topology = ClusterTopology::from_str_spec(spec).unwrap();
         assert_eq!(topology.shards(), 4);
-        assert_eq!(topology.replicas(), 2);
         assert_eq!(topology.workers().len(), 3);
+        assert_eq!(topology.generation(), 1);
         assert!(ClusterTopology::from_str_spec("workers 1").is_err());
         assert!(ClusterTopology::from_str_spec("shards x\nworker a:1").is_err());
         assert!(ClusterTopology::from_str_spec("worker").is_err());

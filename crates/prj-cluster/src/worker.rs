@@ -1,19 +1,18 @@
 //! The worker side of the cluster: a full engine replica that executes
-//! single driving-shard units on demand.
+//! whole queries on demand.
 //!
 //! A [`WorkerSession`] wraps a plain [`Session`] (so workers serve every
 //! ordinary `prj/2` request — that is how the coordinator
 //! replicates catalog mutations to them) and adds the cluster-internal
 //! verbs:
 //!
-//! * [`Request::ExecuteUnit`] — replay one unit, planned and pinned by the
-//!   coordinator, against the replicated catalog. The request carries the
-//!   coordinator snapshot's epoch vectors; a replica that disagrees
-//!   answers [`prj_api::ErrorKind::StaleEpoch`] instead of silently
-//!   computing over different data — the check that makes distributed
-//!   answers bit-identical to local ones even while mutations race.
-//! * [`Request::ShardAssignment`] — installs the shard set this worker
-//!   owns (diagnostics; routing is coordinator-side).
+//! * [`Request::ExecuteUnit`] — replay one query's unit, planned and pinned
+//!   by the coordinator, against the replicated catalog, every relation
+//!   read whole. The request carries the coordinator snapshot's epoch
+//!   vectors; a worker whose catalog disagrees answers
+//!   [`prj_api::ErrorKind::StaleEpoch`] instead of silently computing over
+//!   different data — the check that makes distributed answers
+//!   bit-identical to local ones even while mutations race.
 //! * [`Request::WorkerStats`] — work counters for the fleet dashboard.
 
 use prj_api::response::TrajectorySample;
@@ -26,28 +25,18 @@ use prj_engine::{Dispatch, Engine, QuerySpec, RelationId, RequestHandler, Sessio
 use prj_geometry::Vector;
 use prj_obs::{now_micros, TraceId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Per-driving-shard work totals, reported as the `WorkerReport` lanes the
-/// coordinator folds into its cluster-wide [`prj_api::StatsReport`].
-#[derive(Clone, Copy, Default)]
-struct Lane {
-    units: u64,
-    depths: u64,
-    micros: u64,
-}
-
-/// A cluster worker's request handler; see the module docs.
+/// A cluster worker's request handler; see the module docs. Its work
+/// totals are reported as the `WorkerReport` the coordinator folds into
+/// its cluster-wide [`prj_api::StatsReport`].
 pub struct WorkerSession {
     session: Session,
     engine: Arc<Engine>,
-    assignment: Mutex<(u64, Vec<usize>)>,
     units: AtomicU64,
     depths: AtomicU64,
-    /// Indexed by driving shard; grown on first unit for a shard. Units
-    /// are the slow part — this lock is uncontended relative to them.
-    lanes: Mutex<Vec<Lane>>,
+    micros: AtomicU64,
 }
 
 impl WorkerSession {
@@ -58,10 +47,9 @@ impl WorkerSession {
         WorkerSession {
             session: Session::new(Arc::clone(&engine)),
             engine,
-            assignment: Mutex::new((0, Vec::new())),
             units: AtomicU64::new(0),
             depths: AtomicU64::new(0),
-            lanes: Mutex::new(Vec::new()),
+            micros: AtomicU64::new(0),
         }
     }
 
@@ -98,12 +86,7 @@ impl WorkerSession {
             .trace
             .and_then(|t| TraceId::from_u64(t.trace))
             .filter(|_| self.engine.recorder().enabled())
-            .map(|trace| {
-                let mut span = self.engine.recorder().span(trace, "execute_unit");
-                span.attr("shard", unit.shard);
-                span.attr("drive", unit.drive);
-                span
-            });
+            .map(|trace| self.engine.recorder().span(trace, "execute_unit"));
         let relations = unit
             .relations
             .iter()
@@ -128,29 +111,14 @@ impl WorkerSession {
         let run_started = now_micros();
         let (result, elapsed) = self
             .engine
-            .execute_unit(
-                &spec,
-                unit.drive,
-                unit.shard,
-                unit.algorithm,
-                unit.dominance_period,
-                Some(&unit.epochs),
-            )
+            .execute_unit(&spec, unit.algorithm, Some(&unit.epochs))
             .map_err(ApiError::from)?;
         let finished = now_micros();
         let depths = result.sum_depths() as u64;
         self.units.fetch_add(1, Ordering::Relaxed);
         self.depths.fetch_add(depths, Ordering::Relaxed);
-        {
-            let mut lanes = self.lanes.lock().expect("lane lock");
-            if lanes.len() <= unit.shard {
-                lanes.resize(unit.shard + 1, Lane::default());
-            }
-            let lane = &mut lanes[unit.shard];
-            lane.units += 1;
-            lane.depths += depths;
-            lane.micros += elapsed.as_micros() as u64;
-        }
+        self.micros
+            .fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
         if let Some(span) = local_span.as_mut() {
             span.attr("sum_depths", depths);
         }
@@ -184,25 +152,12 @@ impl WorkerSession {
     fn handle_cluster(&self, request: Request) -> Response {
         let outcome = match request {
             Request::ExecuteUnit(unit) => self.execute_unit(unit),
-            Request::ShardAssignment { generation, shards } => {
-                let mut assignment = self.assignment.lock().expect("assignment lock");
-                *assignment = (generation, shards.clone());
-                Ok(Response::AssignmentAck { generation, shards })
-            }
-            Request::WorkerStats => {
-                let (generation, shards) = self.assignment.lock().expect("assignment lock").clone();
-                let lanes = self.lanes.lock().expect("lane lock").clone();
-                Ok(Response::WorkerReport {
-                    generation,
-                    shards,
-                    units: self.units.load(Ordering::Relaxed),
-                    depths: self.depths.load(Ordering::Relaxed),
-                    relations: self.engine.catalog().live_len(),
-                    lane_units: lanes.iter().map(|l| l.units).collect(),
-                    lane_depths: lanes.iter().map(|l| l.depths).collect(),
-                    lane_micros: lanes.iter().map(|l| l.micros).collect(),
-                })
-            }
+            Request::WorkerStats => Ok(Response::WorkerReport {
+                units: self.units.load(Ordering::Relaxed),
+                depths: self.depths.load(Ordering::Relaxed),
+                micros: self.micros.load(Ordering::Relaxed),
+                relations: self.engine.catalog().live_len(),
+            }),
             Request::Health => {
                 let mut health = self.session.base_health();
                 health.role = "worker".to_string();
@@ -217,10 +172,9 @@ impl WorkerSession {
 impl RequestHandler for WorkerSession {
     fn dispatch_request(&self, request: Request) -> Dispatch {
         match request {
-            Request::ExecuteUnit(_)
-            | Request::ShardAssignment { .. }
-            | Request::WorkerStats
-            | Request::Health => Dispatch::One(self.handle_cluster(request)),
+            Request::ExecuteUnit(_) | Request::WorkerStats | Request::Health => {
+                Dispatch::One(self.handle_cluster(request))
+            }
             other => self.session.dispatch(other),
         }
     }
@@ -228,8 +182,8 @@ impl RequestHandler for WorkerSession {
 
 /// Serialises one unit result for the wire, bit-exactly: combination
 /// scores, member tuple identities *and contents* (so the coordinator
-/// rehydrates without re-reading its catalog), the final bound, the
-/// accounting the bound-aware merge aggregates, and the worker's finished
+/// rehydrates without re-reading its catalog), the final bound, the run's
+/// accounting, and the worker's finished
 /// `spans` for coordinator-side trace stitching.
 pub fn to_outcome(
     result: &RankJoinResult,

@@ -14,7 +14,7 @@
 //! and distributed answers must still satisfy the paper's certified-stop
 //! invariant. The fault-injection tests then kill workers mid-stream of
 //! queries and assert the failure matrix: every answer is either exactly
-//! right (served via a replica) or a *typed* error — never a silently
+//! right (served by a surviving worker) or a *typed* error — never a silently
 //! truncated result set.
 
 use prj_access::{AccessKind, Tuple, TupleId};
@@ -43,13 +43,10 @@ fn spawn_fleet(n: usize, shards: usize) -> Vec<Worker> {
     (0..n).map(|_| spawn_worker(shards)).collect()
 }
 
-fn coordinator_over(fleet: &[Worker], shards: usize, replicas: usize) -> Coordinator {
-    let topology = ClusterTopology::new(
-        fleet.iter().map(|w| w.addr().to_string()).collect(),
-        shards,
-        replicas,
-    )
-    .expect("topology");
+fn coordinator_over(fleet: &[Worker], shards: usize) -> Coordinator {
+    let topology =
+        ClusterTopology::new(fleet.iter().map(|w| w.addr().to_string()).collect(), shards)
+            .expect("topology");
     Coordinator::builder(topology)
         .threads(2)
         .build()
@@ -159,8 +156,7 @@ fn results_of(response: Response, context: &str) -> Vec<ResultRow> {
 fn cluster_results_are_bit_identical_to_local_and_naive() {
     for (shards, n_workers) in [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)] {
         let fleet = spawn_fleet(n_workers, shards);
-        let replicas = n_workers.min(2);
-        let coordinator = coordinator_over(&fleet, shards, replicas);
+        let coordinator = coordinator_over(&fleet, shards);
         let local = Session::new(Arc::new(
             EngineBuilder::default().threads(2).shards(shards).build(),
         ));
@@ -283,7 +279,7 @@ fn cluster_results_are_bit_identical_to_local_and_naive() {
 fn replicated_mutations_keep_cluster_and_local_in_lockstep() {
     let shards = 4;
     let fleet = spawn_fleet(2, shards);
-    let coordinator = coordinator_over(&fleet, shards, 2);
+    let coordinator = coordinator_over(&fleet, shards);
     let local = Session::new(Arc::new(
         EngineBuilder::default().threads(2).shards(shards).build(),
     ));
@@ -334,83 +330,15 @@ fn replicated_mutations_keep_cluster_and_local_in_lockstep() {
     assert!(matches!(cluster_err, Response::Error(_)));
 }
 
-/// Warm unit caches across replicated appends: after a single-shard append,
-/// the coordinator re-runs only the invalidated unit on the fleet and
-/// replays its memoised siblings by reference (shared `Arc`s recombined via
-/// `prj_core::merge_shared`). The blend of cached and freshly recomputed
-/// remote units must stay bit-identical to the local sharded engine *and*
-/// the naive oracle over the grown relation.
-#[test]
-fn warm_unit_caches_blend_with_fresh_remote_units_exactly() {
-    let shards = 4;
-    let size = 24;
-    let fleet = spawn_fleet(2, shards);
-    let coordinator = coordinator_over(&fleet, shards, 2);
-    let local = Session::new(Arc::new(
-        EngineBuilder::default().threads(2).shards(shards).build(),
-    ));
-    // One relation: it is necessarily the driving one, so sibling shards'
-    // units survive a single-shard append.
-    let mut relations = generate(55, Shape::Uniform, 1, size);
-    let request = register_request("wb0", &relations[0]);
-    coordinator.dispatch_one(request.clone());
-    local.handle(request);
-    let q = [0.15, -0.4];
-    let query = || Request::TopK(QueryRequest::new(vec!["wb0".into()], q.to_vec()).k(4));
-
-    // Cold round warms the coordinator's unit cache.
-    let cold = results_of(coordinator.dispatch_one(query()), "cluster cold");
-    assert_eq!(
-        rows_fingerprint(&cold),
-        rows_fingerprint(&results_of(local.handle(query()), "local cold")),
-        "cold round diverged"
-    );
-
-    for round in 0..3usize {
-        let location = [0.3 * round as f64 - 0.3, 0.2];
-        let append = Request::AppendTuples {
-            relation: "wb0".into(),
-            tuples: vec![prj_api::TupleData::new(location, 0.85)],
-        };
-        assert_eq!(
-            coordinator.dispatch_one(append.clone()),
-            local.handle(append),
-            "round {round}: append acks diverged"
-        );
-        // Mirror the catalog's id assignment so the oracle sees the same
-        // tuple identities.
-        relations[0].push(Tuple::new(
-            TupleId::new(0, size + round),
-            Vector::from(location),
-            0.85,
-        ));
-        let warm = results_of(coordinator.dispatch_one(query()), "cluster warm");
-        assert_eq!(
-            rows_fingerprint(&warm),
-            rows_fingerprint(&results_of(local.handle(query()), "local warm")),
-            "round {round}: cached+fresh blend diverged from local"
-        );
-        let oracle = naive_fingerprint(&relations, &Vector::from(q), 4);
-        let cluster_view: Vec<(Vec<(usize, usize)>, u64)> = warm
-            .iter()
-            .map(|r| (r.tuples.clone(), r.score.to_bits()))
-            .collect();
-        assert_eq!(
-            cluster_view, oracle,
-            "round {round}: cached+fresh blend diverged from the oracle"
-        );
-    }
-}
-
 /// Fault injection: kill a worker while a stream of fresh queries runs.
 /// Every answer must be either bit-identical to the local engine or a
-/// typed error — and with replicas, the fleet must keep answering exactly
-/// after the kill.
+/// typed error — and with a surviving worker, the fleet must keep
+/// answering exactly after the kill.
 #[test]
 fn killing_a_worker_mid_query_stream_never_truncates_results() {
     let shards = 4;
     let mut fleet = spawn_fleet(2, shards);
-    let coordinator = Arc::new(coordinator_over(&fleet, shards, 2));
+    let coordinator = Arc::new(coordinator_over(&fleet, shards));
     let local = Session::new(Arc::new(
         EngineBuilder::default().threads(2).shards(shards).build(),
     ));
@@ -473,7 +401,7 @@ fn killing_a_worker_mid_query_stream_never_truncates_results() {
         }
     }
     assert_eq!(exact + typed, 30);
-    // With replicas=2 every shard keeps an owner, so the tail of the
+    // Every worker holds a full replica, so the tail of the
     // stream — well after the kill — must be answered exactly.
     let last = results_of(coordinator.dispatch_one(query(999)), "post-kill query");
     let expected = results_of(local.handle(query(999)), "local post-kill");
@@ -484,13 +412,13 @@ fn killing_a_worker_mid_query_stream_never_truncates_results() {
     );
 }
 
-/// Without replicas, losing the only worker must produce typed
+/// Losing the only worker must produce typed
 /// worker-unavailable errors — never an empty or partial result.
 #[test]
 fn losing_the_only_worker_is_a_typed_error() {
     let shards = 2;
     let mut fleet = spawn_fleet(1, shards);
-    let coordinator = coordinator_over(&fleet, shards, 1);
+    let coordinator = coordinator_over(&fleet, shards);
     let relations = generate(7, Shape::Uniform, 2, 12);
     for (i, tuples) in relations.iter().enumerate() {
         coordinator.dispatch_one(register_request(&format!("s{i}"), tuples));
@@ -518,7 +446,7 @@ fn losing_the_only_worker_is_a_typed_error() {
 fn out_of_band_worker_mutations_surface_as_stale_epoch() {
     let shards = 2;
     let fleet = spawn_fleet(1, shards);
-    let coordinator = coordinator_over(&fleet, shards, 1);
+    let coordinator = coordinator_over(&fleet, shards);
     let relations = generate(11, Shape::Uniform, 2, 10);
     for (i, tuples) in relations.iter().enumerate() {
         coordinator.dispatch_one(register_request(&format!("e{i}"), tuples));
@@ -547,7 +475,7 @@ fn out_of_band_worker_mutations_surface_as_stale_epoch() {
 /// the coordinator, and after every batch a fresh-point query must be
 /// bit-identical to the local rebuild-mode engine *and* the naive oracle —
 /// per-worker compaction timing must be completely unobservable. The leg
-/// ends with a worker kill mid-ingest: with replicas=2 the surviving
+/// ends with a worker kill mid-ingest: the surviving
 /// worker must keep answering exactly, whatever its delta backlog was.
 #[test]
 fn sustained_ingest_with_skewed_compaction_stays_exact() {
@@ -561,7 +489,7 @@ fn sustained_ingest_with_skewed_compaction_stays_exact() {
                 .expect("spawn delta worker")
         })
         .collect();
-    let coordinator = Arc::new(coordinator_over(&fleet, shards, 2));
+    let coordinator = Arc::new(coordinator_over(&fleet, shards));
     let local = Session::new(Arc::new(
         EngineBuilder::default().threads(2).shards(shards).build(),
     ));
@@ -637,8 +565,8 @@ fn sustained_ingest_with_skewed_compaction_stays_exact() {
     }
 
     // Kill the lazy worker (the one most likely to be holding a delta
-    // backlog) mid-ingest: replicas=2 means the eager worker owns every
-    // shard too, so the fleet must keep answering exactly.
+    // backlog) mid-ingest: the eager worker holds a full replica too, so
+    // the fleet must keep answering exactly.
     drop(fleet.remove(1));
     let q = [0.33, -0.45];
     let request = Request::TopK(QueryRequest::new(vec!["g0".into(), "g1".into()], q.to_vec()).k(5));

@@ -1,12 +1,15 @@
 //! EXPLAIN / EXPLAIN ANALYZE against a real 2-worker fleet: the profile's
-//! books must balance (per-unit depths sum exactly to the engine's
-//! `sumDepths` accounting), every analyzed unit must carry a sampled
-//! bound-convergence trajectory, and — the diagnostics contract — the rows
-//! ANALYZE returns must be bit-identical to a plain `TopK` of the same
-//! query. A diagnostic that changes the answer it diagnoses is worthless.
+//! books must balance (the one unit's depths equal the engine's
+//! `sumDepths` accounting, and a local unsharded engine's), the analyzed
+//! unit must carry a sampled bound-convergence trajectory, and — the
+//! diagnostics contract — the rows ANALYZE returns must be bit-identical
+//! to a plain `TopK` of the same query. A diagnostic that changes the
+//! answer it diagnoses is worthless.
 
 use prj_api::{QueryRequest, Request, Response, TupleData};
 use prj_cluster::{ClusterTopology, Coordinator};
+use prj_engine::{EngineBuilder, Session};
+use std::sync::Arc;
 
 type Worker = prj_cluster::SpawnedWorker;
 
@@ -23,13 +26,10 @@ fn spawn_fleet(n: usize, shards: usize) -> Vec<Worker> {
         .collect()
 }
 
-fn coordinator_over(fleet: &[Worker], shards: usize, replicas: usize) -> Coordinator {
-    let topology = ClusterTopology::new(
-        fleet.iter().map(|w| w.addr().to_string()).collect(),
-        shards,
-        replicas,
-    )
-    .expect("topology");
+fn coordinator_over(fleet: &[Worker], shards: usize) -> Coordinator {
+    let topology =
+        ClusterTopology::new(fleet.iter().map(|w| w.addr().to_string()).collect(), shards)
+            .expect("topology");
     Coordinator::builder(topology)
         .threads(2)
         .build()
@@ -54,7 +54,7 @@ fn query() -> QueryRequest {
 fn analyze_profile_balances_and_rows_match_topk_bit_for_bit() {
     let shards = 2;
     let fleet = spawn_fleet(2, shards);
-    let coordinator = coordinator_over(&fleet, shards, 1);
+    let coordinator = coordinator_over(&fleet, shards);
     for rel in 0..2 {
         match coordinator.dispatch_one(Request::RegisterRelation {
             name: format!("rel{rel}"),
@@ -75,10 +75,10 @@ fn analyze_profile_balances_and_rows_match_topk_bit_for_bit() {
     };
     let depths_after = coordinator.engine().stats().total_sum_depths;
 
-    // Plan side: a chosen algorithm, a unit per driving shard, planner
-    // inputs for every relation.
+    // Plan side: a chosen algorithm, exactly one unit, planner inputs for
+    // every relation.
     assert!(!report.algorithm.is_empty());
-    assert_eq!(report.units.len(), shards, "one unit per driving shard");
+    assert_eq!(report.units.len(), 1, "exactly one unit");
     assert_eq!(report.relations.len(), 2);
     assert!(report.relations.iter().all(|r| r.cardinality > 0));
 
@@ -93,7 +93,8 @@ fn analyze_profile_balances_and_rows_match_topk_bit_for_bit() {
         analyzed.total_sum_depths,
         "the engine's sumDepths stat advanced by the profiled amount"
     );
-    assert!(analyzed.units.iter().any(|u| u.remote), "fleet execution");
+    assert_eq!(analyzed.units.len(), 1, "exactly one analyzed unit");
+    assert!(analyzed.units.iter().all(|u| u.remote), "fleet execution");
     for unit in &analyzed.units {
         assert!(
             !unit.trajectory.is_empty(),
@@ -117,13 +118,40 @@ fn analyze_profile_balances_and_rows_match_topk_bit_for_bit() {
         assert_eq!(a.tuples, b.tuples);
         assert_eq!(a.score.to_bits(), b.score.to_bits(), "bit-exact scores");
     }
+
+    // A cluster query reads what one unsharded operator reads: the remote
+    // unit's depths are a local S = 1 engine's ANALYZE depths on the same
+    // data, and the rows are bit-identical.
+    let local = Session::new(Arc::new(EngineBuilder::default().threads(2).build()));
+    for rel in 0..2 {
+        local.handle(Request::RegisterRelation {
+            name: format!("rel{rel}"),
+            tuples: dataset(rel),
+        });
+    }
+    let local_analyzed = match local.handle(Request::Explain {
+        query: query(),
+        analyze: true,
+    }) {
+        Response::Explain(report) => report.analyzed.expect("local profile"),
+        other => panic!("local explain analyze failed: {other:?}"),
+    };
+    assert_eq!(
+        analyzed.units[0].depths, local_analyzed.total_sum_depths,
+        "the remote unit must read the S = 1 depths"
+    );
+    assert_eq!(analyzed.rows.len(), local_analyzed.rows.len());
+    for (a, b) in analyzed.rows.iter().zip(local_analyzed.rows.iter()) {
+        assert_eq!(a.tuples, b.tuples);
+        assert_eq!(a.score.to_bits(), b.score.to_bits(), "bit-exact scores");
+    }
 }
 
 #[test]
 fn analyze_bypasses_caches_and_plain_mode_skips_execution() {
     let shards = 2;
     let fleet = spawn_fleet(2, shards);
-    let coordinator = coordinator_over(&fleet, shards, 1);
+    let coordinator = coordinator_over(&fleet, shards);
     for rel in 0..2 {
         match coordinator.dispatch_one(Request::RegisterRelation {
             name: format!("rel{rel}"),
@@ -134,7 +162,7 @@ fn analyze_bypasses_caches_and_plain_mode_skips_execution() {
         }
     }
 
-    // Warm both the result cache and the unit cache.
+    // Warm the result cache.
     match coordinator.dispatch_one(Request::TopK(query())) {
         Response::Results { .. } => {}
         other => panic!("warmup failed: {other:?}"),
@@ -150,14 +178,14 @@ fn analyze_bypasses_caches_and_plain_mode_skips_execution() {
         other => panic!("explain failed: {other:?}"),
     };
     assert!(plan_only.analyzed.is_none(), "plan mode must not execute");
-    assert_eq!(plan_only.units.len(), shards);
+    assert_eq!(plan_only.units.len(), 1);
     assert_eq!(
         coordinator.engine().stats().executed,
         executed_before,
         "plan mode leaves the execution counters untouched"
     );
 
-    // ANALYZE after the warmup must still run every unit for real: a
+    // ANALYZE after the warmup must still run its unit for real: a
     // cached profile would report the cache's cost (zero), not the
     // query's.
     let report = match coordinator.dispatch_one(Request::Explain {

@@ -1,12 +1,16 @@
 //! Distributed tracing: a coordinator query over real worker processes
 //! produces ONE stitched trace — the coordinator's `query`/`plan`/`unit`
-//! spans plus every worker's imported `execute_unit`/`run` spans, all
-//! correctly parented — and replica failover is pinned into the trace as
-//! a `failover` event.
+//! spans plus the worker's imported `execute_unit`/`run` spans, all
+//! correctly parented — and worker failover is pinned into the trace as
+//! a `failover` event. Every worker holds a full replica, so any live
+//! worker answers any query, and the coordinator spreads queries over
+//! the fleet round-robin.
 
-use prj_api::{QueryRequest, Request, Response, TupleData};
+use prj_api::{ApiClient, QueryRequest, Request, Response, TupleData};
 use prj_cluster::{ClusterTopology, Coordinator};
+use prj_engine::{EngineBuilder, Session};
 use prj_obs::Span;
+use std::sync::Arc;
 
 type Worker = prj_cluster::SpawnedWorker;
 
@@ -23,30 +27,30 @@ fn spawn_fleet(n: usize, shards: usize) -> Vec<Worker> {
         .collect()
 }
 
-fn coordinator_over(fleet: &[Worker], shards: usize, replicas: usize) -> Coordinator {
-    let topology = ClusterTopology::new(
-        fleet.iter().map(|w| w.addr().to_string()).collect(),
-        shards,
-        replicas,
-    )
-    .expect("topology");
+fn coordinator_over(fleet: &[Worker], shards: usize) -> Coordinator {
+    let topology =
+        ClusterTopology::new(fleet.iter().map(|w| w.addr().to_string()).collect(), shards)
+            .expect("topology");
     Coordinator::builder(topology)
         .threads(2)
         .build()
         .expect("coordinator bootstrap")
 }
 
-fn register_grid(coordinator: &Coordinator, name: &str, n: usize, salt: u64) {
-    let tuples = (0..n)
+fn grid(n: usize, salt: u64) -> Vec<TupleData> {
+    (0..n)
         .map(|i| {
             let x = ((i as u64 * 37 + salt * 11) % 100) as f64 / 10.0 - 5.0;
             let y = ((i as u64 * 53 + salt * 7) % 100) as f64 / 10.0 - 5.0;
             TupleData::new([x, y], ((i % 10) as f64 + 1.0) / 10.0)
         })
-        .collect();
+        .collect()
+}
+
+fn register_grid(coordinator: &Coordinator, name: &str, n: usize, salt: u64) {
     let response = coordinator.dispatch_one(Request::RegisterRelation {
         name: name.to_string(),
-        tuples,
+        tuples: grid(n, salt),
     });
     assert!(
         !matches!(response, Response::Error(_)),
@@ -54,12 +58,23 @@ fn register_grid(coordinator: &Coordinator, name: &str, n: usize, salt: u64) {
     );
 }
 
+fn topk(q: [f64; 2]) -> Request {
+    Request::TopK(QueryRequest::new(vec!["t0".into(), "t1".into()], q.to_vec()).k(5))
+}
+
 fn run_query(coordinator: &Coordinator, q: [f64; 2]) -> Vec<prj_api::ResultRow> {
-    match coordinator.dispatch_one(Request::TopK(
-        QueryRequest::new(vec!["t0".into(), "t1".into()], q.to_vec()).k(5),
-    )) {
+    match coordinator.dispatch_one(topk(q)) {
         Response::Results { rows, .. } => rows,
         other => panic!("query failed: {other:?}"),
+    }
+}
+
+/// Asks a worker process for its work totals directly.
+fn worker_units(worker: &Worker) -> u64 {
+    let mut client = ApiClient::connect(worker.addr()).expect("connect to worker");
+    match client.call(&Request::WorkerStats).expect("wstats") {
+        Response::WorkerReport { units, .. } => units,
+        other => panic!("unexpected worker stats: {other:?}"),
     }
 }
 
@@ -79,7 +94,7 @@ fn query_trace(coordinator: &Coordinator) -> Vec<Span> {
 fn a_distributed_query_yields_one_stitched_trace() {
     let shards = 4;
     let fleet = spawn_fleet(2, shards);
-    let coordinator = coordinator_over(&fleet, shards, 2);
+    let coordinator = coordinator_over(&fleet, shards);
     register_grid(&coordinator, "t0", 40, 0);
     register_grid(&coordinator, "t1", 40, 1);
     let rows = run_query(&coordinator, [0.3, -0.8]);
@@ -94,29 +109,24 @@ fn a_distributed_query_yields_one_stitched_trace() {
         "every span shares the query's trace"
     );
 
-    // Coordinator-side skeleton: plan + one unit per driving shard +
-    // merge, all under the root.
+    // Coordinator-side skeleton: plan + exactly one unit, both under the
+    // root, and nothing to merge.
     let plan = spans.iter().find(|s| s.name == "plan").expect("plan span");
     assert_eq!(plan.parent, Some(root.id));
     let units: Vec<&Span> = spans.iter().filter(|s| s.name == "unit").collect();
-    assert_eq!(units.len(), shards, "one unit span per driving shard");
+    assert_eq!(units.len(), 1, "exactly one unit span");
     assert!(units.iter().all(|u| u.parent == Some(root.id)));
     assert!(units.iter().all(|u| u
         .attrs
         .contains(&("remote".to_string(), "true".to_string()))));
-    let merge = spans.iter().find(|s| s.name == "merge").expect("merge");
-    assert_eq!(merge.parent, Some(root.id));
+    assert!(spans.iter().all(|s| s.name != "merge"), "no merge span");
 
     // Worker-side spans were shipped over the wire and stitched under the
-    // coordinator `unit` spans that dispatched them: every remote unit
+    // coordinator `unit` span that dispatched them: the remote unit
     // carries an imported `execute_unit` child, which in turn carries the
     // operator `run`.
     let remote: Vec<&Span> = spans.iter().filter(|s| s.name == "execute_unit").collect();
-    assert_eq!(
-        remote.len(),
-        shards,
-        "one imported worker span per remote unit"
-    );
+    assert_eq!(remote.len(), 1, "exactly one imported worker span");
     let unit_ids: Vec<_> = units.iter().map(|u| u.id).collect();
     for worker_span in &remote {
         let parent = worker_span.parent.expect("imported spans are parented");
@@ -140,12 +150,13 @@ fn a_distributed_query_yields_one_stitched_trace() {
 fn replica_failover_is_recorded_in_the_trace_and_metrics() {
     let shards = 2;
     let mut fleet = spawn_fleet(2, shards);
-    let coordinator = coordinator_over(&fleet, shards, 2);
+    let coordinator = coordinator_over(&fleet, shards);
     register_grid(&coordinator, "t0", 30, 0);
     register_grid(&coordinator, "t1", 30, 1);
-    // Kill one worker; with replicas=2 the query must still answer, and
-    // the abandoned replica must be visible as a failover event in the
-    // query's trace and in the failover counter.
+    // Kill worker 0, the round-robin's first choice for the first query:
+    // the query must still answer on worker 1, and the abandoned worker
+    // must be visible as a failover event in the query's trace and in the
+    // failover counter.
     drop(fleet.remove(0));
     let rows = run_query(&coordinator, [-1.1, 2.4]);
     assert!(!rows.is_empty(), "replicated fleet must still answer");
@@ -172,15 +183,15 @@ fn replica_failover_is_recorded_in_the_trace_and_metrics() {
     assert!(failovers.value >= 1.0, "got {}", failovers.value);
 }
 
-/// Worker-side stats lanes flow back to the coordinator: after a
-/// distributed query, the cluster-wide stats report carries per-shard
-/// depths and latencies measured on the workers, and their sum matches
-/// the fleet's total depth accounting.
+/// Worker-side totals flow back to the coordinator: after distributed
+/// queries, the cluster-wide stats report carries each worker's depths and
+/// latencies, measured on the workers, one entry per worker, and their sum
+/// matches the fleet's total depth accounting.
 #[test]
 fn worker_lanes_aggregate_into_cluster_stats() {
     let shards = 4;
     let fleet = spawn_fleet(2, shards);
-    let coordinator = coordinator_over(&fleet, shards, 2);
+    let coordinator = coordinator_over(&fleet, shards);
     register_grid(&coordinator, "t0", 40, 0);
     register_grid(&coordinator, "t1", 40, 1);
     run_query(&coordinator, [0.3, -0.8]);
@@ -189,12 +200,62 @@ fn worker_lanes_aggregate_into_cluster_stats() {
     let Response::Stats(report) = coordinator.dispatch_one(Request::Stats) else {
         panic!("stats verb failed");
     };
-    assert_eq!(report.worker_shard_depths.len(), shards);
-    assert_eq!(report.worker_shard_micros.len(), shards);
-    let lane_total: u64 = report.worker_shard_depths.iter().sum();
-    assert!(lane_total > 0, "worker lanes must carry the executed units");
+    assert_eq!(report.worker_depths.len(), fleet.len());
+    assert_eq!(report.worker_micros.len(), fleet.len());
+    let worker_total: u64 = report.worker_depths.iter().sum();
+    assert!(worker_total > 0, "workers must report the executed units");
     assert_eq!(
-        lane_total, report.total_sum_depths,
-        "worker-side lane depths must add up to the fleet's sumDepths"
+        worker_total, report.total_sum_depths,
+        "worker-side depths must add up to the fleet's sumDepths"
     );
+}
+
+/// Round-robin: on a healthy fleet, two queries reach both workers.
+#[test]
+fn queries_rotate_over_the_workers() {
+    let shards = 2;
+    let fleet = spawn_fleet(2, shards);
+    let coordinator = coordinator_over(&fleet, shards);
+    register_grid(&coordinator, "t0", 30, 0);
+    register_grid(&coordinator, "t1", 30, 1);
+    run_query(&coordinator, [0.3, -0.8]);
+    run_query(&coordinator, [-2.0, 1.5]);
+    for (w, worker) in fleet.iter().enumerate() {
+        assert!(worker_units(worker) >= 1, "worker {w} served no unit");
+    }
+}
+
+/// Any live worker serves any query: with worker 0 dead, consecutive
+/// queries at fresh points — whichever worker the rotation picks first —
+/// all equal a local engine's rows bit for bit.
+#[test]
+fn any_live_worker_serves_any_query() {
+    let shards = 2;
+    let mut fleet = spawn_fleet(2, shards);
+    let coordinator = coordinator_over(&fleet, shards);
+    let local = Session::new(Arc::new(
+        EngineBuilder::default().threads(2).shards(shards).build(),
+    ));
+    for (name, salt) in [("t0", 0), ("t1", 1)] {
+        register_grid(&coordinator, name, 30, salt);
+        let request = Request::RegisterRelation {
+            name: name.to_string(),
+            tuples: grid(30, salt),
+        };
+        assert!(!matches!(local.handle(request), Response::Error(_)));
+    }
+    drop(fleet.remove(0));
+    for i in 0..4 {
+        let q = [0.6 * i as f64 - 1.5, 1.1 - 0.4 * i as f64];
+        let Response::Results { rows: expected, .. } = local.handle(topk(q)) else {
+            panic!("local query {i} failed");
+        };
+        let rows = run_query(&coordinator, q);
+        let bits = |rows: &[prj_api::ResultRow]| -> Vec<(Vec<(usize, usize)>, u64)> {
+            rows.iter()
+                .map(|r| (r.tuples.clone(), r.score.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&rows), bits(&expected), "query {i} diverged");
+    }
 }

@@ -100,15 +100,6 @@ impl TopKBuffer {
         true
     }
 
-    /// `true` when [`insert`](Self::insert) would retain `combo` right now —
-    /// the same rank computation, without taking ownership. Lets merge paths
-    /// decide whether a borrowed combination is worth cloning at all.
-    pub fn would_insert(&self, combo: &ScoredCombination) -> bool {
-        self.entries
-            .partition_point(|e| e.compare(combo) != Ordering::Greater)
-            < self.k
-    }
-
     /// The score of the `K`-th best combination retained so far
     /// (`min_{ω ∈ O} S(ω)` in Algorithm 1), or `−∞` when fewer than `K`
     /// combinations have been seen.

@@ -59,7 +59,6 @@ pub mod bounds;
 pub mod combination;
 pub mod dominance;
 pub mod error;
-pub mod merge;
 pub mod naive;
 pub mod operator;
 pub mod problem;
@@ -71,7 +70,6 @@ pub use algorithms::{Algorithm, BoundingSchemeKind, PullStrategyKind};
 pub use bounds::{BoundingScheme, CornerBound, TightBound, TightBoundConfig};
 pub use combination::{ScoredCombination, TopKBuffer};
 pub use error::PrjError;
-pub use merge::{merge_results, merge_shared};
 pub use naive::naive_rank_join;
 pub use operator::{execute, RankJoinResult, RunMetrics, StreamingRun, TrajectoryPoint};
 pub use problem::{Problem, ProblemBuilder, ProxRjConfig, RelationBackend};

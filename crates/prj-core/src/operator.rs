@@ -129,6 +129,25 @@ impl RankJoinResult {
     pub fn trajectory(&self) -> &[TrajectoryPoint] {
         &self.metrics.trajectory
     }
+
+    /// `true` when the result is certified exact for `top_k(k)`: either the
+    /// `k`-th retained score reaches the final bound (within `tolerance`),
+    /// or fewer than `k` combinations exist at all and the bound collapsed
+    /// to `−∞` (exhaustion). This is the validity condition the `sumDepths`
+    /// metric is reported under — the run stopped *because* nothing unseen
+    /// could improve the answer, not because it gave up.
+    pub fn certifies_top_k(&self, k: usize, tolerance: f64) -> bool {
+        if self.metrics.hit_access_cap {
+            return false;
+        }
+        if self.combinations.len() < k {
+            return self.metrics.final_bound == f64::NEG_INFINITY;
+        }
+        match self.combinations.get(k.saturating_sub(1)) {
+            Some(kth) => kth.score >= self.metrics.final_bound - tolerance,
+            None => true, // k == 0: nothing to certify
+        }
+    }
 }
 
 /// The stepping core shared by [`execute`] and [`StreamingRun`]: the mutable
@@ -1041,5 +1060,30 @@ mod tests {
             .map(|t| t.id.index)
             .collect();
         assert_eq!(ids, vec![0, 0]);
+    }
+
+    #[test]
+    fn certifies_top_k_edge_cases() {
+        let empty = RankJoinResult {
+            combinations: Vec::new(),
+            stats: AccessStats::new(1),
+            metrics: RunMetrics {
+                final_bound: f64::NEG_INFINITY,
+                ..RunMetrics::default()
+            },
+        };
+        assert!(empty.certifies_top_k(5, 1e-9), "exhausted empty result");
+        let capped = RankJoinResult {
+            metrics: RunMetrics {
+                final_bound: f64::NEG_INFINITY,
+                hit_access_cap: true,
+                ..RunMetrics::default()
+            },
+            ..empty
+        };
+        assert!(
+            !capped.certifies_top_k(5, 1e-9),
+            "capped run is uncertified"
+        );
     }
 }

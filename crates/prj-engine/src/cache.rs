@@ -1,4 +1,4 @@
-//! The epoch-keyed LRU result caches: whole-query and per-shard.
+//! The epoch-keyed LRU result cache.
 //!
 //! Serving workloads repeat themselves — the same "hotels + restaurants
 //! near the convention centre" top-k is asked again and again — and a ProxRJ
@@ -20,17 +20,6 @@
 //! results computed under the old worker layout are unreachable (layouts
 //! never change *what* is computed, but a generation that survived a
 //! failover is exactly when extra caution is cheapest).
-//!
-//! ## Per-shard entries
-//!
-//! The whole-query [`ResultCache`] dies wholesale on any epoch bump. The
-//! [`UnitCache`] survives partial invalidation: it memoises one *execution
-//! unit* — driving shard `j` joined against whole views of the other
-//! relations — keyed by the driving shard's own epoch (not the whole
-//! vector) plus the other relations' full epoch vectors. An append that
-//! lands on driving shard 2 therefore leaves the cached units of shards 0,
-//! 1, 3… valid: the next query re-executes one unit and re-merges, instead
-//! of recomputing everything.
 //!
 //! Keys quantise nothing: two query points must be bit-identical to share an
 //! entry ([`f64::to_bits`]), which keeps cached results byte-identical to
@@ -96,69 +85,6 @@ impl CacheKey {
     }
 }
 
-/// Key of one memoised *execution unit*: driving shard + everything else
-/// that determines the unit's output. See the module docs for why the
-/// driving relation contributes only its covered shard's epoch.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct UnitKey {
-    /// `(relation index, shard, that shard's epoch)` of the driving slice.
-    drive: (usize, usize, u64),
-    /// The non-driving relations with their full epoch vectors, in join
-    /// order.
-    others: Vec<(usize, Vec<u64>)>,
-    query_bits: Vec<u64>,
-    k: usize,
-    access_kind: AccessKind,
-    /// The *planned* algorithm and dominance period the unit runs under
-    /// (a pinned algorithm changes them, so they are part of the key).
-    algorithm: Algorithm,
-    dominance_period: Option<usize>,
-    scoring_fingerprint: u64,
-    generation: u64,
-}
-
-impl UnitKey {
-    /// Builds a unit key; `drive` is `(relation index, shard index, shard
-    /// epoch)` of the driving slice, `others` the remaining relations with
-    /// their full epoch vectors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        drive: (usize, usize, u64),
-        others: Vec<(usize, Vec<u64>)>,
-        query: &Vector,
-        k: usize,
-        access_kind: AccessKind,
-        plan: &Plan,
-        scoring_fingerprint: u64,
-        generation: u64,
-    ) -> Self {
-        UnitKey {
-            drive,
-            others,
-            query_bits: query.as_slice().iter().map(|c| c.to_bits()).collect(),
-            k,
-            access_kind,
-            algorithm: plan.algorithm,
-            dominance_period: plan.dominance_period,
-            scoring_fingerprint,
-            generation,
-        }
-    }
-
-    /// `true` when the key reads relation `index` at all.
-    pub fn uses_relation(&self, index: usize) -> bool {
-        self.drive.0 == index || self.others.iter().any(|(r, _)| *r == index)
-    }
-
-    /// `true` when a mutation touching `shards` of relation `index` makes
-    /// this entry unreachable: the driving slice was hit, or the relation
-    /// appears as a (whole) non-driving input.
-    pub fn invalidated_by(&self, index: usize, shards: &[usize]) -> bool {
-        (self.drive.0 == index && shards.contains(&self.drive.1))
-            || self.others.iter().any(|(r, _)| *r == index)
-    }
-}
-
 /// A memoised execution: the full operator result plus the plan that
 /// produced it.
 #[derive(Debug)]
@@ -196,9 +122,9 @@ impl CacheMetrics {
     }
 }
 
-#[derive(Debug)]
-struct LruInner<K, V> {
-    entries: HashMap<K, (V, u64)>,
+#[derive(Debug, Default)]
+struct LruInner {
+    entries: HashMap<CacheKey, (Arc<CachedExecution>, u64)>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -206,46 +132,36 @@ struct LruInner<K, V> {
     invalidations: u64,
 }
 
-impl<K, V> Default for LruInner<K, V> {
-    fn default() -> Self {
-        LruInner {
-            entries: HashMap::new(),
-            clock: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            invalidations: 0,
-        }
-    }
-}
-
-/// The shared LRU mechanics behind [`ResultCache`] and [`UnitCache`].
+/// A thread-safe LRU cache of completed whole-query executions.
 ///
 /// Recency is tracked with a logical clock per entry; eviction scans for the
 /// stalest entry, which is O(entries) but only runs on insert overflow —
 /// fine for the few-thousand-entry capacities a result cache wants.
 #[derive(Debug)]
-struct Lru<K, V> {
-    inner: Mutex<LruInner<K, V>>,
+pub struct ResultCache {
+    inner: Mutex<LruInner>,
     capacity: usize,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
-    fn new(capacity: usize) -> Self {
-        Lru {
+impl ResultCache {
+    /// Creates a cache retaining at most `capacity` executions; a capacity of
+    /// 0 disables caching (every lookup misses, inserts are dropped).
+    pub fn new(capacity: usize) -> Self {
+        ResultCache {
             inner: Mutex::new(LruInner::default()),
             capacity,
         }
     }
 
-    fn get(&self, key: &K) -> Option<V> {
+    /// Looks up `key`, marking the entry as recently used.
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedExecution>> {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.clock += 1;
         let clock = inner.clock;
         match inner.entries.get_mut(key) {
             Some((value, used)) => {
                 *used = clock;
-                let value = value.clone();
+                let value = Arc::clone(value);
                 inner.hits += 1;
                 Some(value)
             }
@@ -256,7 +172,9 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
         }
     }
 
-    fn insert(&self, key: K, value: V) {
+    /// Inserts an execution under `key`, evicting the least recently used
+    /// entry if the cache is full.
+    pub fn insert(&self, key: CacheKey, value: Arc<CachedExecution>) {
         if self.capacity == 0 {
             return;
         }
@@ -277,18 +195,24 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
         inner.entries.insert(key, (value, clock));
     }
 
-    /// Drops every entry `predicate` marks unreachable; counts them as
-    /// invalidations and returns how many were purged.
-    fn purge(&self, predicate: impl Fn(&K) -> bool) -> usize {
+    /// Purges every entry whose key reads relation `index`.
+    ///
+    /// Correctness never depends on this — post-mutation keys carry the new
+    /// epoch and cannot match old entries — but the old entries have become
+    /// unreachable garbage, so a mutation reclaims their capacity eagerly
+    /// instead of waiting for LRU pressure. Returns the number of purged
+    /// entries.
+    pub fn invalidate_relation(&self, index: usize) -> usize {
         let mut inner = self.inner.lock().expect("cache lock");
         let before = inner.entries.len();
-        inner.entries.retain(|key, _| !predicate(key));
+        inner.entries.retain(|key, _| !key.uses_relation(index));
         let purged = before - inner.entries.len();
         inner.invalidations += purged as u64;
         purged
     }
 
-    fn metrics(&self) -> CacheMetrics {
+    /// Current counters.
+    pub fn metrics(&self) -> CacheMetrics {
         let inner = self.inner.lock().expect("cache lock");
         CacheMetrics {
             hits: inner.hits,
@@ -299,108 +223,9 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
         }
     }
 
-    fn clear(&self) {
+    /// Drops every entry (counters are preserved).
+    pub fn clear(&self) {
         self.inner.lock().expect("cache lock").entries.clear();
-    }
-}
-
-/// A thread-safe LRU cache of completed whole-query executions.
-#[derive(Debug)]
-pub struct ResultCache {
-    lru: Lru<CacheKey, Arc<CachedExecution>>,
-}
-
-impl ResultCache {
-    /// Creates a cache retaining at most `capacity` executions; a capacity of
-    /// 0 disables caching (every lookup misses, inserts are dropped).
-    pub fn new(capacity: usize) -> Self {
-        ResultCache {
-            lru: Lru::new(capacity),
-        }
-    }
-
-    /// Looks up `key`, marking the entry as recently used.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedExecution>> {
-        self.lru.get(key)
-    }
-
-    /// Inserts an execution under `key`, evicting the least recently used
-    /// entry if the cache is full.
-    pub fn insert(&self, key: CacheKey, value: Arc<CachedExecution>) {
-        self.lru.insert(key, value);
-    }
-
-    /// Purges every entry whose key reads relation `index`.
-    ///
-    /// Correctness never depends on this — post-mutation keys carry the new
-    /// epoch and cannot match old entries — but the old entries have become
-    /// unreachable garbage, so a mutation reclaims their capacity eagerly
-    /// instead of waiting for LRU pressure. Returns the number of purged
-    /// entries.
-    pub fn invalidate_relation(&self, index: usize) -> usize {
-        self.lru.purge(|key| key.uses_relation(index))
-    }
-
-    /// Current counters.
-    pub fn metrics(&self) -> CacheMetrics {
-        self.lru.metrics()
-    }
-
-    /// Drops every entry (counters are preserved).
-    pub fn clear(&self) {
-        self.lru.clear();
-    }
-}
-
-/// A thread-safe LRU cache of completed per-shard execution units (see the
-/// module docs): the piece that lets a single-shard epoch bump invalidate
-/// one unit instead of every whole-query entry that read the relation.
-#[derive(Debug)]
-pub struct UnitCache {
-    lru: Lru<UnitKey, Arc<RankJoinResult>>,
-}
-
-impl UnitCache {
-    /// Creates a cache retaining at most `capacity` unit results; 0
-    /// disables unit caching.
-    pub fn new(capacity: usize) -> Self {
-        UnitCache {
-            lru: Lru::new(capacity),
-        }
-    }
-
-    /// Looks up a unit, marking it as recently used.
-    pub fn get(&self, key: &UnitKey) -> Option<Arc<RankJoinResult>> {
-        self.lru.get(key)
-    }
-
-    /// Inserts a completed unit result.
-    pub fn insert(&self, key: UnitKey, value: Arc<RankJoinResult>) {
-        self.lru.insert(key, value);
-    }
-
-    /// Purges the units a mutation touching `shards` of relation `index`
-    /// made unreachable: units *driving* one of those shards, and units
-    /// reading the relation whole as a non-driving input. Units driving
-    /// *untouched* shards of the relation survive — that is the point of
-    /// this cache. Returns the number purged.
-    pub fn invalidate_shards(&self, index: usize, shards: &[usize]) -> usize {
-        self.lru.purge(|key| key.invalidated_by(index, shards))
-    }
-
-    /// Purges every unit reading relation `index` at all (drops).
-    pub fn invalidate_relation(&self, index: usize) -> usize {
-        self.lru.purge(|key| key.uses_relation(index))
-    }
-
-    /// Current counters.
-    pub fn metrics(&self) -> CacheMetrics {
-        self.lru.metrics()
-    }
-
-    /// Drops every entry (counters are preserved).
-    pub fn clear(&self) {
-        self.lru.clear();
     }
 }
 
@@ -565,58 +390,5 @@ mod tests {
         let m = cache.metrics();
         assert_eq!(m.hits, 1);
         assert_eq!(m.entries, 0);
-    }
-
-    fn unit_key(shard: usize, shard_epoch: u64, other_epochs: Vec<u64>) -> UnitKey {
-        UnitKey::new(
-            (0, shard, shard_epoch),
-            vec![(1, other_epochs)],
-            &Vector::from([0.0, 0.0]),
-            3,
-            AccessKind::Distance,
-            &plan(),
-            7,
-            0,
-        )
-    }
-
-    #[test]
-    fn unit_entries_survive_sibling_shard_bumps() {
-        let cache = UnitCache::new(8);
-        for shard in 0..4 {
-            cache.insert(unit_key(shard, 0, vec![0, 0]), Arc::new(dummy_result()));
-        }
-        // An append landing on driving shard 2 kills only that unit …
-        assert_eq!(cache.invalidate_shards(0, &[2]), 1);
-        assert!(cache.get(&unit_key(0, 0, vec![0, 0])).is_some());
-        assert!(cache.get(&unit_key(1, 0, vec![0, 0])).is_some());
-        assert!(cache.get(&unit_key(2, 0, vec![0, 0])).is_none());
-        assert!(cache.get(&unit_key(3, 0, vec![0, 0])).is_some());
-        // … and the re-executed unit is keyed by the bumped shard epoch.
-        cache.insert(unit_key(2, 1, vec![0, 0]), Arc::new(dummy_result()));
-        assert!(cache.get(&unit_key(2, 1, vec![0, 0])).is_some());
-    }
-
-    #[test]
-    fn unit_entries_die_when_a_non_driving_relation_mutates() {
-        let cache = UnitCache::new(8);
-        for shard in 0..3 {
-            cache.insert(unit_key(shard, 0, vec![0, 0]), Arc::new(dummy_result()));
-        }
-        // Relation 1 is read whole by every unit: any mutation to it
-        // invalidates them all.
-        assert_eq!(cache.invalidate_shards(1, &[0]), 3);
-        assert_eq!(cache.metrics().entries, 0);
-        // And structurally: a key at the bumped epoch vector differs.
-        assert!(cache.get(&unit_key(0, 0, vec![1, 0])).is_none());
-    }
-
-    #[test]
-    fn unit_drop_invalidation_purges_everything_reading_the_relation() {
-        let cache = UnitCache::new(8);
-        cache.insert(unit_key(0, 0, vec![0]), Arc::new(dummy_result()));
-        cache.insert(unit_key(1, 0, vec![0]), Arc::new(dummy_result()));
-        assert_eq!(cache.invalidate_relation(0), 2);
-        assert_eq!(cache.invalidate_relation(0), 0);
     }
 }

@@ -20,10 +20,11 @@
 //! ([`CatalogRelation::distance_view`], …) recombine the shards into one
 //! globally sorted access stream via [`prj_access::MergedAccess`] (ties by
 //! tuple id), so consumers observe exactly the Definition 2.1 contract —
-//! in-process queries run one operator over them and read what an
-//! unsharded relation would yield. Shard-local views
-//! ([`CatalogRelation::shard_distance_view`], …) serve a cluster's per-shard
-//! units and build the merged views.
+//! queries run one operator over them, in process or on the cluster
+//! worker a coordinator sends them to, and read what an unsharded relation
+//! would yield. Shard-local views ([`CatalogRelation::shard_distance_view`],
+//! [`CatalogRelation::shard_score_view`]) are the parts the merged views
+//! are built from.
 //!
 //! ## Mutation and epoch vectors
 //!
@@ -150,9 +151,7 @@ pub struct MutationOutcome {
     pub epoch: u64,
     /// Its cardinality after the mutation (0 for a drop).
     pub cardinality: usize,
-    /// The shards the mutation landed on (every shard for a drop). This is
-    /// what lets the engine's per-shard unit cache purge only the entries
-    /// the mutation actually made unreachable.
+    /// The shards the mutation landed on (every shard for a drop).
     pub touched_shards: Vec<usize>,
 }
 
@@ -572,27 +571,6 @@ impl CatalogRelation {
             shard.delta.max_score(),
         ));
         Box::new(self.merged(vec![base, delta], MergeOrder::DescendingScore))
-    }
-
-    /// A distance view of shard `j` sorted under the scoring function's own
-    /// distance `δ` — the non-Euclidean fallback ( O(|shard| log |shard|) ).
-    /// Base and delta are sorted together; the id tie-break makes the order
-    /// independent of where a tuple currently lives.
-    pub fn shard_distance_view_by<S: ScoringFunction>(
-        &self,
-        j: usize,
-        scoring: &S,
-        query: &Vector,
-    ) -> Box<dyn SortedAccess> {
-        let shard = &self.shards[j];
-        let q = query.clone();
-        let mut tuples = Vec::with_capacity(shard.stats.cardinality);
-        tuples.extend(shard.tuples());
-        let rel = VecRelation::distance_sorted_by(Arc::clone(&self.name), tuples, move |t| {
-            scoring.distance(&t.vector, &q)
-        })
-        .with_max_score(shard.stats.max_score);
-        Box::new(rel)
     }
 
     /// A whole-relation distance-based view: the shards' Euclidean

@@ -11,11 +11,11 @@
 //! publish cost and cluster placement, not of in-process execution: the
 //! merged views are one globally sorted stream per relation, so a query
 //! reads exactly what it would read unsharded and the shard count is
-//! unobservable through results *and* cost counters. Only a cluster
-//! coordinator (a [`RemoteUnitBackend`] that routes driving shards to
-//! worker processes) splits a query into one unit per driving shard and
-//! recombines their certified top-Ks through [`prj_core::merge_shared`].
-//! The caller gets a [`QueryTicket`] to wait on; [`Engine::stream`]
+//! unobservable through results *and* cost counters. A cluster
+//! coordinator (an engine with a [`RemoteUnitBackend`] installed) builds
+//! the same unit and ships it whole to one worker process, which holds a
+//! full replica of the catalog and runs it at the coordinator snapshot's
+//! epochs. The caller gets a [`QueryTicket`] to wait on; [`Engine::stream`]
 //! instead returns a [`ResultStream`] whose
 //! [`next_result`](ResultStream::next_result) pulls certified results one
 //! at a time out of an incremental [`prj_core::StreamingRun`], mirroring
@@ -33,7 +33,7 @@
 //! [`crate::session::Session`], which speaks the versioned `prj-api`
 //! request/response protocol.
 
-use crate::cache::{CacheKey, CacheMetrics, CachedExecution, ResultCache, UnitCache, UnitKey};
+use crate::cache::{CacheKey, CacheMetrics, CachedExecution, ResultCache};
 use crate::catalog::{Catalog, CatalogError, CatalogRelation, MutationOutcome, RelationId};
 use crate::compactor::Compactor;
 use crate::executor::Executor;
@@ -45,7 +45,7 @@ use crate::stats::{EngineStats, EngineStatsSnapshot, QueryRecord, UnitRecord};
 use prj_access::{AccessKind, RelationStats};
 use prj_api::ScoringSelector;
 use prj_core::{
-    merge_shared, Algorithm, EuclideanLogScore, PrjError, Problem, ProblemBuilder, RankJoinResult,
+    Algorithm, EuclideanLogScore, PrjError, Problem, ProblemBuilder, RankJoinResult,
     ScoredCombination, ScoringSpec, StreamingRun, TrajectoryPoint,
 };
 use prj_geometry::Vector;
@@ -78,14 +78,9 @@ pub enum EngineError {
         /// The factory's rejection message.
         reason: String,
     },
-    /// A remote worker needed for an execution unit is unreachable and no
-    /// replica could take over.
-    WorkerUnavailable {
-        /// The driving shard whose unit could not be executed.
-        shard: usize,
-        /// What went wrong on the last attempt.
-        detail: String,
-    },
+    /// No remote worker could execute the query's unit: every worker
+    /// failed or was unreachable. The detail lists each attempt.
+    WorkerUnavailable(String),
     /// The cluster is in a degraded state: the request could not be
     /// completed exactly, and a partial answer would be a lie.
     Degraded(String),
@@ -106,8 +101,8 @@ impl std::fmt::Display for EngineError {
             EngineError::InvalidScoringParams { name, reason } => {
                 write!(f, "invalid parameters for scoring {name:?}: {reason}")
             }
-            EngineError::WorkerUnavailable { shard, detail } => {
-                write!(f, "no worker available for driving shard {shard}: {detail}")
+            EngineError::WorkerUnavailable(detail) => {
+                write!(f, "no worker available: {detail}")
             }
             EngineError::Degraded(detail) => write!(f, "cluster degraded: {detail}"),
             EngineError::StaleReplica(detail) => write!(f, "stale replica: {detail}"),
@@ -240,10 +235,8 @@ pub struct EngineResult {
     /// End-to-end latency observed by the engine.
     pub latency: Duration,
     /// How many execution units actually ran for this query: 0 on a cache
-    /// hit, 1 on an in-process miss. On a cluster coordinator's
-    /// partitioned miss, unit-cache hits are excluded — this is what lets
-    /// a standing query assert that a single-shard append re-executed
-    /// exactly one remote unit.
+    /// hit, 1 on a miss — in process or, on a cluster coordinator, on the
+    /// one worker the unit was routed to.
     pub fresh_units: usize,
 }
 
@@ -333,11 +326,11 @@ impl ResultStream {
     }
 }
 
-/// Everything a [`RemoteUnitBackend`] needs to ship one execution unit to
-/// a worker process: the coordinator snapshot's identity (relation ids +
-/// epoch vectors), the query, and the *pinned* per-unit plan — the worker
-/// replays exactly this plan, so distributed execution is bit-identical to
-/// local execution by construction.
+/// Everything a [`RemoteUnitBackend`] needs to ship a query's one
+/// execution unit to a worker process: the coordinator snapshot's identity
+/// (relation ids + epoch vectors), the query, and the *pinned* plan — the
+/// worker replays exactly this plan over its full replica, so distributed
+/// execution is bit-identical to local execution by construction.
 #[derive(Debug, Clone)]
 pub struct RemoteUnitCall {
     /// The relations to join, in join order (registration ids; replicated
@@ -346,10 +339,6 @@ pub struct RemoteUnitCall {
     /// Per-relation epoch vectors of the snapshot this unit was planned
     /// from; the worker must refuse to execute at any other epochs.
     pub epochs: Vec<Vec<u64>>,
-    /// Index (into `relations`) of the driving relation.
-    pub drive: usize,
-    /// The driving-relation shard this unit covers.
-    pub shard: usize,
     /// The query point.
     pub query: Vector,
     /// The global `K`.
@@ -360,8 +349,6 @@ pub struct RemoteUnitCall {
     pub access_kind: AccessKind,
     /// The planned operator instantiation.
     pub algorithm: Algorithm,
-    /// The planned LP dominance-test period.
-    pub dominance_period: Option<usize>,
     /// Bound-convergence sampling stride (0 = off); the worker replays it
     /// so `EXPLAIN ANALYZE` profiles cover remote units too.
     pub convergence: usize,
@@ -404,7 +391,7 @@ pub struct MutationEvent {
 /// [`Engine::add_mutation_observer`].
 ///
 /// Observers fire *after* the mutation is visible (catalog slot published,
-/// result- and unit-cache entries invalidated), on the mutating thread —
+/// result-cache entries invalidated), on the mutating thread —
 /// a re-query issued from inside the callback sees the new data. Keep the
 /// callback cheap (hand off to a channel); it runs under no engine lock
 /// but it does extend every mutation's latency. Concurrent mutations may
@@ -417,38 +404,35 @@ pub trait MutationObserver: Send + Sync {
     fn mutation(&self, event: &MutationEvent);
 }
 
-/// A pluggable executor for shipping execution units to remote worker
-/// processes. Installed with [`Engine::set_remote_backend`]; `prj-cluster`
-/// provides the TCP implementation (pooled persistent connections over the
-/// `prj/2` wire protocol, replica failover).
+/// A pluggable executor for shipping a query's execution unit to a remote
+/// worker process. Installed with [`Engine::set_remote_backend`], after
+/// which every query's unit goes through it; `prj-cluster` provides the
+/// TCP implementation (pooled persistent connections over the `prj/2` wire
+/// protocol, round-robin worker choice with failover).
 ///
 /// Contract: [`RemoteUnitBackend::execute`] either returns the *complete,
 /// certified* unit result — bit-identical to what running the same plan
 /// locally would produce — or a typed error
 /// ([`EngineError::WorkerUnavailable`] / [`EngineError::StaleReplica`] /
 /// [`EngineError::Degraded`]). Silently truncated results are forbidden;
-/// the merge machinery has no way to detect them.
+/// the engine serves the unit's result as the query's answer.
 pub trait RemoteUnitBackend: Send + Sync {
     /// The topology generation, folded into every cache key so entries
     /// computed under an older worker layout become unreachable after a
     /// failover or rebalance.
     fn generation(&self) -> u64;
 
-    /// `true` when units of this driving shard should be executed
-    /// remotely; `false` falls back to local execution.
-    fn routes(&self, shard: usize) -> bool;
-
-    /// Executes one unit remotely, returning its rehydrated result.
+    /// Executes the unit remotely, returning its rehydrated result.
     fn execute(&self, call: &RemoteUnitCall) -> Result<RankJoinResult, EngineError>;
 }
 
-/// A [`RemoteUnitBackend`] that routes every driving shard to a replica
-/// [`Engine`] in the same process and answers through
-/// [`Engine::execute_unit`]: the cluster's per-shard unit path (unit
-/// cache, merge, epoch check) with no TCP and no worker processes. A test
-/// double. The replica is held weakly, so it may be the coordinator engine
-/// itself — the degenerate fully replicated cluster, always in step —
-/// without the backend keeping its own engine alive.
+/// A [`RemoteUnitBackend`] that sends every unit to a replica [`Engine`]
+/// in the same process and answers through [`Engine::execute_unit`]: the
+/// cluster's remote path (pinned plan, epoch check, run-then-replay
+/// streams) with no TCP and no worker processes. A test double. The
+/// replica is held weakly, so it may be the coordinator engine itself —
+/// the degenerate fully replicated cluster, always in step — without the
+/// backend keeping its own engine alive.
 pub struct InProcessBackend {
     replica: std::sync::Weak<Engine>,
 }
@@ -469,18 +453,10 @@ impl RemoteUnitBackend for InProcessBackend {
         1
     }
 
-    fn routes(&self, _shard: usize) -> bool {
-        true
-    }
-
     fn execute(&self, call: &RemoteUnitCall) -> Result<RankJoinResult, EngineError> {
-        let replica = self
-            .replica
-            .upgrade()
-            .ok_or_else(|| EngineError::WorkerUnavailable {
-                shard: call.shard,
-                detail: "the replica engine was dropped".to_string(),
-            })?;
+        let replica = self.replica.upgrade().ok_or_else(|| {
+            EngineError::WorkerUnavailable("the replica engine was dropped".to_string())
+        })?;
         let scoring = replica
             .scoring_registry()
             .resolve(&call.selector.name, &call.selector.params)?;
@@ -495,14 +471,7 @@ impl RemoteUnitBackend for InProcessBackend {
             convergence: call.convergence,
             trace: None,
         };
-        let (result, _) = replica.execute_unit(
-            &spec,
-            call.drive,
-            call.shard,
-            call.algorithm,
-            call.dominance_period,
-            Some(&call.epochs),
-        )?;
+        let (result, _) = replica.execute_unit(&spec, call.algorithm, Some(&call.epochs))?;
         Ok(result)
     }
 }
@@ -512,7 +481,6 @@ impl RemoteUnitBackend for InProcessBackend {
 pub struct EngineBuilder {
     threads: usize,
     cache_capacity: usize,
-    unit_cache_capacity: usize,
     sharding: ShardingPolicy,
     trace_capacity: usize,
     slow_query_threshold: Option<Duration>,
@@ -524,7 +492,6 @@ impl Default for EngineBuilder {
         EngineBuilder {
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             cache_capacity: 1024,
-            unit_cache_capacity: 4096,
             sharding: ShardingPolicy::default(),
             trace_capacity: 4096,
             slow_query_threshold: None,
@@ -547,13 +514,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Per-shard unit-cache capacity in entries (default 4096; 0 disables
-    /// it). Only consulted for partitioned executions on a cluster
-    /// coordinator (one remote unit per driving shard); it is what lets a
-    /// single-shard epoch bump re-execute one remote unit instead of the
-    /// whole query. In-process queries run one unit and never touch it.
-    pub fn unit_cache_capacity(mut self, capacity: usize) -> Self {
-        self.unit_cache_capacity = capacity;
+    /// Ignores `capacity`: the engine has no unit cache, since every query
+    /// runs one unit and the result cache covers it. Stays only for
+    /// `prjbench/src/check.rs:45` and `prjbench/src/layers.rs:706` until
+    /// ROADMAP item 2 removes those calls.
+    pub fn unit_cache_capacity(self, _capacity: usize) -> Self {
         self
     }
 
@@ -623,7 +588,6 @@ impl EngineBuilder {
             catalog,
             executor: Executor::new(self.threads),
             cache: Arc::new(ResultCache::new(self.cache_capacity)),
-            unit_cache: Arc::new(UnitCache::new(self.unit_cache_capacity)),
             stats: Arc::new(EngineStats::new()),
             planner: Planner::default(),
             registry: Arc::new(ScoringRegistry::with_builtins()),
@@ -635,189 +599,67 @@ impl EngineBuilder {
     }
 }
 
-/// One execution unit: a planned [`Problem`] over the query's relations.
+/// One execution unit: the query's plan and its [`Problem`] over every
+/// relation's shard-merged view.
 struct ExecutionUnit {
-    /// The driving-relation shard the unit enumerates, joined against
-    /// whole-relation merged views of the others — only on a cluster
-    /// coordinator, where each unit is a remote call. `None` is the
-    /// in-process unit, which reads every relation whole.
-    shard: Option<usize>,
     plan: Plan,
     problem: Problem<Arc<dyn ScoringSpec>>,
 }
 
-impl ExecutionUnit {
-    /// The shard number the unit reports on surfaces that carry one
-    /// ([`UnitRecord`] lanes, EXPLAIN unit plans and profiles, the `unit`
-    /// span): its driving shard, or 0 for the whole-relation unit — so the
-    /// lanes still sum to the engine's total `sumDepths`.
-    fn lane(&self) -> usize {
-        self.shard.unwrap_or(0)
-    }
-}
-
-/// The plan reported for the whole query. Every unit carries the query's
-/// one plan; a partitioned query says so in the rationale.
-fn merged_plan(units: &[ExecutionUnit]) -> Plan {
-    let plan = units[0].plan.clone();
-    if units.len() == 1 {
-        return plan;
-    }
-    Plan {
-        rationale: format!(
-            "partitioned over {} driving shards; {}",
-            units.len(),
-            plan.rationale
-        ),
-        ..plan
-    }
-}
-
-/// The owned, `Send` bundle one query's unit executions share: where to
-/// ship remote units, where to memoise them, and the key ingredients both
-/// need. Built from the same snapshot the units were prepared from, so its
-/// epochs always describe exactly the data a unit reads. The unit cache
-/// and the backend only ever see per-shard units; the in-process
-/// whole-relation unit just runs (the whole-query cache covers it).
+/// Where one query's unit runs: here, or — on a cluster coordinator — on a
+/// worker, through the installed backend. Built from the same snapshot the
+/// unit was prepared from, so the call's epochs always describe exactly
+/// the data the unit reads.
 struct UnitExecContext {
-    unit_cache: Arc<UnitCache>,
-    /// Unit caching is only worthwhile for partitioned executions, and
-    /// EXPLAIN ANALYZE turns it off to measure real work.
-    use_unit_cache: bool,
-    backend: Option<Arc<dyn RemoteUnitBackend>>,
-    relations: Vec<RelationId>,
-    epochs: Vec<Vec<u64>>,
-    drive: usize,
-    query: Arc<Vector>,
-    k: usize,
-    access_kind: AccessKind,
-    selector: Option<ScoringSelector>,
-    scoring_fingerprint: u64,
-    generation: u64,
-    /// Bound-convergence sampling stride, forwarded to remote units so
-    /// their trajectories come back over the wire.
-    convergence: usize,
+    /// The backend and the call it is sent (its `trace` filled in at
+    /// execution); `None` runs the unit on the calling thread.
+    remote: Option<(Arc<dyn RemoteUnitBackend>, RemoteUnitCall)>,
     recorder: Arc<Recorder>,
-    /// The query's trace plus the root span unit spans parent under.
+    /// The query's trace plus the root span the `unit` span parents under.
     trace: Option<(TraceId, SpanId)>,
 }
 
-/// How one unit's result was obtained.
-///
-/// The result stays behind the `Arc` the unit cache hands out (or the one a
-/// fresh run is wrapped in before insertion): a cache hit never deep-copies
-/// the memoised combinations, and the merge reads the parts by reference
-/// ([`prj_core::merge_shared`]).
+/// How the query's unit ran.
 struct UnitOutcome {
-    /// The unit's [`ExecutionUnit::lane`].
-    shard: usize,
-    result: Arc<RankJoinResult>,
+    result: RankJoinResult,
     elapsed: Duration,
-    /// `false` when the result came out of the unit cache (no accesses
-    /// were performed for it this query).
-    fresh: bool,
     /// `true` when the unit was shipped to a remote worker.
     remote: bool,
 }
 
+impl UnitOutcome {
+    /// The unit's [`UnitRecord`]: every unit reports on lane 0, so the
+    /// lanes add up to the engine's total `sumDepths`.
+    fn record(&self) -> UnitRecord {
+        UnitRecord {
+            shard: 0,
+            sum_depths: self.result.sum_depths(),
+            latency: self.elapsed,
+        }
+    }
+}
+
 impl UnitExecContext {
-    fn unit_key(&self, shard: usize, plan: &Plan) -> UnitKey {
-        let drive_epoch = self.epochs[self.drive]
-            .get(shard)
-            .copied()
-            .unwrap_or_default();
-        let others = self
-            .relations
-            .iter()
-            .zip(self.epochs.iter())
-            .enumerate()
-            .filter(|(idx, _)| *idx != self.drive)
-            .map(|(_, (id, epochs))| (id.index(), epochs.clone()))
-            .collect();
-        UnitKey::new(
-            (self.relations[self.drive].index(), shard, drive_epoch),
-            others,
-            &self.query,
-            self.k,
-            self.access_kind,
-            plan,
-            self.scoring_fingerprint,
-            self.generation,
-        )
-    }
-
-    /// Begins this query's `unit` span for `lane`, parented under the
-    /// query's root span (`None` when the query carries no trace).
-    fn unit_span(&self, lane: usize) -> Option<SpanGuard> {
-        let (trace, parent) = self.trace?;
-        let mut span = self.recorder.child(trace, parent, "unit");
-        span.attr("shard", lane);
-        Some(span)
-    }
-
-    /// Executes one unit. A per-shard unit consults the unit cache, then
-    /// goes to the remote backend when it routes the shard; everything
-    /// else runs here, on the calling thread.
-    fn execute(&self, unit: ExecutionUnit) -> Result<UnitOutcome, EngineError> {
-        let mut unit = unit;
-        let lane = unit.lane();
-        let mut span = self.unit_span(lane);
-        let key = unit
-            .shard
-            .filter(|_| self.use_unit_cache)
-            .map(|shard| self.unit_key(shard, &unit.plan));
-        if let Some(key) = &key {
-            if let Some(hit) = self.unit_cache.get(key) {
-                if let Some(mut span) = span {
-                    span.attr("cache", "hit");
-                    span.finish();
-                }
-                return Ok(UnitOutcome {
-                    shard: lane,
-                    result: hit,
-                    elapsed: Duration::ZERO,
-                    fresh: false,
-                    remote: false,
-                });
-            }
-        }
+    /// Executes the unit: on the remote backend when one is installed,
+    /// otherwise here, on the calling thread, under a `unit` span.
+    fn execute(self, mut unit: ExecutionUnit) -> Result<UnitOutcome, EngineError> {
+        let span = self.trace.map(|(trace, parent)| {
+            let mut span = self.recorder.child(trace, parent, "unit");
+            span.attr("shard", 0);
+            span.attr("remote", self.remote.is_some());
+            span
+        });
         let started = Instant::now();
-        let remote = unit
-            .shard
-            .zip(self.backend.as_ref())
-            .filter(|(shard, b)| b.routes(*shard));
-        let was_remote = remote.is_some();
-        if let Some(span) = span.as_mut() {
-            span.attr("remote", was_remote);
-        }
-        let result = match remote {
-            Some((shard, backend)) => {
-                let selector = self.selector.clone().ok_or_else(|| {
-                    EngineError::Degraded(
-                        "the query's scoring has no wire selector; it cannot be \
-                         executed on remote workers"
-                            .to_string(),
-                    )
-                })?;
-                backend.execute(&RemoteUnitCall {
-                    relations: self.relations.clone(),
-                    epochs: self.epochs.clone(),
-                    drive: self.drive,
-                    shard,
-                    query: (*self.query).clone(),
-                    k: self.k,
-                    selector,
-                    access_kind: self.access_kind,
-                    algorithm: unit.plan.algorithm,
-                    dominance_period: unit.plan.dominance_period,
-                    convergence: self.convergence,
-                    // The worker's spans stitch under this unit span; a
-                    // non-recording guard (disabled ring) sends nothing.
-                    trace: span
-                        .as_ref()
-                        .filter(|s| s.recording())
-                        .and_then(|s| self.trace.map(|(trace, _)| (trace, s.id()))),
-                })?
+        let remote = self.remote.is_some();
+        let result = match self.remote {
+            Some((backend, mut call)) => {
+                // The worker's spans stitch under this unit span; a
+                // non-recording guard (disabled ring) sends nothing.
+                call.trace = span
+                    .as_ref()
+                    .filter(|s| s.recording())
+                    .and_then(|s| self.trace.map(|(trace, _)| (trace, s.id())));
+                backend.execute(&call)?
             }
             None => unit
                 .plan
@@ -830,101 +672,11 @@ impl UnitExecContext {
             span.attr("sum_depths", result.sum_depths());
             span.finish();
         }
-        let result = Arc::new(result);
-        if let Some(key) = key {
-            self.unit_cache.insert(key, Arc::clone(&result));
-        }
         Ok(UnitOutcome {
-            shard: lane,
             result,
             elapsed,
-            fresh: true,
-            remote: was_remote,
+            remote,
         })
-    }
-}
-
-/// Executes every unit, returning the per-unit outcomes in
-/// completion-independent unit order. An in-process query has one unit and
-/// runs it on the calling thread; only a cluster coordinator's
-/// per-shard units fan out.
-fn fan_out_units(
-    units: Vec<ExecutionUnit>,
-    ctx: &UnitExecContext,
-) -> Vec<Result<UnitOutcome, EngineError>> {
-    if units.len() == 1 {
-        let unit = units.into_iter().next().expect("one unit");
-        vec![ctx.execute(unit)]
-    } else {
-        // Per-shard units are blocking network calls to distinct workers
-        // (plus, on a partially routed cluster, local shard units); scoped
-        // threads run them side by side under the query's one run permit,
-        // so a partitioned query never waits on permits it holds itself.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = units
-                .into_iter()
-                .map(|unit| scope.spawn(move || ctx.execute(unit)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("unit thread panicked"))
-                .collect()
-        })
-    }
-}
-
-/// Runs every unit — in parallel when there is more than one — and merges
-/// the certified per-unit results into the exact global top-`k`. Returns
-/// the merged result plus one [`UnitRecord`] per unit that *freshly* ran
-/// (sparse: empty driving slices and unit-cache hits contribute none).
-fn run_units(
-    units: Vec<ExecutionUnit>,
-    k: usize,
-    ctx: &UnitExecContext,
-) -> Result<(RankJoinResult, Vec<UnitRecord>), EngineError> {
-    let outcomes = fan_out_units(units, ctx);
-    let mut parts: Vec<Arc<RankJoinResult>> = Vec::with_capacity(outcomes.len());
-    let mut unit_records = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        let outcome = outcome?;
-        if outcome.fresh {
-            unit_records.push(UnitRecord {
-                shard: outcome.shard,
-                sum_depths: outcome.result.sum_depths(),
-                latency: outcome.elapsed,
-            });
-        }
-        parts.push(outcome.result);
-    }
-    Ok((merge_unit_parts(k, parts, ctx), unit_records))
-}
-
-/// Merges certified per-unit results into the exact global top-`k`
-/// (recording a `merge` span when several parts recombine).
-fn merge_unit_parts(
-    k: usize,
-    mut parts: Vec<Arc<RankJoinResult>>,
-    ctx: &UnitExecContext,
-) -> RankJoinResult {
-    if parts.len() == 1 {
-        // A freshly run, uncached unit holds the only reference and is
-        // moved out without copying; a unit-cache hit stays shared with
-        // the cache and must be cloned.
-        Arc::try_unwrap(parts.pop().expect("one part")).unwrap_or_else(|arc| (*arc).clone())
-    } else {
-        let n = parts.len();
-        let span = ctx
-            .trace
-            .map(|(trace, parent)| ctx.recorder.child(trace, parent, "merge"));
-        // Merge by reference: only the combinations that actually enter
-        // the global top-k are cloned out of the (possibly cache-shared)
-        // per-unit results.
-        let merged = merge_shared(k, parts.iter().map(|p| p.as_ref()));
-        if let Some(mut span) = span {
-            span.attr("parts", n);
-            span.finish();
-        }
-        merged
     }
 }
 
@@ -960,11 +712,10 @@ impl QueryAccount {
         }
     }
 
-    /// Accounts an executed query: a [`QueryRecord`] whose `sumDepths`
-    /// counts only the accesses `units` freshly performed (unit-cache hits
-    /// did none, and the per-shard lanes must keep adding up to the
-    /// engine-wide total), the root span's `cache` status and the result's
-    /// `sum_depths`, and the trace's finish at `latency`.
+    /// Accounts an executed query: a [`QueryRecord`] whose `sumDepths` is
+    /// what `units` performed (so the per-shard lanes keep adding up to
+    /// the engine-wide total), the root span's `cache` status and the
+    /// result's `sum_depths`, and the trace's finish at `latency`.
     fn executed(
         self,
         cache: &str,
@@ -1048,35 +799,33 @@ pub struct RelationPlanData {
     pub cardinality: u64,
     /// Score skewness the planner discounted the expected depth by.
     pub skew: f64,
-    /// The discounted-depth estimate; the planner drives the relation
-    /// maximising this.
+    /// The discounted-depth estimate; [`Planner::choose_driving`] reports
+    /// the relation maximising this as `drive`.
     pub discount: f64,
 }
 
-/// One execution unit's plan, as EXPLAIN reports it.
+/// The execution unit's plan, as EXPLAIN reports it.
 #[derive(Debug, Clone)]
 pub struct UnitPlanData {
-    /// Driving-relation shard this unit enumerates; 0 for the in-process
-    /// unit, which reads every relation whole.
+    /// Always 0: the unit reads every relation whole.
     pub shard: usize,
-    /// The per-unit plan (algorithm, dominance period, rationale).
+    /// The unit's plan (algorithm, dominance period, rationale).
     pub plan: Plan,
 }
 
 /// One executed unit's profile (EXPLAIN ANALYZE only).
 #[derive(Debug, Clone)]
 pub struct UnitProfileData {
-    /// Driving-relation shard this unit enumerated; 0 for the in-process
-    /// unit, which reads every relation whole.
+    /// Always 0: the unit reads every relation whole.
     pub shard: usize,
     /// What the unit read: `"fresh"` (compacted bases only) or
     /// `"delta-merged"` (some shard it read still carried unfolded deltas).
-    /// ANALYZE bypasses the unit cache, so `"hit"` never appears here —
-    /// the profile always measures real work.
+    /// ANALYZE bypasses the result cache, so the profile always measures
+    /// real work.
     pub cache: &'static str,
     /// `true` when the unit ran on a remote worker.
     pub remote: bool,
-    /// Sorted accesses this unit performed (its `sumDepths` share).
+    /// Sorted accesses this unit performed (the query's `sumDepths`).
     pub depths: u64,
     /// Wall-clock unit latency in µs.
     pub micros: u64,
@@ -1084,18 +833,18 @@ pub struct UnitProfileData {
     pub trajectory: Vec<TrajectoryPoint>,
 }
 
-/// The executed half of an EXPLAIN ANALYZE report: the merged result (rows
-/// bit-identical to what a plain query would return) plus per-unit
-/// profiles whose depths sum exactly to `total_sum_depths`.
+/// The executed half of an EXPLAIN ANALYZE report: the result (rows
+/// bit-identical to what a plain query would return) plus the unit's
+/// profile, whose depths equal `total_sum_depths`.
 #[derive(Debug)]
 pub struct AnalyzeData {
-    /// The merged certified top-k result.
+    /// The certified top-k result.
     pub result: RankJoinResult,
     /// End-to-end latency of the analyzed execution.
     pub latency: Duration,
     /// Total sorted accesses across all units (`Σ units[i].depths`).
     pub total_sum_depths: u64,
-    /// Per-unit execution profiles, in unit order.
+    /// The execution unit's profile (one entry).
     pub units: Vec<UnitProfileData>,
 }
 
@@ -1103,15 +852,16 @@ pub struct AnalyzeData {
 /// layer converts it to the wire shape).
 #[derive(Debug)]
 pub struct ExplainData {
-    /// The merged whole-query plan.
+    /// The whole-query plan.
     pub plan: Plan,
-    /// Index (into the query's relation list) of the driving relation.
+    /// Index (into the query's relation list) of the relation
+    /// [`Planner::choose_driving`] picks.
     pub drive: usize,
     /// The k the query runs at.
     pub k: usize,
     /// Planner inputs per relation, in the query's relation order.
     pub relations: Vec<RelationPlanData>,
-    /// Per-unit plans, in unit order.
+    /// The execution unit's plan (one entry).
     pub units: Vec<UnitPlanData>,
     /// Present under ANALYZE: the profiled execution.
     pub analyzed: Option<AnalyzeData>,
@@ -1122,7 +872,6 @@ pub struct Engine {
     catalog: Arc<Catalog>,
     executor: Executor,
     cache: Arc<ResultCache>,
-    unit_cache: Arc<UnitCache>,
     stats: Arc<EngineStats>,
     planner: Planner,
     registry: Arc<ScoringRegistry>,
@@ -1163,9 +912,8 @@ impl Engine {
     }
 
     /// Appends pre-tagged tuples to a relation; bumps its epoch and purges
-    /// the now-unreachable cache entries. Whole-query entries reading the
-    /// relation all die; per-shard unit entries survive unless the append
-    /// landed on their driving shard (or they read the relation whole).
+    /// the now-unreachable cache entries (every entry reading the
+    /// relation).
     pub fn append(
         &self,
         id: RelationId,
@@ -1174,8 +922,6 @@ impl Engine {
         let rows = tuples.iter().map(|t| (t.vector.clone(), t.score)).collect();
         let outcome = self.catalog.append(id, tuples)?;
         self.cache.invalidate_relation(id.index());
-        self.unit_cache
-            .invalidate_shards(id.index(), &outcome.touched_shards);
         self.notify_compactor();
         Ok(self.committed(MutationKind::Append, outcome, rows))
     }
@@ -1190,8 +936,6 @@ impl Engine {
         let appended = Arc::from(rows.as_slice());
         let outcome = self.catalog.append_rows(id, rows)?;
         self.cache.invalidate_relation(id.index());
-        self.unit_cache
-            .invalidate_shards(id.index(), &outcome.touched_shards);
         self.notify_compactor();
         Ok(self.committed(MutationKind::Append, outcome, appended))
     }
@@ -1216,7 +960,6 @@ impl Engine {
     pub fn drop_relation(&self, id: RelationId) -> Result<MutationOutcome, EngineError> {
         let outcome = self.catalog.drop_relation(id)?;
         self.cache.invalidate_relation(id.index());
-        self.unit_cache.invalidate_relation(id.index());
         Ok(self.committed(MutationKind::Drop, outcome, Arc::new([])))
     }
 
@@ -1276,10 +1019,9 @@ impl Engine {
         outcome
     }
 
-    /// Installs the remote execution backend: from now on, execution units
-    /// whose driving shard the backend routes are shipped to workers
-    /// instead of running locally, and every cache key carries the
-    /// backend's topology generation.
+    /// Installs the remote execution backend: from now on, every query's
+    /// execution unit is shipped to a worker instead of running locally,
+    /// and every cache key carries the backend's topology generation.
     pub fn set_remote_backend(&self, backend: Arc<dyn RemoteUnitBackend>) {
         *self.remote.write().expect("remote backend lock") = Some(backend);
     }
@@ -1323,9 +1065,12 @@ impl Engine {
         self.cache.metrics()
     }
 
-    /// Per-shard unit-cache counters.
+    /// Always [`CacheMetrics::default()`]: the engine has no unit cache.
+    /// Stays only for `prjbench/src/check.rs:45` and
+    /// `prjbench/src/layers.rs:706` until ROADMAP item 2 removes those
+    /// calls.
     pub fn unit_cache_metrics(&self) -> CacheMetrics {
-        self.unit_cache.metrics()
+        CacheMetrics::default()
     }
 
     /// The observability bundle (span recorder + metrics registry).
@@ -1431,75 +1176,24 @@ impl Engine {
         Ok(())
     }
 
-    /// Plans and builds the execution units for one query.
-    ///
-    /// The query is planned once ([`Self::plan_query`]) and every unit
-    /// carries that plan.
-    ///
-    /// In process — no remote backend routing any of the driving
-    /// relation's shards — this is **one** unit over every relation's
-    /// shard-merged view ([`CatalogRelation::distance_view`] and friends).
-    /// The merged views are globally sorted streams (ties by tuple id), so
-    /// the unit reads exactly what an unsharded engine reads.
-    ///
-    /// On a cluster coordinator the combination space is instead split
-    /// over the *driving* relation's shards — chosen by the planner's
-    /// estimated-`sumDepths` cost model ([`Planner::choose_driving`]) — so
-    /// unit `j` joins shard `j` of the driving relation with whole views of
-    /// the others, every combination is produced by exactly one unit, and
-    /// the per-unit certified top-Ks recombine exactly
-    /// ([`prj_core::merge_shared`]). Each such unit is a remote call;
-    /// units whose driving shard is empty cannot produce a combination and
-    /// are skipped.
-    ///
-    /// Returns the driving relation index alongside the units (EXPLAIN
-    /// reports it on both paths).
-    fn prepare_units(
+    /// Plans and builds the query's one execution unit: a [`Problem`] over
+    /// every relation's shard-merged view ([`CatalogRelation::distance_view`]
+    /// and friends), under the query's one plan ([`Self::plan_query`]). The
+    /// merged views are globally sorted streams (ties by tuple id), so the
+    /// unit reads exactly what an unsharded engine reads. A cluster
+    /// coordinator builds the same unit and ships it whole to one worker.
+    /// Runs under a `plan` span beneath `trace`'s root span, if any.
+    fn prepare_unit(
         &self,
         spec: &QuerySpec,
         snapshot: &[Arc<CatalogRelation>],
-    ) -> Result<(usize, Vec<ExecutionUnit>), EngineError> {
-        let reducible = spec.scoring.euclidean_weights().is_some();
-        // The query vector is cloned ONCE per query and shared behind an
-        // `Arc` by every unit's problem and every relation view — not
-        // re-cloned per unit (see `Problem::query_shared`).
-        let query = Arc::new(spec.query.clone());
+        trace: Option<(TraceId, SpanId)>,
+    ) -> Result<ExecutionUnit, EngineError> {
+        let _plan_span = trace.map(|(trace, root)| self.obs.recorder().child(trace, root, "plan"));
         let stats: Vec<RelationStats> = snapshot.iter().map(|r| r.stats()).collect();
-        let drive = self.planner.choose_driving(&stats);
+        let reducible = spec.scoring.euclidean_weights().is_some();
         let plan = self.plan_query(spec, reducible, &stats);
-        let shards = snapshot[drive].num_shards();
-        let partitioned = self
-            .remote_backend()
-            .is_some_and(|b| (0..shards).any(|j| b.routes(j)));
-        if !partitioned {
-            let unit = Self::build_unit(spec, snapshot, &query, reducible, drive, None, plan)?;
-            return Ok((drive, vec![unit]));
-        }
-        let nonempty: Vec<usize> = (0..shards)
-            .filter(|&j| snapshot[drive].shard(j).stats().cardinality > 0)
-            .collect();
-        // An entirely empty driving relation still needs one unit so the
-        // query produces a well-formed (empty) result with real metrics.
-        let selected = if shards == 1 || nonempty.is_empty() {
-            vec![0]
-        } else {
-            nonempty
-        };
-        let units = selected
-            .into_iter()
-            .map(|j| {
-                Self::build_unit(
-                    spec,
-                    snapshot,
-                    &query,
-                    reducible,
-                    drive,
-                    Some(j),
-                    plan.clone(),
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((drive, units))
+        Self::build_unit(spec, snapshot, reducible, plan)
     }
 
     /// The query's one plan: its pinned algorithm, or the planner's pick
@@ -1515,95 +1209,78 @@ impl Engine {
         }
     }
 
-    /// Builds one execution unit under an already-decided plan: every
-    /// relation through its whole-relation merged view, except that a
-    /// per-shard unit narrows the driving relation to its shard. Relations
-    /// keep their client-given join order, so member tuples of results come
-    /// out in the same order at every driving choice.
+    /// Builds the execution unit under an already-decided plan, every
+    /// relation through its whole-relation merged view. Relations keep
+    /// their client-given join order. The query vector is cloned once and
+    /// shared behind an `Arc` by the problem and every relation view (see
+    /// `Problem::query_shared`).
     fn build_unit(
         spec: &QuerySpec,
         snapshot: &[Arc<CatalogRelation>],
-        query: &Arc<Vector>,
         reducible: bool,
-        drive: usize,
-        shard: Option<usize>,
         plan: Plan,
     ) -> Result<ExecutionUnit, EngineError> {
-        let mut builder = ProblemBuilder::new(Arc::clone(query), Arc::clone(&spec.scoring))
+        let query = Arc::new(spec.query.clone());
+        let mut builder = ProblemBuilder::new(Arc::clone(&query), Arc::clone(&spec.scoring))
             .k(spec.k)
             .access_kind(spec.access_kind)
             .dominance_period(plan.dominance_period)
             .convergence_every(spec.convergence);
-        for (idx, relation) in snapshot.iter().enumerate() {
-            let view = match shard.filter(|_| idx == drive) {
-                Some(j) => match spec.access_kind {
-                    AccessKind::Distance if reducible => {
-                        relation.shard_distance_view(j, Arc::clone(query))
-                    }
-                    AccessKind::Distance => {
-                        relation.shard_distance_view_by(j, &spec.scoring, &spec.query)
-                    }
-                    AccessKind::Score => relation.shard_score_view(j),
-                },
-                None => match spec.access_kind {
-                    AccessKind::Distance if reducible => relation.distance_view(Arc::clone(query)),
-                    // Non-Euclidean proximity: the shared R-trees'
-                    // Euclidean frontiers would disagree with the scoring's
-                    // own distance, so fall back to a per-query sort under δ.
-                    AccessKind::Distance => relation.distance_view_by(&spec.scoring, &spec.query),
-                    AccessKind::Score => relation.score_view(),
-                },
+        for relation in snapshot {
+            let view = match spec.access_kind {
+                AccessKind::Distance if reducible => relation.distance_view(Arc::clone(&query)),
+                // Non-Euclidean proximity: the shared R-trees' Euclidean
+                // frontiers would disagree with the scoring's own distance,
+                // so fall back to a per-query sort under δ.
+                AccessKind::Distance => relation.distance_view_by(&spec.scoring, &spec.query),
+                AccessKind::Score => relation.score_view(),
             };
             builder = builder.relation(view);
         }
         let problem = builder.build().map_err(EngineError::Prj)?;
-        Ok(ExecutionUnit {
-            shard,
-            plan,
-            problem,
-        })
+        Ok(ExecutionUnit { plan, problem })
     }
 
-    /// Whether a unit reads any unfolded delta: its driving shard's for a
-    /// per-shard unit, any shard's of every other relation it reads whole.
-    fn reads_delta(snapshot: &[Arc<CatalogRelation>], drive: usize, shard: Option<usize>) -> bool {
-        snapshot
-            .iter()
-            .enumerate()
-            .any(|(idx, relation)| match shard.filter(|_| idx == drive) {
-                Some(j) => relation.shard(j).delta_len() > 0,
-                None => relation.delta_len() > 0,
-            })
-    }
-
-    /// The shared execution context of one query's units, built from the
-    /// same snapshot the units were prepared from.
+    /// Where the query's unit runs, built from the same snapshot the unit
+    /// was prepared from. With a remote backend installed this is the call
+    /// a worker replays, epoch vectors included; without one, nothing is
+    /// copied.
     fn unit_context(
         &self,
         spec: &QuerySpec,
         snapshot: &[Arc<CatalogRelation>],
-        drive: usize,
+        plan: &Plan,
         trace: Option<(TraceId, SpanId)>,
-    ) -> UnitExecContext {
-        UnitExecContext {
-            unit_cache: Arc::clone(&self.unit_cache),
-            // Only per-shard units consult it, and only partitioned
-            // executions have several.
-            use_unit_cache: snapshot[drive].num_shards() > 1,
-            backend: self.remote_backend(),
-            relations: spec.relations.clone(),
-            epochs: snapshot.iter().map(|r| r.epochs()).collect(),
-            drive,
-            query: Arc::new(spec.query.clone()),
-            k: spec.k,
-            access_kind: spec.access_kind,
-            selector: spec.selector.clone(),
-            scoring_fingerprint: spec.scoring.cache_fingerprint(),
-            generation: self.topology_generation(),
-            convergence: spec.convergence,
+    ) -> Result<UnitExecContext, EngineError> {
+        let remote = match self.remote_backend() {
+            None => None,
+            Some(backend) => {
+                let selector = spec.selector.clone().ok_or_else(|| {
+                    EngineError::Degraded(
+                        "the query's scoring has no wire selector; it cannot be \
+                         executed on remote workers"
+                            .to_string(),
+                    )
+                })?;
+                let call = RemoteUnitCall {
+                    relations: spec.relations.clone(),
+                    epochs: snapshot.iter().map(|r| r.epochs()).collect(),
+                    query: spec.query.clone(),
+                    k: spec.k,
+                    selector,
+                    access_kind: spec.access_kind,
+                    algorithm: plan.algorithm,
+                    convergence: spec.convergence,
+                    trace: None,
+                };
+                Some((backend, call))
+            }
+        };
+        Ok(UnitExecContext {
+            remote,
             recorder: Arc::clone(self.obs.recorder()),
             trace,
-        }
+        })
     }
 
     /// Submits a query and returns a ticket to wait on.
@@ -1656,25 +1333,21 @@ impl Engine {
             return (QueryTicket { receiver }, None);
         }
 
-        let prepared = {
-            let plan_span = account
-                .parent()
-                .map(|(trace, root)| self.obs.recorder().child(trace, root, "plan"));
-            let prepared = self.prepare_units(&spec, &snapshot);
-            drop(plan_span);
-            prepared
-        };
+        let prepared = self
+            .prepare_unit(&spec, &snapshot, account.parent())
+            .and_then(|unit| {
+                let ctx = self.unit_context(&spec, &snapshot, &unit.plan, account.parent())?;
+                Ok((unit, ctx))
+            });
         let miss = match prepared {
             Err(e) => {
                 let _ = sender.send(Err(e));
                 None
             }
-            Ok((drive, units)) => {
-                let plan = merged_plan(&units);
-                let k = spec.k;
+            Ok((unit, ctx)) => {
+                let plan = unit.plan.clone();
                 let cache = Arc::clone(&self.cache);
                 let relations: Vec<usize> = spec.relations.iter().map(|r| r.index()).collect();
-                let ctx = self.unit_context(&spec, &snapshot, drive, account.parent());
                 Some(move || {
                     // Re-check the cache at execution time: a duplicate query
                     // queued behind the first execution of this key should be
@@ -1690,19 +1363,21 @@ impl Engine {
                         }));
                         return;
                     }
-                    let outcome = run_units(units, k, &ctx);
-                    let response = match outcome {
-                        Ok((result, unit_records)) => {
+                    let response = match ctx.execute(unit) {
+                        Ok(outcome) => {
                             let latency = started.elapsed();
-                            let fresh_units = unit_records.len();
-                            account.executed("miss", &result, unit_records, &relations, latency);
-                            let execution = Arc::new(CachedExecution { result, plan });
+                            let records = vec![outcome.record()];
+                            account.executed("miss", &outcome.result, records, &relations, latency);
+                            let execution = Arc::new(CachedExecution {
+                                result: outcome.result,
+                                plan,
+                            });
                             cache.insert(key, Arc::clone(&execution));
                             Ok(EngineResult {
                                 execution,
                                 from_cache: false,
                                 latency,
-                                fresh_units,
+                                fresh_units: 1,
                             })
                         }
                         Err(e) => {
@@ -1725,23 +1400,22 @@ impl Engine {
     /// EXPLAIN / EXPLAIN ANALYZE: reports how the engine would execute (or
     /// did execute) `spec`, without going through the result cache.
     ///
-    /// Plan mode (`analyze == false`) runs exactly the planner — driving
-    /// choice, the query's plan carried by every unit, the relation
-    /// statistics the driving choice consumed — and executes nothing.
+    /// Plan mode (`analyze == false`) runs exactly the planner — the
+    /// query's plan, the relation statistics, and the driving relation
+    /// [`Planner::choose_driving`] picks from them — and executes nothing.
     ///
-    /// ANALYZE executes the plan for real, but measures *real work*: both
-    /// the result cache and the per-shard unit cache are bypassed (no hits
-    /// served, nothing inserted), so every unit profile reports the
-    /// accesses that execution actually performed and the per-unit depths
-    /// sum exactly to the `sumDepths` the engine's statistics advance by.
-    /// Bound-convergence capture is forced on (at
+    /// ANALYZE executes the plan for real, but measures *real work*: the
+    /// result cache is bypassed (no hit served, nothing inserted), so the
+    /// unit profile reports the accesses that execution actually performed
+    /// and its depths equal the `sumDepths` the engine's statistics advance
+    /// by. Bound-convergence capture is forced on (at
     /// `ANALYZE_CONVERGENCE_EVERY` unless the spec pinned a stride), and
     /// the run is accounted like any executed query: metrics, engine
-    /// stats, spans, and the trace drain all see it.
+    /// stats, spans and the retained trace all see it.
     ///
-    /// The merged rows under ANALYZE are bit-identical to what the same
-    /// spec would return through [`Engine::query`]: the units, the plan,
-    /// and the merge are shared code — only the caching policy differs.
+    /// The rows under ANALYZE are bit-identical to what the same spec
+    /// would return through [`Engine::query`]: the unit, the plan and where
+    /// it runs are shared code — only the caching policy differs.
     pub fn explain(&self, mut spec: QuerySpec, analyze: bool) -> Result<ExplainData, EngineError> {
         if analyze && spec.convergence == 0 {
             spec.convergence = ANALYZE_CONVERGENCE_EVERY;
@@ -1752,82 +1426,59 @@ impl Engine {
         if let Some(root) = account.root.as_mut() {
             root.attr("explain", if analyze { "analyze" } else { "plan" });
         }
+        let stats: Vec<RelationStats> = snapshot.iter().map(|r| r.stats()).collect();
         let relations: Vec<RelationPlanData> = snapshot
             .iter()
-            .map(|relation| {
-                let stats = relation.stats();
-                RelationPlanData {
-                    name: relation.name().to_string(),
-                    cardinality: stats.cardinality as u64,
-                    skew: stats.score_skewness,
-                    discount: stats.cardinality as f64 / (1.0 + stats.score_skewness.max(0.0)),
-                }
+            .zip(&stats)
+            .map(|(relation, stats)| RelationPlanData {
+                name: relation.name().to_string(),
+                cardinality: stats.cardinality as u64,
+                skew: stats.score_skewness,
+                discount: stats.cardinality as f64 / (1.0 + stats.score_skewness.max(0.0)),
             })
             .collect();
-        let prepared = {
-            let plan_span = account
-                .parent()
-                .map(|(trace, root)| self.obs.recorder().child(trace, root, "plan"));
-            let prepared = self.prepare_units(&spec, &snapshot);
-            drop(plan_span);
-            prepared
-        };
-        let (drive, units) = prepared?;
-        let plan = merged_plan(&units);
-        let unit_plans: Vec<UnitPlanData> = units
-            .iter()
-            .map(|u| UnitPlanData {
-                shard: u.lane(),
-                plan: u.plan.clone(),
-            })
-            .collect();
+        let drive = self.planner.choose_driving(&stats);
+        let unit = self.prepare_unit(&spec, &snapshot, account.parent())?;
+        let plan = unit.plan.clone();
+        let unit_plans = vec![UnitPlanData {
+            shard: 0,
+            plan: plan.clone(),
+        }];
         let analyzed = if analyze {
-            // Units reading shards that still carry unfolded deltas read
+            // A unit reading shards that still carry unfolded deltas reads
             // through delta-merged views — the profile's cache status
-            // records it, in unit order like the outcomes.
-            let delta_merged: Vec<bool> = units
-                .iter()
-                .map(|u| Self::reads_delta(&snapshot, drive, u.shard))
-                .collect();
-            let mut ctx = self.unit_context(&spec, &snapshot, drive, account.parent());
-            ctx.use_unit_cache = false;
-            let outcomes = fan_out_units(units, &ctx);
-            let mut parts: Vec<Arc<RankJoinResult>> = Vec::with_capacity(outcomes.len());
-            let mut profiles = Vec::with_capacity(outcomes.len());
-            let mut unit_records = Vec::with_capacity(outcomes.len());
-            for (outcome, delta_merged) in outcomes.into_iter().zip(delta_merged) {
-                let outcome = outcome?;
-                profiles.push(UnitProfileData {
-                    shard: outcome.shard,
-                    cache: if delta_merged {
-                        "delta-merged"
-                    } else {
-                        "fresh"
-                    },
-                    remote: outcome.remote,
-                    depths: outcome.result.sum_depths() as u64,
-                    micros: outcome.elapsed.as_micros() as u64,
-                    trajectory: outcome.result.trajectory().to_vec(),
-                });
-                unit_records.push(UnitRecord {
-                    shard: outcome.shard,
-                    sum_depths: outcome.result.sum_depths(),
-                    latency: outcome.elapsed,
-                });
-                parts.push(outcome.result);
-            }
-            let result = merge_unit_parts(spec.k, parts, &ctx);
+            // records it.
+            let delta_merged = snapshot.iter().any(|r| r.delta_len() > 0);
+            let ctx = self.unit_context(&spec, &snapshot, &plan, account.parent())?;
+            let outcome = ctx.execute(unit)?;
+            let record = outcome.record();
+            let profile = UnitProfileData {
+                shard: record.shard,
+                cache: if delta_merged {
+                    "delta-merged"
+                } else {
+                    "fresh"
+                },
+                remote: outcome.remote,
+                depths: record.sum_depths as u64,
+                micros: outcome.elapsed.as_micros() as u64,
+                trajectory: outcome.result.trajectory().to_vec(),
+            };
             let latency = started.elapsed();
-            let total_sum_depths: u64 = profiles.iter().map(|u| u.depths).sum();
+            let total_sum_depths = profile.depths;
             let relation_indices: Vec<usize> = spec.relations.iter().map(|r| r.index()).collect();
-            // Every unit ran fresh, so the merged result's depths are the
-            // profiles' total.
-            account.executed("bypass", &result, unit_records, &relation_indices, latency);
+            account.executed(
+                "bypass",
+                &outcome.result,
+                vec![record],
+                &relation_indices,
+                latency,
+            );
             Some(AnalyzeData {
-                result,
+                result: outcome.result,
                 latency,
                 total_sum_depths,
-                units: profiles,
+                units: vec![profile],
             })
         } else {
             None
@@ -1869,31 +1520,22 @@ impl Engine {
             });
         }
 
-        let (drive, units) = {
-            let plan_span = account
-                .parent()
-                .map(|(trace, root)| self.obs.recorder().child(trace, root, "plan"));
-            let prepared = self.prepare_units(&spec, &snapshot);
-            drop(plan_span);
-            prepared?
-        };
-        let plan = merged_plan(&units);
-        let k = spec.k;
+        let unit = self.prepare_unit(&spec, &snapshot, account.parent())?;
+        let plan = unit.plan.clone();
         let relations: Vec<usize> = spec.relations.iter().map(|r| r.index()).collect();
+        let ctx = self.unit_context(&spec, &snapshot, &plan, account.parent())?;
 
-        // Distributed streaming: per-shard units only exist when the
-        // backend routes driving shards to remote workers. They are
-        // executed to completion (in parallel, with replica failover and
-        // the unit cache) and the exact merged top-K is replayed
-        // incrementally — the delivery stops being access-incremental
-        // across the network, the emitted rows do not change.
-        if units.iter().any(|u| u.shard.is_some()) {
-            let ctx = self.unit_context(&spec, &snapshot, drive, account.parent());
-            let (result, unit_records) = run_units(units, k, &ctx)?;
+        // Distributed streaming: the unit runs to completion on a worker and
+        // its top-K is replayed incrementally — the delivery stops being
+        // access-incremental across the network, the emitted rows do not
+        // change.
+        if ctx.remote.is_some() {
+            let outcome = ctx.execute(unit)?;
             let latency = started.elapsed();
-            account.executed("miss", &result, unit_records, &relations, latency);
+            let records = vec![outcome.record()];
+            account.executed("miss", &outcome.result, records, &relations, latency);
             let execution = Arc::new(CachedExecution {
-                result,
+                result: outcome.result,
                 plan: plan.clone(),
             });
             self.cache.insert(key, Arc::clone(&execution));
@@ -1908,11 +1550,9 @@ impl Engine {
             });
         }
 
-        // In process there is exactly one unit. Start its incremental run
-        // up front, so planning and bound-setup failures surface as typed
-        // errors before a thread spawns.
-        let unit = units.into_iter().next().expect("one in-process unit");
-        let lane = unit.lane();
+        // In process: start the unit's incremental run up front, so
+        // bound-setup failures surface as typed errors before a thread
+        // spawns.
         let run = unit
             .plan
             .algorithm
@@ -1931,7 +1571,7 @@ impl Engine {
             .spawn(move || {
                 let panic_sender = sender.clone();
                 let worker = std::panic::AssertUnwindSafe(move || {
-                    Self::stream_single(lane, run, sender, finish);
+                    Self::stream_single(run, sender, finish);
                     // Dropping the sender closes the stream.
                 });
                 // A panicking run must be reported, not mistaken for clean
@@ -1953,7 +1593,6 @@ impl Engine {
     /// The live streaming producer: one incremental run, drained into the
     /// channel, cached on completion.
     fn stream_single(
-        lane: usize,
         mut run: StreamingRun<Arc<dyn ScoringSpec>>,
         sender: std::sync::mpsc::SyncSender<Result<ScoredCombination, EngineError>>,
         finish: StreamFinish,
@@ -1967,20 +1606,19 @@ impl Engine {
         }
         let result = run.into_result();
         let units = vec![UnitRecord {
-            shard: lane,
+            shard: 0,
             sum_depths: result.stats.sum_depths(),
             latency: result.metrics.total_time,
         }];
         finish.complete(result, units);
     }
 
-    /// Executes exactly one partitioned unit — shard `shard` of the
-    /// relation at join position `drive` joined against whole views of the
-    /// others — under a *pinned* plan. This is the worker-side entry point
-    /// of distributed execution: the cluster coordinator plans the unit
-    /// against its snapshot and ships `(drive, shard, algorithm, period)`
-    /// plus the snapshot's epoch vectors; the worker replays it here
-    /// against its replicated catalog.
+    /// Executes one query's unit — every relation read whole through its
+    /// merged view — under a *pinned* algorithm. This is the worker-side
+    /// entry point of distributed execution: the cluster coordinator plans
+    /// the query against its snapshot and ships the algorithm plus the
+    /// snapshot's epoch vectors; the worker replays it here against its
+    /// replicated catalog.
     ///
     /// When `expected_epochs` is given, the worker's snapshot must match it
     /// exactly — otherwise the replica has missed (or over-run) a mutation
@@ -1989,28 +1627,13 @@ impl Engine {
     pub fn execute_unit(
         &self,
         spec: &QuerySpec,
-        drive: usize,
-        shard: usize,
         algorithm: Algorithm,
-        dominance_period: Option<usize>,
         expected_epochs: Option<&[Vec<u64>]>,
     ) -> Result<(RankJoinResult, Duration), EngineError> {
         if spec.relations.is_empty() {
             return Err(EngineError::Prj(PrjError::NoRelations));
         }
         let snapshot = self.catalog.snapshot(&spec.relations)?;
-        if drive >= snapshot.len() {
-            return Err(EngineError::Degraded(format!(
-                "drive index {drive} out of range for {} relations",
-                snapshot.len()
-            )));
-        }
-        if shard >= snapshot[drive].num_shards() {
-            return Err(EngineError::StaleReplica(format!(
-                "shard {shard} out of range: this engine partitions into {} shards",
-                snapshot[drive].num_shards()
-            )));
-        }
         if let Some(expected) = expected_epochs {
             for (idx, relation) in snapshot.iter().enumerate() {
                 let have = relation.epochs();
@@ -2027,14 +1650,12 @@ impl Engine {
         }
         Self::validate_dimensions(spec, &snapshot)?;
         let reducible = spec.scoring.euclidean_weights().is_some();
-        let query = Arc::new(spec.query.clone());
         let plan = Plan {
             algorithm,
-            dominance_period,
+            dominance_period: None,
             rationale: "pinned by the cluster coordinator".to_string(),
         };
-        let mut unit =
-            Self::build_unit(spec, &snapshot, &query, reducible, drive, Some(shard), plan)?;
+        let mut unit = Self::build_unit(spec, &snapshot, reducible, plan)?;
         let started = Instant::now();
         let result = unit
             .plan
@@ -2287,9 +1908,8 @@ mod tests {
 
     #[test]
     fn sharded_plan_reports_the_partitioning() {
-        // In process, shards are storage only: the S=4 plan is the S=1
-        // plan. Only a remote backend splits the query into per-shard
-        // units, and only then does the plan say so.
+        // Shards are storage only: the S=4 plan is the S=1 plan, in process
+        // and through a remote backend, which runs the same one unit.
         let spec = |id| QuerySpec::top_k(vec![id], Vector::from([0.0, 0.0]), 3);
         let single = EngineBuilder::default().threads(1).build();
         let single_id = single.register("r", spread_tuples());
@@ -2309,45 +1929,32 @@ mod tests {
         let local = engine.query(spec(id)).expect("local S=4 query");
         assert_eq!(local.plan(), expected.plan());
         assert_eq!(local.fresh_units, 1);
-        assert!(!local.plan().rationale.contains("partitioned over"));
 
         engine.set_remote_backend(InProcessBackend::new(&engine));
-        let remote = engine.query(spec(id)).expect("partitioned query");
-        assert!(
-            remote
-                .plan()
-                .rationale
-                .contains(&format!("partitioned over {populated} driving shards")),
-            "rationale: {}",
-            remote.plan().rationale
-        );
+        let remote = engine.query(spec(id)).expect("remote query");
+        assert_eq!(remote.plan(), expected.plan());
+        assert_eq!(remote.fresh_units, 1);
         assert_eq!(remote.combinations(), expected.combinations());
+        assert_eq!(remote.result().sum_depths(), expected.result().sum_depths());
     }
 
     #[test]
     fn units_share_one_query_allocation() {
-        // White-box: preparing a partitioned execution must clone the query
-        // vector once per query, not once per unit — every unit's problem
-        // hangs on to the same `Arc<Vector>`. Only a cluster coordinator
-        // prepares several units, so route them through a backend.
+        // White-box: the unit clones the query vector once; its relation
+        // views hang on to the problem's `Arc<Vector>` instead of cloning
+        // it again. A remote backend prepares the same unit.
         let engine = Arc::new(EngineBuilder::default().threads(1).shards(4).build());
         engine.set_remote_backend(InProcessBackend::new(&engine));
         let id = engine.register("r", spread_tuples());
         let spec = QuerySpec::top_k(vec![id], Vector::from([0.0, 0.0]), 3);
         let snapshot = engine.catalog.snapshot(&spec.relations).expect("snapshot");
-        let (_, units) = engine.prepare_units(&spec, &snapshot).expect("prepare");
+        let unit = engine
+            .prepare_unit(&spec, &snapshot, None)
+            .expect("prepare");
         assert!(
-            units.len() > 1,
-            "expected several populated driving shards, got {}",
-            units.len()
+            Arc::strong_count(unit.problem.query_shared()) > 1,
+            "the relation views must share the query allocation, not re-clone it"
         );
-        let first = units[0].problem.query_shared();
-        for unit in &units[1..] {
-            assert!(
-                Arc::ptr_eq(first, unit.problem.query_shared()),
-                "each unit must share the query allocation, not re-clone it"
-            );
-        }
     }
 
     #[test]

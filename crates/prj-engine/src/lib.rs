@@ -29,17 +29,15 @@
 //! * [`planner`] — once per query, picks one of the paper's four
 //!   instantiations from the number of joined relations and whether the
 //!   scoring admits the Euclidean reduction: CBPA at n ≤ 2 or without the
-//!   reduction, TBPA at n ≥ 3, never the LP dominance test. Every
-//!   execution unit of the query runs that plan; a pinned algorithm
-//!   overrides it.
+//!   reduction, TBPA at n ≥ 3, never the LP dominance test. The query's
+//!   execution unit runs that plan; a pinned algorithm overrides it.
 //! * [`engine`] — the execution façade: a gate of run permits
 //!   ([`executor`]), batched and streaming queries
 //!   ([`Engine::stream`] exposes the paper's incremental pulling model
-//!   with backpressure), one operator per in-process query over the
-//!   shards' merged views (shard count is unobservable through results
-//!   and cost counters), per-shard remote units recombined by
-//!   `prj_core::merge_shared` on a cluster coordinator, and
-//!   epoch-consistent cache keying.
+//!   with backpressure), one operator per query over the shards' merged
+//!   views (shard count is unobservable through results and cost
+//!   counters) — run in process or, on a cluster coordinator, sent whole to
+//!   one worker — and epoch-consistent cache keying.
 //! * [`cache`] — an LRU result cache keyed by (relations *with their
 //!   per-shard epoch vectors*, query point bits, `k`, scoring fingerprint,
 //!   algorithm): a mutation changes the key, so a stale memoised result
@@ -110,7 +108,7 @@ pub mod session;
 pub mod sharding;
 pub mod stats;
 
-pub use cache::{CacheKey, CacheMetrics, CachedExecution, ResultCache, UnitCache, UnitKey};
+pub use cache::{CacheKey, CacheMetrics, CachedExecution, ResultCache};
 pub use catalog::{
     Catalog, CatalogError, CatalogRelation, MutationOutcome, RelationId, RelationShard,
 };

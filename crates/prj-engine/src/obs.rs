@@ -34,12 +34,11 @@
 //!
 //! One query = one [`TraceId`]. The engine emits a root `query` span (a
 //! *child* span when the request carried a [`QueryTrace`] from an upstream
-//! coordinator), a `plan` span covering unit preparation, one `unit` span
-//! per driving-shard execution unit (annotated `shard`, `remote`, `cache`),
-//! and a `merge` span when several units recombine. Workers executing
-//! remote units ship their `execute_unit`/`run` spans back over the wire;
-//! the coordinator stitches them under the dispatching `unit` span via
-//! [`Recorder::import`].
+//! coordinator), a `plan` span covering unit preparation, and one `unit`
+//! span for the query's execution unit (annotated `shard`, `remote`,
+//! `sum_depths`). A worker executing a remote unit ships its
+//! `execute_unit`/`run` spans back over the wire; the coordinator stitches
+//! them under the dispatching `unit` span via [`Recorder::import`].
 //!
 //! ## Trace retention
 //!

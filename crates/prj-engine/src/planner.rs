@@ -19,9 +19,9 @@
 //!   runs, and served top-K runs are shallow.
 //!
 //! The plan is a pure function of those two inputs, so one query gets one
-//! plan for all of its execution units. [`Planner::choose_driving`] still
-//! reads the catalog's [`RelationStats`]: a cluster coordinator partitions
-//! by the relation it picks, and EXPLAIN reports it.
+//! plan for its one execution unit. [`Planner::choose_driving`] still reads
+//! the catalog's [`RelationStats`], but only EXPLAIN reports what it picks
+//! (`drive`, and each relation's `discount`); no execution depends on it.
 
 use prj_access::RelationStats;
 use prj_core::Algorithm;
@@ -44,12 +44,11 @@ pub struct Plan {
 pub struct Planner {}
 
 impl Planner {
-    /// Picks the *driving* relation of a partitioned execution — the one
-    /// whose shards the combination space is split by — by estimated
-    /// `sumDepths` instead of blindly taking the first. Only a cluster
-    /// coordinator partitions (one remote unit per driving shard); an
-    /// in-process query runs one unit over every relation's merged view,
-    /// where the choice is merely reported by EXPLAIN.
+    /// Picks the relation a partitioned execution would drive — the one
+    /// whose shards the combination space would be split by — by estimated
+    /// `sumDepths` instead of blindly taking the first. No execution
+    /// partitions — every query runs one unit over every relation's merged
+    /// view — so the choice is only reported by EXPLAIN.
     ///
     /// The model: per execution unit, the driving relation contributes only
     /// its shard slice, while every *non-driving* relation is read through

@@ -47,7 +47,7 @@ impl From<EngineError> for ApiError {
                 }
                 _ => ErrorKind::Operator,
             },
-            EngineError::WorkerUnavailable { .. } => ErrorKind::WorkerUnavailable,
+            EngineError::WorkerUnavailable(_) => ErrorKind::WorkerUnavailable,
             EngineError::Degraded(_) => ErrorKind::Degraded,
             EngineError::StaleReplica(_) => ErrorKind::StaleEpoch,
             EngineError::WorkerLost => ErrorKind::Internal,
@@ -334,7 +334,7 @@ impl Session {
             // worker (`prj-cluster`'s WorkerSession); answering with a
             // typed error instead of dropping the connection lets a
             // misdirected coordinator diagnose itself.
-            Request::ExecuteUnit(_) | Request::ShardAssignment { .. } | Request::WorkerStats => {
+            Request::ExecuteUnit(_) | Request::WorkerStats => {
                 return Err(ApiError::new(
                     ErrorKind::Unsupported,
                     "this endpoint is not a cluster worker; start it with prj-serve --worker",
@@ -360,8 +360,8 @@ impl Session {
                         .collect(),
                     // A plain session serves no remote units; the cluster
                     // coordinator's handler fills these lanes in.
-                    worker_shard_depths: Vec::new(),
-                    worker_shard_micros: Vec::new(),
+                    worker_depths: Vec::new(),
+                    worker_micros: Vec::new(),
                 })
             }
             Request::Metrics => Response::Metrics(MetricsReport {

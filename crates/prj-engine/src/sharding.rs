@@ -11,10 +11,9 @@
 //! data.
 //!
 //! Sharding is engine-internal: the `prj-api` `Request` surface never
-//! mentions shards, and because the same policy instance is shared by every
-//! relation in a catalog, the executor can partition the *combination
-//! space* by the driving relation's shards and recombine exactly (see
-//! [`prj_core::merge`]).
+//! mentions shards. Queries read a relation's shards through one merged,
+//! globally sorted view, so the shard count is unobservable through results
+//! and cost counters; shards are the unit of storage and publish cost.
 
 use prj_geometry::Vector;
 

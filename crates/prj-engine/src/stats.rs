@@ -12,12 +12,12 @@ use std::time::Duration;
 /// How many recent latencies the percentile ring retains.
 const LATENCY_RING: usize = 4096;
 
-/// One partitioned execution unit's contribution to a query, tagged with
-/// the shard it ran on. Sparse by construction: shards whose driving slice
-/// was empty run no unit and therefore contribute no record.
+/// One execution unit's contribution to a query, tagged with the lane it
+/// is reported on.
 #[derive(Debug, Clone, Copy)]
 pub struct UnitRecord {
-    /// The driving-relation shard the unit covered.
+    /// The lane: always 0, since a query's one unit reads every relation
+    /// whole.
     pub shard: usize,
     /// Sorted accesses the unit performed.
     pub sum_depths: usize,
@@ -36,14 +36,12 @@ pub struct QueryRecord {
     pub bound_updates: usize,
     /// Whether the result came from the cache.
     pub from_cache: bool,
-    /// The execution units that actually ran, one per covered shard (empty
-    /// for cache hits).
+    /// The execution unit that actually ran (empty for cache hits).
     pub units: Vec<UnitRecord>,
     /// Per-relation sorted-access depths of the executed result, as
     /// `(relation index, depth)` pairs (empty for cache hits). Feeds the
     /// `prj_relation_depth_total` metric series; unlike `sum_depths` it
-    /// counts the accesses the served result *embodies*, including those
-    /// replayed from the unit cache.
+    /// counts per relation.
     pub relation_depths: Vec<(usize, u64)>,
 }
 
@@ -190,8 +188,8 @@ pub struct EngineStatsSnapshot {
     pub total_sum_depths: u64,
     /// Total `updateBound` evaluations over all executed runs.
     pub total_bound_updates: u64,
-    /// Per-shard depth/latency breakdown of partitioned executions, indexed
-    /// by shard (empty until a sharded query executes).
+    /// Per-lane depth/latency breakdown of executed units, indexed by lane
+    /// (empty until a query executes; every unit reports on lane 0).
     pub per_shard: Vec<ShardLane>,
 }
 

@@ -344,3 +344,51 @@ fn concurrent_identical_cold_queries_run_the_operator_once() {
     assert_eq!(stats.executed, 1, "only one caller may execute");
     assert_eq!(stats.cache_hits, 7);
 }
+
+#[test]
+fn drop_outcome_reports_every_shard_touched() {
+    use prj_engine::{MutationEvent, MutationKind, MutationObserver};
+    use std::sync::Mutex;
+
+    struct Capture(Mutex<Vec<MutationEvent>>);
+    impl MutationObserver for Capture {
+        fn mutation(&self, event: &MutationEvent) {
+            self.0.lock().expect("capture lock").push(event.clone());
+        }
+    }
+
+    const SHARDS: usize = 4;
+    let engine = EngineBuilder::default().threads(1).shards(SHARDS).build();
+    let tuples = (0..32)
+        .map(|i| {
+            let x = ((i * 37) % 100) as f64 / 10.0 - 5.0;
+            let y = ((i * 53) % 100) as f64 / 10.0 - 5.0;
+            prj_core::Tuple::new(
+                prj_access::TupleId::new(0, i),
+                Vector::from([x, y]),
+                (i % 9) as f64 / 10.0 + 0.1,
+            )
+        })
+        .collect();
+    let id0 = engine.register("r0", tuples);
+    let capture = Arc::new(Capture(Mutex::new(Vec::new())));
+    engine.add_mutation_observer(Arc::clone(&capture) as Arc<dyn MutationObserver>);
+
+    let outcome = engine.drop_relation(id0).expect("drop");
+    let sorted = |mut shards: Vec<usize>| {
+        shards.sort_unstable();
+        shards
+    };
+    let all: Vec<usize> = (0..SHARDS).collect();
+    assert_eq!(
+        sorted(outcome.touched_shards.clone()),
+        all,
+        "drop must touch all {SHARDS} shards"
+    );
+
+    let events = capture.0.lock().expect("capture lock");
+    assert_eq!(events.len(), 1, "exactly one committed mutation observed");
+    assert!(matches!(events[0].kind, MutationKind::Drop));
+    assert_eq!(events[0].outcome.id, id0);
+    assert_eq!(sorted(events[0].outcome.touched_shards.clone()), all);
+}

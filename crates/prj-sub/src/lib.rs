@@ -30,13 +30,11 @@
 //!
 //! The [`SubscriptionManager`] pins each subscription's plan at subscribe
 //! time (the planner's choice is frozen into the stored [`QuerySpec`]), so
-//! every re-execution replays the *same* plan. In process that is one unit
-//! over the shards' merged views — a re-run costs what an unsharded re-run
-//! costs. On a cluster coordinator the plan fans out into per-shard remote
-//! units, and units over untouched shards hit the engine's unit cache: a
-//! single-shard append to the driving relation of a 4-shard catalog
-//! re-executes exactly one unit. Both are observable through the
-//! `prj_subscription_reexecuted_units_total` counter. There is no
+//! every re-execution replays the *same* plan: one unit over the shards'
+//! merged views, so a re-run costs what an unsharded re-run costs — run in
+//! process, or on a cluster coordinator sent whole to one worker. Re-runs
+//! are observable through the `prj_subscription_reexecuted_units_total`
+//! counter. There is no
 //! polling anywhere: the engine's [`MutationObserver`] hook wakes the
 //! manager's notifier thread only when a mutation actually commits.
 //!
@@ -45,7 +43,7 @@
 //! * Per subscription, notifications carry a gapless 1-based `seq`; events
 //!   within one notification are ordered (exits by old rank, then
 //!   placements by new rank, then rescores) so replay is deterministic.
-//! * A notification is only emitted from a *certified* merge: if a
+//! * A notification is only emitted from a *certified* result: if a
 //!   re-execution reports `hit_access_cap` (an uncertified, truncated
 //!   answer), the wakeup is suppressed rather than risking a wrong diff.
 //!   The subscription is then *dirty* (its delivered top-K may lag the
@@ -59,9 +57,9 @@
 //!   notification finalized `fin=drop`; a terminal re-execution failure
 //!   (e.g. the worker fleet became unavailable) closes it `fin=error`.
 //! * On a distributed coordinator, a re-execution racing replication sees
-//!   `stale-epoch` from lagging replicas; the manager retries briefly
+//!   `stale-epoch` from a lagging worker; the manager retries briefly
 //!   (bounded) so the notification reflects the post-mutation epochs, and
-//!   replica failover inside the engine's remote backend is preserved —
+//!   worker failover inside the engine's remote backend is preserved —
 //!   a worker death mid-sequence degrades capacity, never exactness.
 //!
 //! Transport-wise, the [`Subscribing`] wrapper intercepts the
@@ -144,8 +142,7 @@ impl MutationObserver for Forwarder {
 /// One registered standing query.
 struct SubState {
     /// The pinned spec: the subscribe-time plan's algorithm is frozen in,
-    /// so every re-execution replays identical per-shard units and the
-    /// unit cache absorbs the untouched shards.
+    /// so every re-execution replays an identical unit.
     spec: QuerySpec,
     /// The last *delivered* certified top-K — the baseline the next diff
     /// (and the client's replay) runs against.
@@ -351,9 +348,8 @@ impl SubscriptionManager {
         self.inner.notifications.get()
     }
 
-    /// Execution units actually re-run by re-evaluations — the white-box
-    /// incrementality measure (unit-cache hits on untouched shards are
-    /// excluded).
+    /// Execution units actually re-run by re-evaluations (one per re-run)
+    /// — the white-box incrementality measure.
     pub fn reexecuted_units_total(&self) -> u64 {
         self.inner.reexecuted.get()
     }
@@ -537,7 +533,7 @@ fn refresh(inner: &Arc<Inner>, id: u64, state: &mut SubState, span: Option<SpanG
             if let Some(span) = span.as_mut() {
                 span.attr("fresh_units", result.fresh_units);
             }
-            // An uncertified merge (access cap hit) is a truncated answer:
+            // An uncertified result (access cap hit) is a truncated answer:
             // diffing against it could tell the client a combination left
             // the top-K when it merely went unproven. Never notify from it.
             state.dirty = result.result().metrics.hit_access_cap;
@@ -655,7 +651,7 @@ impl<H: RequestHandler> RequestHandler for Subscribing<H> {
 mod tests {
     use super::*;
     use prj_api::{apply_events, TupleData};
-    use prj_engine::{Engine, EngineBuilder, InProcessBackend};
+    use prj_engine::EngineBuilder;
     use std::sync::Arc;
 
     fn rows(n: usize, shift: f64) -> Vec<TupleData> {
@@ -669,12 +665,7 @@ mod tests {
     }
 
     fn manager_over(shards: usize) -> (Arc<SubscriptionManager>, Session) {
-        manager_over_engine(Arc::new(
-            EngineBuilder::default().threads(2).shards(shards).build(),
-        ))
-    }
-
-    fn manager_over_engine(engine: Arc<Engine>) -> (Arc<SubscriptionManager>, Session) {
+        let engine = Arc::new(EngineBuilder::default().threads(2).shards(shards).build());
         let session = Session::new(Arc::clone(&engine));
         let manager = Arc::new(SubscriptionManager::new(Session::new(engine), 0));
         for (name, shift) in [("L", 0.0), ("R", 0.5)] {
@@ -825,45 +816,6 @@ mod tests {
         assert_eq!(manager.skipped_total(), 1);
         assert_eq!(manager.reexecuted_units_total(), reexecuted);
         assert!(feed.try_recv().is_err(), "no notification expected");
-    }
-
-    #[test]
-    fn single_shard_append_reexecutes_exactly_one_unit() {
-        // The cluster's incrementality property: 4 shards whose units are
-        // remote calls (an in-process backend routes them), a
-        // subscription over the sharded relation, one appended tuple
-        // touching one shard — exactly one execution unit runs fresh; the
-        // other three are unit-cache hits under the pinned plan.
-        let engine = Arc::new(EngineBuilder::default().threads(2).shards(4).build());
-        engine.set_remote_backend(InProcessBackend::new(&engine));
-        let (manager, session) = manager_over_engine(engine);
-        let (_, baseline, feed) = subscribe(
-            &manager,
-            QueryRequest::new(vec!["L".into()], [0.0, 0.0]).k(6),
-        );
-        let before = manager.reexecuted_units_total();
-        match session.handle(Request::AppendTuples {
-            relation: "L".into(),
-            tuples: vec![TupleData::new([0.0, 0.0], 1.0)],
-        }) {
-            Response::Appended { .. } => {}
-            other => panic!("append failed: {other:?}"),
-        }
-        manager.quiesce();
-        assert_eq!(
-            manager.reexecuted_units_total() - before,
-            1,
-            "single-shard append must re-execute exactly one of 4 units"
-        );
-        let note = next_notification(&feed);
-        let replayed = apply_events(&baseline, &note.events, note.total).expect("replay");
-        let fresh = match session.handle(Request::TopK(
-            QueryRequest::new(vec!["L".into()], [0.0, 0.0]).k(6),
-        )) {
-            Response::Results { rows, .. } => rows,
-            other => panic!("fresh query failed: {other:?}"),
-        };
-        assert_eq!(replayed, fresh);
     }
 
     #[test]

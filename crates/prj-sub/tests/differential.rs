@@ -383,7 +383,6 @@ fn distributed_subscriptions_stay_exact_through_a_worker_kill() {
     let topology = prj_cluster::ClusterTopology::new(
         fleet.iter().map(|w| w.addr().to_string()).collect(),
         shards,
-        2,
     )
     .expect("topology");
     let coordinator = prj_cluster::Coordinator::builder(topology)

@@ -22,9 +22,10 @@
 //! * [`api`] — the versioned, transport-agnostic request/response protocol
 //!   (`Request`/`Response`/`ApiError`), its `prj/2` line wire codec, and
 //!   a TCP client with timeouts and connect retries.
-//! * [`cluster`] — distributed shard execution: coordinator + worker
-//!   processes over the `prj/2` cluster-internal messages, exact by
-//!   bound-aware merging (and home of the `prj-serve` binary).
+//! * [`cluster`] — distributed execution: a coordinator sends each query
+//!   whole to one of its fully replicated worker processes over the
+//!   `prj/2` cluster-internal messages (and is home of the `prj-serve`
+//!   binary).
 //! * [`data`] — synthetic and city data set generators used by the evaluation.
 //!
 //! ## Quickstart
